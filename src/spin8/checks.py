@@ -13,9 +13,12 @@ trials for the algebra axioms and 10x trials for the maximality scan.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import sub
 
 from .clifford import (
     NotVectorShaped,
@@ -79,8 +82,8 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be a positive finite number")
         if self.backend not in ("exact", "float", "both"):
             raise ValueError("backend must be exact, float or both")
 
@@ -131,11 +134,8 @@ def residual(a, b) -> float:
     if isinstance(a, Octonion):
         return max(residual(x, y) for x, y in zip(a.coeffs, b.coeffs))
     if isinstance(a, Matrix):
-        return max(
-            abs(float(x) - float(y))
-            for ra, rb in zip(a.rows, b.rows)
-            for x, y in zip(ra, rb)
-        )
+        return max(map(abs, map(sub, chain.from_iterable(a._floats()[1]),
+                                chain.from_iterable(b._floats()[1]))))
     if isinstance(a, TrialityTriple):
         return max(
             residual(a.A, b.A), residual(a.B, b.B), residual(a.C, b.C)

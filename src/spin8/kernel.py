@@ -42,8 +42,8 @@ from .scalars import QuadExt, Rational
 def scale(values):
     """(d, a, b) with values[i] == (a[i] + b[i]*sqrt 3)/d, a reduced form.
 
-    Entries are read through ``numerator`` and ``denominator``, so every
-    exact rational type (int, Fraction, gmpy2 mpq) takes this path.
+    Entries are read through ``numerator`` and ``denominator``, so ints and
+    Fractions take the same path.
     """
     if not any(type(v) is QuadExt for v in values):
         d = lcm(*[v.denominator for v in values])

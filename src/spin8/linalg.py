@@ -1,16 +1,30 @@
 """Dense square matrices over any scalar backend.
 
 Sized for the 8x8 rotation and 16x16 block work here, but generic in n.
-Matrices are immutable; rows are tuples of scalars.  Exact matrices compute
-through their scaled-integer form (``kernel``), built once per matrix and
-kept beside the rows; tolerance-backend matrices run on raw floats.
+Matrices are immutable; rows are tuples of scalars.  Each matrix computes
+through one form of its backend, and the form decides the backend:
+
+* exact: the scaled-integer form (d, a, b) of ``kernel``, built once per
+  matrix on first use and kept beside the rows;
+* float: (eps, rows of Python floats), set when the matrix is built from
+  rows holding an ``ApproxReal``, eps being the largest tolerance among
+  them, or directly when a float operation computes the matrix.
+
+A matrix computed on either form builds its scalar rows only when ``rows``
+is read.  Float results are bit-identical to entrywise ``ApproxReal``
+arithmetic: the same float operations run in the same order (dot products
+are ``sum`` over the terms in index order), and a run's tolerances are
+uniform and combine as the max.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import mul, sub
+
 from . import kernel
 from .kernel import columns
-from .scalars import ApproxReal, Rational, format_scalar, invert
+from .scalars import ApproxReal, Rational, approx_eps, format_scalar, invert
 
 
 class DimensionMismatch(ValueError):
@@ -21,30 +35,15 @@ class NotOrthogonal(ValueError):
     pass
 
 
-def _approx_eps(rows) -> float:
-    """Largest tolerance among ApproxReal entries, 0.0 if there are none.
-
-    Gates the raw-float fast paths below; they are equivalent to entrywise
-    wrapped arithmetic because a run's tolerances are uniform and combine as
-    the max.
-    """
-    eps = 0.0
-    for row in rows:
-        for e in row:
-            if type(e) is ApproxReal and e.eps > eps:
-                eps = e.eps
-    return eps
-
-
 class Matrix:
     """Square matrix; rows is a tuple of row tuples of scalars.
 
-    An exact matrix also keeps its kernel form (d, a, b), built on first use;
-    one computed by the kernel starts from that form alone and builds its
-    rows only when they are read.
+    An exact matrix also keeps its kernel form (d, a, b) in ``_form``, a
+    float matrix its float form (eps, float rows) in ``_fl``; a matrix
+    computed on a form starts from the form alone.
     """
 
-    __slots__ = ("_rows", "_form")
+    __slots__ = ("_rows", "_form", "_fl")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -53,26 +52,46 @@ class Matrix:
             raise DimensionMismatch("matrix must be square and non-empty")
         self._rows = rows
         self._form = None
+        eps = approx_eps(chain.from_iterable(rows))
+        self._fl = (eps, tuple(tuple(map(float, r)) for r in rows)) if eps else None
 
     @classmethod
     def _of_form(cls, form) -> "Matrix":
         m = object.__new__(cls)
         m._rows = None
         m._form = form
+        m._fl = None
+        return m
+
+    @classmethod
+    def _of_floats(cls, eps: float, rows) -> "Matrix":
+        """A float matrix from its tolerance and rows of floats (tuples)."""
+        m = object.__new__(cls)
+        m._rows = None
+        m._form = None
+        m._fl = (eps, rows)
         return m
 
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            d, a, b = self._form
-            flat = kernel.unscale(d, [x for r in a for x in r],
-                                  b and [x for r in b for x in r])
-            self._rows = tuple(kernel.rows_of(tuple(flat), len(a)))
+            if self._fl is not None:
+                eps, fl = self._fl
+                self._rows = tuple(
+                    tuple(ApproxReal._fast(v, eps) for v in r) for r in fl)
+            else:
+                d, a, b = self._form
+                flat = kernel.unscale(d, [x for r in a for x in r],
+                                      b and [x for r in b for x in r])
+                self._rows = tuple(kernel.rows_of(tuple(flat), len(a)))
         return self._rows
 
-    def _eps(self) -> float:
-        """Tolerance of the entries, 0.0 for an exact matrix."""
-        return 0.0 if self._form is not None else _approx_eps(self._rows)
+    def _floats(self):
+        """(eps, rows as float tuples): the float form, or (0.0, the entries
+        as floats) for an exact matrix."""
+        if self._fl is not None:
+            return self._fl
+        return 0.0, tuple(tuple(map(float, r)) for r in self.rows)
 
     def _scaled(self):
         """Kernel form (d, a, b) of an exact matrix, a and b as lists of row tuples."""
@@ -83,7 +102,9 @@ class Matrix:
 
     @property
     def n(self) -> int:
-        return len(self._rows if self._rows is not None else self._form[1])
+        if self._rows is not None:
+            return len(self._rows)
+        return len((self._fl or self._form)[1])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -94,6 +115,9 @@ class Matrix:
         return cls(((0,) * n,) * n)
 
     def transpose(self) -> "Matrix":
+        if self._fl is not None:
+            eps, rows = self._fl
+            return Matrix._of_floats(eps, tuple(zip(*rows)))
         if self._form is not None:
             d, a, b = self._form
             return Matrix._of_form((d, columns(a), columns(b)))
@@ -108,19 +132,12 @@ class Matrix:
         n = self.n
         if other.n != n:
             raise DimensionMismatch(f"cannot multiply {n}x{n} by {other.n}x{other.n}")
-        eps = max(self._eps(), other._eps())
-        if eps:
-            a = [[float(e) for e in row] for row in self.rows]
-            bcols = [[float(e) for e in col] for col in zip(*other.rows)]
-            out = []
-            for arow in a:
-                out.append(
-                    tuple(
-                        ApproxReal(sum(x * y for x, y in zip(arow, col)), eps)
-                        for col in bcols
-                    )
-                )
-            return Matrix(out)
+        if self._fl is not None or other._fl is not None:
+            ea, a = self._floats()
+            eb, b = other._floats()
+            bcols = tuple(zip(*b))
+            return Matrix._of_floats(max(ea, eb), tuple(
+                tuple([sum(map(mul, r, c)) for c in bcols]) for r in a))
         da, a, ab = self._scaled()
         db, b, bb = other._scaled()
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
@@ -131,13 +148,12 @@ class Matrix:
         n = self.n
         if len(vec) != n:
             raise DimensionMismatch(f"vector of length {len(vec)} against {n}x{n}")
-        eps = max(self._eps(), _approx_eps((vec,)))
-        if eps:
-            vf = [float(e) for e in vec]
-            return tuple(
-                ApproxReal(sum(float(r) * v for r, v in zip(row, vf)), eps)
-                for row in self.rows
-            )
+        eps = approx_eps(vec)
+        if eps or self._fl is not None:
+            meps, rows = self._floats()
+            eps = max(eps, meps)
+            vf = list(map(float, vec))
+            return tuple([ApproxReal._fast(sum(map(mul, r, vf)), eps) for r in rows])
         d, a, b = self._scaled()
         dv, va, vb = kernel.scale(vec)
         pa, pb = kernel.zmul(kernel.matmul, (a, b), ([va], vb and [vb]))
@@ -177,6 +193,12 @@ class Matrix:
         if self._form is not None and other._form is not None:
             # reduced kernel forms are unique, see kernel
             return self._form == other._form
+        if self._fl is not None or other._fl is not None:
+            ea, a = self._floats()
+            eb, b = other._floats()
+            # eps >= |x - y|, like ApproxReal.__eq__, and False on a nan
+            return all(map(max(ea, eb).__ge__, map(abs, map(
+                sub, chain.from_iterable(a), chain.from_iterable(b)))))
         for ra, rb in zip(self.rows, other.rows):
             for a, b in zip(ra, rb):
                 if not (a == b):
@@ -192,8 +214,8 @@ class Matrix:
     def det(self):
         """Determinant: fraction-free elimination on the kernel form for exact
         entries, partial-pivot LU on raw floats for the tolerance backend."""
-        if self._eps():
-            return _det_float(self.rows)
+        if self._fl is not None:
+            return _det_float(*self._fl)
         d, a, b = self._scaled()
         x, y = kernel.det(a, b)
         return kernel.unscale(d ** self.n, [x], [y] if y else None)[0]
@@ -211,18 +233,9 @@ class Matrix:
         return f"<Matrix {self.n}x{self.n}>"
 
 
-def _det_float(rows):
+def _det_float(eps, rows):
     n = len(rows)
-    eps = 1e-9
-    for row in rows:
-        for e in row:
-            if isinstance(e, ApproxReal):
-                eps = e.eps
-                break
-        else:
-            continue
-        break
-    m = [[float(e) for e in row] for row in rows]
+    m = [list(row) for row in rows]
     det = 1.0
     for k in range(n):
         p = max(range(k, n), key=lambda i: abs(m[i][k]))
@@ -248,12 +261,12 @@ def is_orthogonal(m: Matrix) -> bool:
     column dot products pairwise for j <= i only; the Gram matrix is
     symmetric term by term, so this is the same test at half the work.
     """
-    eps = m._eps()
-    if eps:
-        cols = [[float(e) for e in col] for col in zip(*m.rows)]
+    if m._fl is not None:
+        eps, rows = m._fl
+        cols = tuple(zip(*rows))
         for i, ci in enumerate(cols):
             for j in range(i + 1):
-                dot = sum(x * y for x, y in zip(ci, cols[j]))
+                dot = sum(map(mul, ci, cols[j]))
                 if abs(dot - (1.0 if i == j else 0.0)) > eps:
                     return False
         return True
@@ -264,7 +277,7 @@ def is_special_orthogonal(m: Matrix) -> bool:
     """m^t m = I (exact, or within tolerance) and det +1 (sign test on floats)."""
     if not is_orthogonal(m):
         return False
-    if m._form is None:  # is_orthogonal has built the form of an exact m
+    if m._fl is not None:
         return m.det().value > 0
     d, a, b = m._scaled()
     return kernel.det(a, b) == (d ** m.n, 0)

@@ -9,6 +9,10 @@ generated once at import time by Cayley-Dickson doubling
 
 and is the single source of truth for every product in the package.
 Conjugation is the full octonionic one: it fixes e1 and negates e2..e8.
+
+Products run on one kernel per backend: exact coefficients multiply as
+L(x) y on their scaled-integer forms (``kernel``), float coefficients in
+``mul_floats``, the straight-line product written out from the table.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .linalg import Matrix
 from .scalars import (
     ApproxReal,
     Rational,
+    approx_eps,
     format_scalar,
     infer_backend,
     invert,
@@ -113,31 +118,41 @@ def _left_rows(x):
     return [list(map(mul, get(x), sign)) for get, sign in _LEFT]
 
 
+def mul_floats(x, y):
+    """Octonion product of two float 8-sequences: the float kernel.
+
+    Line k is coordinate k of x*y: the terms +-x[p]*y[q] with e_p e_q = +-e_k,
+    added in ascending p onto +0.0, as an accumulation loop over ``TABLE``
+    does (a test pins each line to the table), so on finite inputs every
+    coordinate has the loop's bits.  A zero term, which such a loop may skip,
+    leaves a nonzero sum unchanged and a zero sum at +0.0; starting from
+    +0.0 keeps -0.0, which formats as "-0.0", out of the result.
+    """
+    x0, x1, x2, x3, x4, x5, x6, x7 = x
+    y0, y1, y2, y3, y4, y5, y6, y7 = y
+    return (
+        0.0 + x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4 - x5 * y5 - x6 * y6 - x7 * y7,
+        0.0 + x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2 + x4 * y5 - x5 * y4 - x6 * y7 + x7 * y6,
+        0.0 + x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1 + x4 * y6 + x5 * y7 - x6 * y4 - x7 * y5,
+        0.0 + x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0 + x4 * y7 - x5 * y6 + x6 * y5 - x7 * y4,
+        0.0 + x0 * y4 - x1 * y5 - x2 * y6 - x3 * y7 + x4 * y0 + x5 * y1 + x6 * y2 + x7 * y3,
+        0.0 + x0 * y5 + x1 * y4 - x2 * y7 + x3 * y6 - x4 * y1 + x5 * y0 - x6 * y3 + x7 * y2,
+        0.0 + x0 * y6 + x1 * y7 + x2 * y4 - x3 * y5 - x4 * y2 + x5 * y3 + x6 * y0 - x7 * y1,
+        0.0 + x0 * y7 - x1 * y6 + x2 * y5 + x3 * y4 - x4 * y3 - x5 * y2 + x6 * y1 + x7 * y0,
+    )
+
+
 def mul_coeffs(x, y):
     """Product of two octonion coefficient 8-tuples (the hot path).
 
     Exact inputs multiply as x*y = L(x) y on their scaled-integer forms.
-    Tolerance-backend inputs are multiplied on raw floats and re-wrapped,
-    which is exact-equivalent because a run's tolerances are uniform and
-    propagate as the max.
+    Tolerance-backend inputs are multiplied by ``mul_floats`` and re-wrapped
+    at the largest tolerance, as entrywise ``ApproxReal`` arithmetic would.
     """
-    eps = 0.0
-    for c in x:
-        if type(c) is ApproxReal and c.eps > eps:
-            eps = c.eps
-    for c in y:
-        if type(c) is ApproxReal and c.eps > eps:
-            eps = c.eps
+    eps = max(approx_eps(x), approx_eps(y))
     if eps:
-        xf = [float(c) for c in x]
-        yf = [float(c) for c in y]
-        out = [0.0] * 8
-        for xi, row in zip(xf, TABLE):
-            if xi:
-                for yj, (s, k) in zip(yf, row):
-                    if yj:
-                        out[k] = (out[k] + xi * yj) if s > 0 else (out[k] - xi * yj)
-        return tuple(ApproxReal(v, eps) for v in out)
+        return tuple([ApproxReal._fast(v, eps)
+                      for v in mul_floats(map(float, x), map(float, y))])
     dx, xa, xb = kernel.scale(x)
     dy, ya, yb = kernel.scale(y)
     pa, pb = kernel.zmul(
@@ -265,6 +280,12 @@ def left_translation(x: Octonion) -> Matrix:
             s, k = row[j]
             g[k][j] = xi if s > 0 else -xi
     return Matrix(g)
+
+
+def sandwich_matrix(l: Octonion, r: Octonion) -> Matrix:
+    """Matrix of x -> l (x r); column j is l (e_j r)."""
+    lc, rc = l.coeffs, r.coeffs
+    return Matrix(zip(*[mul_coeffs(lc, mul_coeffs(e.coeffs, rc)) for e in _BASIS]))
 
 
 def right_translation(x: Octonion) -> Matrix:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from .octonion import (
     cube_root_of_unity,
-    mul_coeffs,
     random_imaginary_unit,
     random_unit_octonion,
+    sandwich_matrix,
 )
-from .linalg import Matrix
 from .symspace import SpherePoint
 from .triality import (
     GammaElement,
@@ -50,14 +49,7 @@ def random_triple(rng, backend, max_len: int = 3, min_len: int = 1) -> TrialityT
 def conjugation_triple(rng, backend) -> TrialityTriple:
     """The diagonal triple of x -> s x conj(s) for a random cube root s."""
     s = cube_root_of_unity(random_imaginary_unit(rng, backend))
-    sc = s.coeffs
-    sb = s.conj().coeffs
-    cols = []
-    for j in range(8):
-        ej = [0] * 8
-        ej[j] = 1
-        cols.append(mul_coeffs(sc, mul_coeffs(tuple(ej), sb)))
-    d = Matrix(tuple(tuple(cols[j][i] for j in range(8)) for i in range(8)))
+    d = sandwich_matrix(s, s.conj())
     return TrialityTriple(d, d, d)
 
 

@@ -14,13 +14,10 @@ import math
 import re
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is optional, Fraction works too
-    Rational = Fraction
+Rational = Fraction
 
-_RAT_TYPES = (int, Fraction, type(Rational(0)))
-_NUM_TYPES = (int, float, Fraction, type(Rational(0)))
+_RAT_TYPES = (int, Fraction)
+_NUM_TYPES = (int, float, Fraction)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -142,8 +139,8 @@ class ApproxReal:
     __slots__ = ("value", "eps")
 
     def __init__(self, value, eps: float = 1e-9):
-        if eps <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < eps < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         self.value = float(value)
         self.eps = eps
 
@@ -158,7 +155,6 @@ class ApproxReal:
         if type(other) is ApproxReal:
             return ApproxReal._fast(self.value + other.value, max(self.eps, other.eps))
         if isinstance(other, _NUM_TYPES):
-            # float(other) first: float op mpq would escape to gmpy2's mpfr
             return ApproxReal._fast(self.value + float(other), self.eps)
         return NotImplemented
 
@@ -240,6 +236,15 @@ class ApproxReal:
         return repr(self.value)
 
 
+def approx_eps(values) -> float:
+    """Largest tolerance among the ApproxReal values, 0.0 if there are none."""
+    eps = 0.0
+    for v in values:
+        if type(v) is ApproxReal and v.eps > eps:
+            eps = v.eps
+    return eps
+
+
 def invert(x):
     """Multiplicative inverse of any scalar, staying in its backend."""
     if isinstance(x, (QuadExt, ApproxReal)):
@@ -301,7 +306,10 @@ def _parse_exact(text: str):
         if m is None or m.end() != len(part):
             raise ParseError(f"bad scalar literal {text!r}")
         sign, coef, r3a, r3b = m.groups()
-        val = Rational(Fraction(coef)) if coef else Rational(1)
+        try:
+            val = Rational(coef) if coef else Rational(1)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {text!r}") from None
         if sign == "-":
             val = -val
         if r3a or r3b:
@@ -342,8 +350,8 @@ class FloatBackend:
     exact = False
 
     def __init__(self, eps: float = 1e-9):
-        if eps <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < eps < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         self.eps = float(eps)
 
     def scalar(self, x):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd
+from operator import add, sub
 
 from .kernel import columns, max_abs, pack, zdot
 from .linalg import Matrix, NotOrthogonal, is_special_orthogonal
@@ -32,8 +33,9 @@ from .octonion import (
     TABLE,
     ensure_unit,
     left_translation,
-    mul_coeffs,
+    mul_floats,
     right_translation,
+    sandwich_matrix,
 )
 
 
@@ -49,19 +51,10 @@ class TrialityViolated(ValueError):
         )
 
 
-def _float_cols(m: Matrix):
-    return [[float(e) for e in col] for col in zip(*m.rows)]
-
-
-def _fmul(x, y):
-    # octonion product on raw float 8-vectors
-    out = [0.0] * 8
-    for xi, row in zip(x, TABLE):
-        if xi:
-            for yj, (s, k) in zip(y, row):
-                if yj:
-                    out[k] = (out[k] + xi * yj) if s > 0 else (out[k] - xi * yj)
-    return out
+def _float_cols(*mats):
+    """The largest tolerance of the matrices and the float columns of each."""
+    forms = [m._floats() for m in mats]
+    return max(eps for eps, _ in forms), [tuple(zip(*rows)) for _, rows in forms]
 
 
 def _triality_holds(a: Matrix, b: Matrix, c: Matrix) -> bool:
@@ -81,10 +74,9 @@ def _triality_holds(a: Matrix, b: Matrix, c: Matrix) -> bool:
     32 * max|C'| * max|A'| over both parts before the factor db/g; that and
     max|B'| * dc*da/g on the right bound the digit width.
     """
-    eps = max(a._eps(), b._eps(), c._eps())
-    if eps:
-        defect = _triality_defect(_float_cols(a), _float_cols(b), _float_cols(c))
-        return defect[1] <= eps
+    if a._fl is not None or b._fl is not None or c._fl is not None:
+        eps, cols = _float_cols(a, b, c)
+        return _triality_defect(*cols)[1] <= eps
     da, aa, ab = a._scaled()
     db, ba, bb = b._scaled()
     dc, ca, cb = c._scaled()
@@ -129,13 +121,9 @@ def _triality_defect(acols, bcols, ccols):
         ci = ccols[i]
         row = TABLE[i]
         for j in range(8):
-            prod = _fmul(ci, acols[j])
+            prod = mul_floats(ci, acols[j])
             s, k = row[j]
-            bk = bcols[k]
-            if s > 0:
-                r = max(abs(a - b) for a, b in zip(bk, prod))
-            else:
-                r = max(abs(a + b) for a, b in zip(bk, prod))
+            r = max(map(abs, map(sub if s > 0 else add, bcols[k], prod)))
             if r > worst:
                 worst, at = r, (i, j)
     return at, worst
@@ -143,7 +131,7 @@ def _triality_defect(acols, bcols, ccols):
 
 def triality_residual(a: Matrix, b: Matrix, c: Matrix) -> float:
     """Largest float deviation of B(xy) - (Cx)(Ay) over the 64 basis pairs."""
-    return _triality_defect(_float_cols(a), _float_cols(b), _float_cols(c))[1]
+    return _triality_defect(*_float_cols(a, b, c)[1])[1]
 
 
 class TrialityTriple:
@@ -160,10 +148,7 @@ class TrialityTriple:
             if m.n != 8 or not is_special_orthogonal(m):
                 raise NotOrthogonal(f"component {name} is not in SO(8)")
         if not _triality_holds(a, b, c):
-            pair, res = _triality_defect(
-                _float_cols(a), _float_cols(b), _float_cols(c)
-            )
-            raise TrialityViolated(pair, res)
+            raise TrialityViolated(*_triality_defect(*_float_cols(a, b, c)[1]))
         self.A = a
         self.B = b
         self.C = c
@@ -216,9 +201,10 @@ class TrialityTriple:
 
 def _kconj(m: Matrix) -> Matrix:
     # Conjugation by k = diag(1, -1, ..., -1): negate entries with exactly one
-    # index in the e1 slot, on the kernel form when the matrix has one.
-    if m._form is None:
-        return Matrix(_kconj_rows(m.rows))
+    # index in the e1 slot, on the matrix's float or kernel form.
+    if m._fl is not None:
+        eps, rows = m._fl
+        return Matrix._of_floats(eps, _kconj_rows(rows))
     d, a, b = m._scaled()
     return Matrix._of_form((d, _kconj_rows(a), b and _kconj_rows(b)))
 
@@ -370,15 +356,9 @@ class SemidirectElement:
 def spin_from_unit(s: Octonion) -> TrialityTriple:
     """The verified triple (L(s), L(conj s), x -> conj(s) x conj(s)) for unit s."""
     ensure_unit(s)
-    sb = s.conj().coeffs
-    cols = []
-    for j in range(8):
-        ej = [0] * 8
-        ej[j] = 1
-        cols.append(mul_coeffs(sb, mul_coeffs(tuple(ej), sb)))
-    c = Matrix(tuple(tuple(cols[j][i] for j in range(8)) for i in range(8)))
+    sb = s.conj()
     return TrialityTriple(
-        left_translation(s), left_translation(Octonion(sb)), c
+        left_translation(s), left_translation(sb), sandwich_matrix(sb, sb)
     )
 
 

@@ -1,3 +1,5 @@
+import math
+
 from spin8.checks import (
     CHECKS,
     CheckResult,
@@ -73,8 +75,9 @@ def test_hostile_tolerance_fails_cleanly():
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(trials=0)
-    with pytest.raises(ValueError):
-        RunConfig(eps=0.0)
+    for eps in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            RunConfig(eps=eps)
     with pytest.raises(ValueError):
         RunConfig(backend="quantum")
     assert [b.name for b in RunConfig(backend="both").backends()] == ["exact", "float"]

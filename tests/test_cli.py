@@ -51,9 +51,10 @@ def test_fixset_rejects_non_imaginary(capsys):
 
 
 def test_fixset_rejects_bad_literal(capsys):
-    code, _, err = run(capsys, "fixset", "[1,2]")
-    assert code == 2
-    assert "error" in err
+    for literal in ("[1,2]", "[1/0,0,0,0,0,0,0,0]"):
+        code, _, err = run(capsys, "fixset", literal)
+        assert code == 2
+        assert "error" in err
 
 
 def test_antipodal(capsys):
@@ -119,6 +120,17 @@ def test_verify_all_hostile_eps_fails(tmp_path, capsys):
     assert code == 1
     rep = json.loads(out_path.read_text())  # report still written
     assert any(c["status"] == "fail" for c in rep["checks"])
+
+
+def test_verify_all_rejects_non_finite_eps(capsys):
+    # nan used to reach the exact kernel with float entries, inf made every
+    # comparison pass; "=" keeps argparse from reading "-inf" as an option
+    for eps in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "verify-all", "--trials", "1",
+                             "--backend", "float", f"--eps={eps}")
+        assert code == 2, eps
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_determinism_byte_identical(tmp_path, capsys):

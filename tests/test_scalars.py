@@ -104,6 +104,13 @@ def test_approx_real_eps_validation():
         ApproxReal(1.0, 0.0)
     with pytest.raises(ValueError):
         FloatBackend(-1.0)
+    # a nan tolerance compares as neither small nor large, an infinite one
+    # makes every comparison pass
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ApproxReal(1.0, eps)
+        with pytest.raises(ValueError):
+            FloatBackend(eps)
 
 
 def test_invert():
@@ -158,7 +165,7 @@ def test_parse_scalars():
     }
     for text, expected in cases.items():
         assert EXACT.parse(text) == expected, text
-    for bad in ("", "x", "1//2", "r3r3", "1+", "--1"):
+    for bad in ("", "x", "1//2", "r3r3", "1+", "--1", "1/0", "1/2+3/0*r3"):
         with pytest.raises(ParseError):
             EXACT.parse(bad)
 
