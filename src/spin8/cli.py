@@ -21,7 +21,7 @@ import json
 import random
 import sys
 
-from .checks import RunConfig, derive_seed, run_checks
+from .checks import _CHECK_FAILURES, RunConfig, derive_seed, run_checks
 from .octonion import (
     NotImaginaryUnit,
     NotUnit,
@@ -157,9 +157,7 @@ def cmd_antipodal(cfg: RunConfig, literal: str) -> int:
         rng = random.Random(derive_seed(cfg.seed, "antipodal-cmd", backend.name))
         report_scan = maximality_scan(v, cfg.trials, rng)
         accepted = report_scan.accepted_candidates()
-        scan_ok = all(
-            any(c == x for x in aset.points) for c in accepted
-        ) and all(any(c == x for c in accepted) for x in aset.points)
+        scan_ok = report_scan.closes_on(aset.points)
         ok = ok and swap and polar and scan_ok
         sections.append({
             "backend": backend.name,
@@ -253,6 +251,11 @@ def main(argv=None) -> int:
     except (ParseError, NotImaginaryUnit, NotUnit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _CHECK_FAILURES as exc:
+        # a verified construction failed outside run_check, e.g. under a
+        # hostile tolerance: a failed check, not a crash
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

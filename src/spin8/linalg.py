@@ -40,10 +40,11 @@ class Matrix:
 
     An exact matrix also keeps its kernel form (d, a, b) in ``_form``, a
     float matrix its float form (eps, float rows) in ``_fl``; a matrix
-    computed on a form starts from the form alone.
+    computed on a form starts from the form alone.  ``_so8`` holds the
+    verdict of ``is_special_orthogonal`` once it is known (None before).
     """
 
-    __slots__ = ("_rows", "_form", "_fl")
+    __slots__ = ("_rows", "_form", "_fl", "_so8")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -52,6 +53,7 @@ class Matrix:
             raise DimensionMismatch("matrix must be square and non-empty")
         self._rows = rows
         self._form = None
+        self._so8 = None
         eps = approx_eps(chain.from_iterable(rows))
         self._fl = (eps, tuple(tuple(map(float, r)) for r in rows)) if eps else None
 
@@ -61,6 +63,7 @@ class Matrix:
         m._rows = None
         m._form = form
         m._fl = None
+        m._so8 = None
         return m
 
     @classmethod
@@ -70,6 +73,7 @@ class Matrix:
         m._rows = None
         m._form = None
         m._fl = (eps, rows)
+        m._so8 = None
         return m
 
     @property
@@ -274,7 +278,17 @@ def is_orthogonal(m: Matrix) -> bool:
 
 
 def is_special_orthogonal(m: Matrix) -> bool:
-    """m^t m = I (exact, or within tolerance) and det +1 (sign test on floats)."""
+    """m^t m = I (exact, or within tolerance) and det +1 (sign test on floats).
+
+    The verdict is computed once per matrix object and kept in ``m._so8``;
+    matrices are immutable, so it cannot go stale.
+    """
+    if m._so8 is None:
+        m._so8 = _so8_verdict(m)
+    return m._so8
+
+
+def _so8_verdict(m: Matrix) -> bool:
     if not is_orthogonal(m):
         return False
     if m._fl is not None:

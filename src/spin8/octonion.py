@@ -17,7 +17,7 @@ L(x) y on their scaled-integer forms (``kernel``), float coefficients in
 
 from __future__ import annotations
 
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import kernel
 from .linalg import Matrix
@@ -96,26 +96,30 @@ def table_rows() -> list[list[str]]:
     ]
 
 
-def _left_layout():
-    # Row k of the matrix L(x) of y -> x*y holds s*x[p] in column q, where
-    # e_p e_q = s e_k; for fixed q, p -> k is a bijection.
-    index = [[0] * 8 for _ in range(8)]
-    sign = [[0] * 8 for _ in range(8)]
+def _layouts():
+    # Row k of L(x), the matrix of y -> x*y, holds s*x[p] in column q where
+    # e_p e_q = s e_k, and row k of R(x), the matrix of y -> y*x, holds s*x[q]
+    # in column p.  For fixed q (resp. p), p -> k (resp. q -> k) is a
+    # bijection.  Each row is one itemgetter over the 16 signed coefficients
+    # (x[0..7], -x[0..7]): index p for s = +1, p + 8 for s = -1.
+    left = [[0] * 8 for _ in range(8)]
+    right = [[0] * 8 for _ in range(8)]
     for p, row in enumerate(TABLE):
         for q, (s, k) in enumerate(row):
-            index[k][q] = p
-            sign[k][q] = s
-    return [(itemgetter(*i), tuple(s)) for i, s in zip(index, sign)]
+            left[k][q] = p if s > 0 else p + 8
+            right[k][p] = q if s > 0 else q + 8
+    return ([itemgetter(*r) for r in left], [itemgetter(*r) for r in right])
 
 
-_LEFT = _left_layout()
+_LEFT, _RIGHT = _layouts()
 
 
 def _left_rows(x):
     """Rows of L(x) for an integer 8-vector x (None stays None)."""
     if x is None:
         return None
-    return [list(map(mul, get(x), sign)) for get, sign in _LEFT]
+    signed = x + [-v for v in x]
+    return [get(signed) for get in _LEFT]
 
 
 def mul_floats(x, y):
@@ -213,13 +217,25 @@ class Octonion:
         return Octonion((c[0],) + tuple(-v for v in c[1:]))
 
     def norm_sq(self):
-        if any(type(c) is ApproxReal for c in self.coeffs):
-            n = 0
-            for c in self.coeffs:
-                if c:
-                    n = n + c * c
-            return n
-        d, a, b = kernel.scale(self.coeffs)
+        """|x|^2, the sum of the squared coefficients.
+
+        With a nonzero float coefficient the squares add in floats, in index
+        order onto +0.0, at the largest tolerance among the nonzero
+        coefficients: ``ApproxReal`` arithmetic over the nonzero terms bit
+        for bit, since a zero square adds +0.0 to a sum >= +0.0.  Exact
+        coefficients mixed in are read as floats, as ``mul_coeffs`` reads
+        them.  Otherwise the kernel sums exactly; all zeros give the int 0.
+        """
+        c = self.coeffs
+        if any(type(v) is ApproxReal for v in c):
+            c = [v for v in c if v]
+            eps = approx_eps(c)
+            if eps:
+                n = 0.0
+                for v in map(float, c):
+                    n += v * v
+                return ApproxReal._fast(n, eps)
+        d, a, b = kernel.scale(c)
         x, y = kernel.zdot((a, b), (a, b))
         return kernel.unscale(d * d, [x], [y] if y else None)[0]
 
@@ -265,39 +281,51 @@ def ensure_imaginary_unit(v: Octonion) -> Octonion:
     return v
 
 
-def left_translation(x: Octonion) -> Matrix:
-    """Matrix of y -> x*y; column j is x * e_j.
+def _translation(x: Octonion, layout) -> Matrix:
+    """L(x) or R(x): signed copies of the coefficients of x placed by the
+    layout, so no scalar products are needed.
 
-    Entries are just signed copies of the coefficients of x placed by the
-    unit table, so no scalar products are needed.
+    A zero coefficient places 0 and carries no tolerance.  With a nonzero
+    float coefficient the matrix is built on its float form, at the largest
+    tolerance among the nonzero coefficients and with +0.0 for the zeros:
+    the form ``Matrix`` takes from those entries.
     """
-    g = [[0] * 8 for _ in range(8)]
-    for i, xi in enumerate(x.coeffs):
-        if not xi:
-            continue
-        row = TABLE[i]
-        for j in range(8):
-            s, k = row[j]
-            g[k][j] = xi if s > 0 else -xi
-    return Matrix(g)
+    c = x.coeffs
+    eps = approx_eps([v for v in c if v])
+    if eps:
+        f = [float(v) if v else 0.0 for v in c]
+        signed = f + [-u if v else 0.0 for u, v in zip(f, c)]
+        return Matrix._of_floats(eps, tuple([get(signed) for get in layout]))
+    signed = [v if v else 0 for v in c]
+    signed += [-v for v in signed]
+    return Matrix([get(signed) for get in layout])
 
 
-def sandwich_matrix(l: Octonion, r: Octonion) -> Matrix:
-    """Matrix of x -> l (x r); column j is l (e_j r)."""
-    lc, rc = l.coeffs, r.coeffs
-    return Matrix(zip(*[mul_coeffs(lc, mul_coeffs(e.coeffs, rc)) for e in _BASIS]))
+def left_translation(x: Octonion) -> Matrix:
+    """Matrix of y -> x*y; column j is x * e_j."""
+    return _translation(x, _LEFT)
 
 
 def right_translation(x: Octonion) -> Matrix:
-    """Matrix of y -> y*x."""
-    g = [[0] * 8 for _ in range(8)]
-    for i, xi in enumerate(x.coeffs):
-        if not xi:
-            continue
-        for j in range(8):
-            s, k = TABLE[j][i]
-            g[k][j] = xi if s > 0 else -xi
-    return Matrix(g)
+    """Matrix of y -> y*x; column j is e_j * x."""
+    return _translation(x, _RIGHT)
+
+
+def sandwich_matrix(l: Octonion, r: Octonion) -> Matrix:
+    """Matrix of x -> l (x r); column j is l (e_j r).
+
+    On float input column j is ``mul_floats`` of l and column j of R(r), at
+    the largest tolerance of l and r: the floats ``mul_coeffs`` computes for
+    l (e_j r), since e_j r is a signed copy of r and ``mul_floats`` gives
+    the same bits for +0.0 and -0.0 inputs.
+    """
+    lc, rc = l.coeffs, r.coeffs
+    eps = max(approx_eps(lc), approx_eps(rc))
+    if not eps:
+        return Matrix(zip(*[mul_coeffs(lc, mul_coeffs(e.coeffs, rc)) for e in _BASIS]))
+    lf = tuple(map(float, lc))
+    cols = zip(*right_translation(r)._floats()[1])
+    return Matrix._of_floats(eps, tuple(zip(*[mul_floats(lf, col) for col in cols])))
 
 
 def to_backend(x: Octonion, backend) -> Octonion:

@@ -114,6 +114,12 @@ class QuadExt:
             return self.b == 0 and self.a == other
         return NotImplemented
 
+    def __hash__(self):
+        # equal to a Rational (or int) exactly when b == 0, so hash like one
+        if not self.b:
+            return hash(self.a)
+        return hash((self.a, self.b))
+
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
@@ -214,6 +220,9 @@ class ApproxReal:
             raise ZeroDivisionError("divisor indistinguishable from zero")
         return ApproxReal._fast(1.0 / self.value, self.eps)
 
+    # No __hash__ (defining __eq__ leaves it None): tolerance equality is not
+    # transitive, x == y == z with x != z, so no hash can agree with it and
+    # sets or dict keys of ApproxReal would hold "equal" values twice.
     def __eq__(self, other):
         if type(other) is ApproxReal:
             return abs(self.value - other.value) <= max(self.eps, other.eps)

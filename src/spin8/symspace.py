@@ -167,19 +167,27 @@ def kai_check(gx, gy, gamma, delta, points) -> bool:
 class PolarSphere:
     """The polar 6-sphere of a basepoint: the image of Y under a transporter."""
 
-    __slots__ = ("basepoint", "witness")
+    __slots__ = ("basepoint", "witness", "_group")
 
     def __init__(self, witness: TrialityTriple):
         self.witness = witness
         self.basepoint = act(witness, base_point())
+        self._group = {}
 
     def point_at(self, v: Octonion) -> SpherePoint:
         return act(self.witness, fix_tau_point(v))
 
     def point_group_fixes(self, z: SpherePoint) -> bool:
-        """Whether the transported order-3 symmetry group at the basepoint fixes z."""
+        """Whether the transported order-3 symmetry group at the basepoint fixes z.
+
+        Its elements phi_x(witness, w), w = tau, tau^2, are built on first use,
+        in that order, and kept for the next point.
+        """
         for w in (_TAU, _TAU2):
-            if act_semidirect(phi_x(self.witness, w), z) != z:
+            el = self._group.get(w)
+            if el is None:
+                el = self._group[w] = phi_x(self.witness, w)
+            if act_semidirect(el, z) != z:
                 return False
         return True
 
@@ -238,6 +246,14 @@ class ScanReport:
 
     def rejected_count(self) -> int:
         return sum(1 for r in self.rows if not r.accepted)
+
+    def closes_on(self, points) -> bool:
+        """Acceptance as a set statement: every accepted candidate is one of
+        the points, and every point is accepted (the closed-form candidates
+        hit o, p and q)."""
+        accepted = self.accepted_candidates()
+        return all(any(c == x for x in points) for c in accepted) and all(
+            any(c == x for c in accepted) for x in points)
 
 
 def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:

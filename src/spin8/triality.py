@@ -200,13 +200,36 @@ class TrialityTriple:
 
 
 def _kconj(m: Matrix) -> Matrix:
-    # Conjugation by k = diag(1, -1, ..., -1): negate entries with exactly one
-    # index in the e1 slot, on the matrix's float or kernel form.
+    """k m k for k = diag(1, -1, ..., -1), carrying m's SO(n) verdict.
+
+    Entries with exactly one index in the e1 slot are negated, on the
+    matrix's float or kernel form.  The verdict of ``is_special_orthogonal``
+    on kmk equals the one on m, so once known it is copied, not recomputed:
+
+    * exact: k is orthogonal with det k = +-1, so (kmk)^t (kmk) = k m^t m k
+      is I iff m^t m is, and det(kmk) = det(k)^2 det(m) = det(m); the kernel
+      decides both exactly.
+    * float, bit for bit: entry (r, j) of kmk is k_r k_j m[r][j], and IEEE
+      +, -, *, / round symmetrically, so negating operands negates results
+      exactly.  Gram entry (i, j) of kmk sums the terms k_i k_j m[r][i] m[r][j]
+      in the same order, the common sign k_i k_j pulled out of every partial
+      sum: the same float up to sign, with the same sign on the diagonal, and
+      |dot - 0| is sign-blind off it.  Partial-pivot LU on D m D (D = +-1
+      diagonal) keeps that shape through every step: pivots are chosen by
+      |entry|, so the same rows swap; each multiplier is r_i r_k times the
+      original, and each update r_i c_j times it, r and c the row and column
+      signs; the product of the pivots is the original times
+      det(D_r) det(D_c) = det(D)^2 = 1, and a zero pivot is zero in both.
+      So the determinant's float, and its sign, are unchanged.
+    """
     if m._fl is not None:
         eps, rows = m._fl
-        return Matrix._of_floats(eps, _kconj_rows(rows))
-    d, a, b = m._scaled()
-    return Matrix._of_form((d, _kconj_rows(a), b and _kconj_rows(b)))
+        out = Matrix._of_floats(eps, _kconj_rows(rows))
+    else:
+        d, a, b = m._scaled()
+        out = Matrix._of_form((d, _kconj_rows(a), b and _kconj_rows(b)))
+    out._so8 = m._so8
+    return out
 
 
 def _kconj_rows(rows):

@@ -133,6 +133,17 @@ def test_verify_all_rejects_non_finite_eps(capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_antipodal_hostile_eps_fails_cleanly(capsys):
+    # at eps 1e-20 the float L(s) triple fails its own SO(8) test; that is a
+    # failed check (exit 1), reported on one error line, not a traceback
+    code, out, err = run(capsys, "antipodal", "[0,3/5,4/5,0,0,0,0,0]",
+                         "--backend", "float", "--eps", "1e-20", "--trials", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "NotOrthogonal" in err
+    assert "Traceback" not in err
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -3,29 +3,43 @@
 The oracles below are the float-backend loops from before the kernel: the
 octonion product accumulated over TABLE (zero terms skipped, accumulator
 starting at 0.0), generator-sum dot products, the worst-pair triality defect
-built on that product, and entrywise ApproxReal comparison.  Floats are
-compared by repr, which tells -0.0 from 0.0.
+built on that product, entrywise ApproxReal comparison, and the ApproxReal
+constructions of translations, sandwich matrices and norms.  Floats are
+compared by repr, which tells -0.0 from 0.0.  The SO(n) verdict that
+kappa conjugation carries is compared with a fresh one.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spin8.linalg as linalg
 from spin8.checks import residual
-from spin8.linalg import Matrix, is_special_orthogonal
+from spin8.linalg import Matrix, NotOrthogonal, is_special_orthogonal, random_rotation
 from spin8.octonion import (
     TABLE,
     Octonion,
+    cube_root_of_unity,
+    left_translation,
     mul_coeffs,
     mul_floats,
+    random_imaginary_unit,
     random_unit_octonion,
+    right_translation,
+    sandwich_matrix,
     to_backend,
 )
-from spin8.scalars import ApproxReal, FloatBackend
+from spin8.scalars import EXACT, ApproxReal, FloatBackend
 from spin8.triality import (
     TrialityTriple,
     TrialityViolated,
+    _kconj,
+    apply_sigma,
+    apply_tau,
+    kappa_conjugate,
     spin_from_unit,
     triality_residual,
 )
@@ -207,3 +221,186 @@ def test_triality_defect_matches_loop(seed):
                 TrialityTriple(a, b, c)
             assert exc.value.pair == pair
             assert repr(exc.value.residual) == repr(worst)
+
+
+# --- the SO(n) verdict carried through kappa conjugation -------------------
+
+def gram_floats(m):
+    """|(m^t m)[i][j] - delta_ij| for j <= i, as is_orthogonal computes them."""
+    cols = list(zip(*m._fl[1]))
+    return [abs(sum(x * y for x, y in zip(cols[i], cols[j])) - (i == j))
+            for i in range(len(cols)) for j in range(i + 1)]
+
+
+def float_cases(rng, kind):
+    """(eps, float rows): rotations, reflections, signed permutations, dense
+    non-orthogonal matrices, and rotations whose Gram defect sits exactly at
+    the tolerance ("edge-in") or one float below it ("edge-out")."""
+    if kind == "dense":
+        return EPS, random_rows(rng, "dense")
+    if kind == "perm":
+        return EPS, signed_permutation(rng)
+    rows = [list(r) for r in random_rotation(rng, FB)._fl[1]]
+    if kind == "reflection":
+        c = rng.randrange(8)
+        rows = [[-x if j == c else x for j, x in enumerate(r)] for r in rows]
+    if kind in ("edge-in", "edge-out"):
+        rows = [[x * (1 + 2.0 ** -30) if j == 0 else x for j, x in enumerate(r)]
+                for r in rows]
+        worst = max(gram_floats(Matrix._of_floats(EPS, rows)))
+        return (worst if kind == "edge-in" else math.nextafter(worst, 0.0)), rows
+    return EPS, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32),
+       st.sampled_from(["rotation", "reflection", "perm", "dense", "edge-in", "edge-out"]))
+def test_kconj_carries_fresh_verdict_on_floats(seed, kind):
+    rng = random.Random(seed)
+    eps, rows = float_cases(rng, kind)
+    m = Matrix._of_floats(eps, tuple(map(tuple, rows)))
+    verdict = is_special_orthogonal(m)
+    if kind in ("rotation", "edge-in"):
+        assert verdict
+    if kind in ("reflection", "dense", "edge-out"):
+        assert not verdict
+    k = _kconj(m)
+    assert k._so8 is verdict
+    assert linalg._so8_verdict(k) is verdict
+    # the proof's float claims: Gram defects and the LU determinant repeat
+    assert list(map(repr, gram_floats(k))) == list(map(repr, gram_floats(m)))
+    assert repr(k.det().value) == repr(m.det().value)
+    # an unknown verdict stays unknown, and kk = m keeps the known one
+    assert _kconj(Matrix._of_floats(eps, m._fl[1]))._so8 is None
+    assert _kconj(k)._so8 is verdict
+
+
+def test_kconj_carries_fresh_verdict_on_exact():
+    rng = random.Random(5)
+    s = cube_root_of_unity(random_imaginary_unit(rng, EXACT))
+    cases = [random_rotation(rng, EXACT), left_translation(s), sandwich_matrix(s, s)]
+    cases += [Matrix([[-x if j == 3 else x for j, x in enumerate(r)] for r in m.rows])
+              for m in cases]
+    cases.append(cases[0].scale(Fraction(1, 2)))
+    for m in cases:
+        verdict = is_special_orthogonal(m)
+        k = _kconj(m)
+        assert k._so8 is verdict
+        assert linalg._so8_verdict(k) is verdict
+        assert linalg._so8_verdict(Matrix(k.rows)) is verdict
+    assert [is_special_orthogonal(m) for m in cases] == [True] * 3 + [False] * 4
+
+
+def test_so8_test_runs_once_per_matrix(monkeypatch):
+    calls = []
+    fresh = linalg._so8_verdict
+    monkeypatch.setattr(linalg, "_so8_verdict", lambda m: calls.append(m) or fresh(m))
+    rng = random.Random(6)
+    g = spin_from_unit(random_unit_octonion(rng, FB))
+    assert len(calls) == 3
+    is_special_orthogonal(g.A)
+    apply_tau(g)  # (kBk, kCk, A): every verdict known
+    apply_sigma(g)  # (B, A, kCk)
+    apply_tau(apply_tau(g))
+    assert len(calls) == 3
+    calls.clear()
+    g * g
+    g.inverse()
+    TrialityTriple.from_json(g.to_json(), FB)
+    assert len(calls) == 9  # products, transposes and parsed matrices are tested
+
+
+def test_reflection_never_enters_a_triple():
+    rng = random.Random(7)
+    for backend in (FB, EXACT):
+        g = spin_from_unit(random_unit_octonion(rng, backend))
+        flip = Matrix([[-x if j == 0 else x for j, x in enumerate(r)] for r in g.A.rows])
+        with pytest.raises(NotOrthogonal):
+            TrialityTriple(flip, g.B, g.C)
+        assert flip._so8 is False
+        kflip = _kconj(flip)
+        assert kflip._so8 is False
+        with pytest.raises(NotOrthogonal):
+            TrialityTriple(kflip, kflip, kflip)
+        with pytest.raises(NotOrthogonal):
+            kappa_conjugate(flip)
+        # known-good components still meet the 64-pair identity
+        with pytest.raises(TrialityViolated):
+            TrialityTriple(_kconj(g.B), g.C, g.A)
+
+
+# --- float translations, sandwiches and norms against ApproxReal loops ------
+
+def loop_translation(x, right=False):
+    g = [[0] * 8 for _ in range(8)]
+    for i, xi in enumerate(x.coeffs):
+        if not xi:
+            continue
+        for j in range(8):
+            s, k = TABLE[j][i] if right else TABLE[i][j]
+            g[k][j] = xi if s > 0 else -xi
+    return Matrix(g)
+
+
+def loop_sandwich(l, r):
+    basis = [tuple(1 if j == i else 0 for j in range(8)) for i in range(8)]
+    return Matrix(zip(*[mul_coeffs(l.coeffs, mul_coeffs(e, r.coeffs)) for e in basis]))
+
+
+def loop_norm_sq(x):
+    n = 0
+    for c in x.coeffs:
+        if c:
+            n = n + c * c
+    return n
+
+
+def same_matrix(got, want):
+    if want._fl is None:
+        assert got._fl is None
+        assert got.rows == want.rows
+        return
+    assert got._fl[0] == want._fl[0]
+    assert [reprs(r) for r in got._fl[1]] == [reprs(r) for r in want._fl[1]]
+
+
+tolerances = st.sampled_from([1e-9, 1e-6, 1e-12])
+float_coeff = st.builds(ApproxReal, sparse, tolerances)
+exact_coeff = st.sampled_from([0, 1, -1, Fraction(1, 3), Fraction(-2, 7)])
+octonions = st.lists(st.one_of(float_coeff, st.just(0)), min_size=8, max_size=8).map(Octonion)
+mixed = st.lists(st.one_of(float_coeff, exact_coeff), min_size=8, max_size=8).map(Octonion)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(octonions, mixed))
+def test_translations_match_approx_loops(x):
+    same_matrix(left_translation(x), loop_translation(x))
+    same_matrix(right_translation(x), loop_translation(x, right=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(octonions, mixed), st.one_of(octonions, mixed))
+def test_sandwich_matches_approx_products(l, r):
+    same_matrix(sandwich_matrix(l, r), loop_sandwich(l, r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(octonions)
+def test_norm_sq_matches_approx_loop(x):
+    got, want = x.norm_sq(), loop_norm_sq(x)
+    assert type(got) is type(want)
+    if type(want) is ApproxReal:
+        assert (repr(got.value), got.eps) == (repr(want.value), want.eps)
+    else:
+        assert got == want == 0
+
+
+def test_float_constructors_edge_cases():
+    zero = Octonion([ApproxReal(0.0, 1e-3), ApproxReal(-0.0, 1e-9)] + [0] * 6)
+    for x in (zero, Octonion([0] * 8)):
+        assert x.norm_sq() == 0 and type(x.norm_sq()) is int
+        assert left_translation(x)._fl is None  # zeros carry no tolerance
+    assert sandwich_matrix(zero, zero)._fl[0] == 1e-3  # products carry them all
+    x = Octonion([ApproxReal(0.5, 1e-9), ApproxReal(0.0, 1e-3)] + [0] * 6)
+    assert left_translation(x)._fl[0] == 1e-9
+    assert x.norm_sq().eps == 1e-9

@@ -207,3 +207,15 @@ def test_exact_zero_detection():
     # tolerance never makes a nonzero exact-zero
     assert not is_exact_zero(ApproxReal(1e-30, 1e-9))
     assert not is_exact_zero(QuadExt(0, Rational(1, 10**9)))
+
+
+def test_quadext_hash_agrees_with_eq():
+    assert hash(QuadExt(1, 0)) == hash(1) == hash(Rational(1))
+    assert hash(QuadExt(Rational(-2, 3))) == hash(Rational(-2, 3))
+    assert hash(QuadExt(1, 2)) == hash(QuadExt(Rational(2, 2), 2))
+    assert {QuadExt(2, 0), 2, Rational(2)} == {2}
+    assert len({QuadExt(1, 1), QuadExt(1, 1), QuadExt(1, -1), 1}) == 3
+    assert {QuadExt(0, 0): "zero"}[0] == "zero"
+    # tolerance equality is not transitive, so ApproxReal stays unhashable
+    with pytest.raises(TypeError):
+        hash(ApproxReal(1.0, 1e-9))

@@ -222,6 +222,15 @@ def test_maximality_scan():
     assert all(r.residual > 0.1 for r in report.rows[3:])
 
 
+def test_scan_closes_on():
+    o, p, q = antipodal_set(e(2)).points
+    report = maximality_scan(e(2), 5, 16)
+    assert report.closes_on((o, p, q))
+    assert not report.closes_on((o, p))  # q is accepted but not listed
+    other = fix_tau_point(Octonion((0, 0, 1, 0, 0, 0, 0, 0)))
+    assert not report.closes_on((o, p, q, other))  # other is never accepted
+
+
 def test_maximality_scan_float():
     rng = random.Random(13)
     fb = FloatBackend(1e-9)
@@ -255,6 +264,21 @@ def test_polar_sphere():
     z = polar.point_at(v)
     assert polar.point_group_fixes(z)
     assert polar.point_group_fixes(base_point())
+
+
+def test_polar_sphere_builds_its_group_once(monkeypatch):
+    import spin8.symspace as symspace
+
+    calls = []
+    real = symspace.phi_x
+    monkeypatch.setattr(symspace, "phi_x",
+                        lambda g, w: calls.append(w.word()) or real(g, w))
+    polar = PolarSphere(spin_from_unit(cube_root_of_unity(e(2))))
+    q = fix_tau_point(-e(2))
+    for _ in range(3):
+        assert polar.point_group_fixes(q)
+        assert polar.point_group_fixes(base_point())
+    assert calls == ["t", "t2"]
 
 
 def test_polar_intersection_check():
