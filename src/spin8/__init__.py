@@ -9,7 +9,6 @@ from .scalars import (
     ParseError,
     QuadExt,
     Rational,
-    embed_float,
     format_scalar,
     get_backend,
 )
@@ -75,7 +74,6 @@ from .symspace import (
     kai_sides,
     maximality_scan,
     phi_x,
-    polar_intersection_check,
     sigma_sphere,
     tau_fixed_characterization,
     tau_sphere,

@@ -54,7 +54,6 @@ from .symspace import (
     kai_sides,
     maximality_scan,
     phi_x,
-    polar_intersection_check,
     sigma_sphere,
     tau_fixed_characterization,
     tau_sphere,
@@ -414,7 +413,7 @@ def _check_antipodal(backend, rng, trials):
         j.eq(sigma_sphere(p), q)
         j.eq(sigma_sphere(q), p)
         j.eq(sigma_sphere(o), o)
-        j.expect(polar_intersection_check(v))
+        j.expect(aset.polar_intersections)
         scan_trials = 10 * trials if i == 0 else 3
         j.expect(maximality_scan(v, scan_trials, rng).closes_on((o, p, q)))
     return j, len(vs)

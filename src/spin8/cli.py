@@ -36,7 +36,6 @@ from .symspace import (
     fix_tau_point,
     is_fixed_by_tau,
     maximality_scan,
-    polar_intersection_check,
     sigma_sphere,
     tau_fixed_characterization,
     tau_sphere,
@@ -100,12 +99,13 @@ def _config_dict(cfg: RunConfig, command: str) -> dict:
     return d
 
 
-def cmd_verify_all(cfg: RunConfig) -> int:
-    results = run_checks(cfg)
+def cmd_checks(cfg: RunConfig, command: str, names=None) -> int:
+    """Run the battery, or the named checks, and report them under `command`."""
+    results = run_checks(cfg, names)
     _summarize(results)
     report = {
         "schema": 1,
-        "config": _config_dict(cfg, "verify-all"),
+        "config": _config_dict(cfg, command),
         "checks": [r.to_dict() for r in results],
     }
     _emit(report, cfg.out)
@@ -153,7 +153,7 @@ def cmd_antipodal(cfg: RunConfig, literal: str) -> int:
         aset = antipodal_set(v)          # raises if a certificate fails
         o, p, q = aset.points
         swap = sigma_sphere(p) == q and sigma_sphere(q) == p
-        polar = polar_intersection_check(v)
+        polar = aset.polar_intersections
         rng = random.Random(derive_seed(cfg.seed, "antipodal-cmd", backend.name))
         report_scan = maximality_scan(v, cfg.trials, rng)
         accepted = report_scan.accepted_candidates()
@@ -195,18 +195,6 @@ def cmd_antipodal(cfg: RunConfig, literal: str) -> int:
     return 0 if ok else 1
 
 
-def cmd_kai(cfg: RunConfig) -> int:
-    results = run_checks(cfg, names=["kai-property"])
-    _summarize(results)
-    report = {
-        "schema": 1,
-        "config": _config_dict(cfg, "kai"),
-        "checks": [r.to_dict() for r in results],
-    }
-    _emit(report, cfg.out)
-    return 1 if any(not r.passed for r in results) else 0
-
-
 def cmd_table(cfg: RunConfig) -> int:
     rows = table_rows()
     header = [f"e{i}" for i in range(1, 9)]
@@ -240,16 +228,21 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "verify-all":
-            return cmd_verify_all(cfg)
+            return cmd_checks(cfg, "verify-all")
         if args.command == "fixset":
             return cmd_fixset(cfg, args.v)
         if args.command == "antipodal":
             return cmd_antipodal(cfg, args.v)
         if args.command == "kai":
-            return cmd_kai(cfg)
+            return cmd_checks(cfg, "kai", names=["kai-property"])
         return cmd_table(cfg)
     except (ParseError, NotImaginaryUnit, NotUnit) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # the report could not be written (--out names a missing directory,
+        # a directory, an unwritable file): a usage error
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
     except _CHECK_FAILURES as exc:
         # a verified construction failed outside run_check, e.g. under a

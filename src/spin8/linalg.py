@@ -173,16 +173,6 @@ class Matrix:
             for ra, rb in zip(self.rows, other.rows)
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch("size mismatch")
-        return Matrix(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-
     def __neg__(self):
         return Matrix(tuple(-e for e in row) for row in self.rows)
 
@@ -208,12 +198,6 @@ class Matrix:
                 if not (a == b):
                     return False
         return True
-
-    def trace(self):
-        t = 0
-        for i, row in enumerate(self.rows):
-            t = t + row[i]
-        return t
 
     def det(self):
         """Determinant: fraction-free elimination on the kernel form for exact

@@ -267,16 +267,6 @@ def invert(x):
     return 1 / x
 
 
-def is_exact_zero(x) -> bool:
-    """True when x is the exact zero of its backend (never tolerance-based)."""
-    return not x
-
-
-def embed_float(x, eps: float = 1e-9) -> ApproxReal:
-    """Map any scalar to the float backend (exact values to nearest double)."""
-    return ApproxReal(float(x), eps)
-
-
 def format_scalar(x) -> str:
     """Text form: "p/q" for rationals, "p/q+r/s*r3" for Q(sqrt 3), repr for floats."""
     if isinstance(x, ApproxReal):
@@ -319,6 +309,8 @@ def _parse_exact(text: str):
             val = Rational(coef) if coef else Rational(1)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {text!r}") from None
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"bad scalar literal: {exc}") from None
         if sign == "-":
             val = -val
         if r3a or r3b:
@@ -374,10 +366,19 @@ class FloatBackend:
         return ApproxReal(SQRT3, self.eps)
 
     def parse(self, text: str):
+        """A float literal (scientific notation included, as float reports
+        print repr) or an exact one read to the nearest double; it must be
+        finite."""
         try:
-            return ApproxReal(float(text), self.eps)
+            value = float(text)
         except ValueError:
-            return ApproxReal(float(_parse_exact(text)), self.eps)
+            try:
+                value = float(_parse_exact(text))
+            except OverflowError:
+                value = math.inf
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite scalar literal {text!r}")
+        return ApproxReal(value, self.eps)
 
     def __repr__(self):
         return f"FloatBackend(eps={self.eps:g})"

@@ -196,14 +196,24 @@ class PolarSphere:
 class AntipodalSet:
     points: list
     v: Octonion
+    polar_intersections: bool
 
 
 def antipodal_set(v: Octonion) -> AntipodalSet:
-    """The three-point set {o, (s, conj s), (conj s, s)} with certificates.
+    """The three-point set {o, p, q} = {o, (s, conj s), (conj s, s)} with
+    certificates.
 
-    Verifies that the symmetry group at each of the three points (transported
-    from o by the identity, L(s)-type, and L(conj s)-type triples) fixes every
-    point of the set.  A failed certificate raises; it must never fire.
+    Each point is the basepoint of a PolarSphere whose witness (the identity,
+    L(s)-type and L(conj s)-type triples) transports o to it; the certificate
+    is that the symmetry group at each point fixes every point of the set.
+    A failed certificate raises; it must never fire.
+
+    `polar_intersections` records that the pairwise intersections of the
+    three polars land in the set: the group at p fixes o and q, the group at
+    q fixes o and p, the group at o fixes p and q, and p, q are antipodal in
+    Y in the parameter sense q = fix_tau_point(-v).  The first six are among
+    the certificates just passed, evaluated on the same witnesses, groups and
+    points, so only the parameter condition is left to compute.
     """
     s = cube_root_of_unity(v)
     o = base_point()
@@ -216,16 +226,13 @@ def antipodal_set(v: Octonion) -> AntipodalSet:
         spin_from_unit(s.conj()),
     ]
     for base, witness in zip(points, witnesses):
-        if act(witness, o) != base:
+        polar = PolarSphere(witness)
+        if polar.basepoint != base:
             raise AntipodalityViolated(f"witness does not transport o to {base!r}")
-        for w in (_TAU, _TAU2):
-            el = phi_x(witness, w)
-            for target in points:
-                if act_semidirect(el, target) != target:
-                    raise AntipodalityViolated(
-                        f"symmetry at {base!r} moves {target!r}"
-                    )
-    return AntipodalSet(points, v)
+        for target in points:
+            if not polar.point_group_fixes(target):
+                raise AntipodalityViolated(f"symmetry at {base!r} moves {target!r}")
+    return AntipodalSet(points, v, q == fix_tau_point(-v))
 
 
 @dataclass
@@ -297,26 +304,3 @@ def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
         )
     return ScanReport(v, rows)
 
-
-def polar_intersection_check(v: Octonion) -> bool:
-    """Pairwise intersections of the three polar 6-spheres land in {o, p, q}.
-
-    Checks o, q in Fix of the group at p; o, p at q; p, q at o; and that p, q
-    are antipodal in Y in the parameter sense q = fix_tau_point(-v).
-    """
-    s = cube_root_of_unity(v)
-    o = base_point()
-    p = SpherePoint(s, s.conj())
-    q = SpherePoint(s.conj(), s)
-    polar_o = PolarSphere(TrialityTriple.identity())
-    polar_p = PolarSphere(spin_from_unit(s))
-    polar_q = PolarSphere(spin_from_unit(s.conj()))
-    return (
-        polar_p.point_group_fixes(o)
-        and polar_p.point_group_fixes(q)
-        and polar_q.point_group_fixes(o)
-        and polar_q.point_group_fixes(p)
-        and polar_o.point_group_fixes(p)
-        and polar_o.point_group_fixes(q)
-        and q == fix_tau_point(-v)
-    )

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from spin8.cli import main
 
 
@@ -51,10 +54,35 @@ def test_fixset_rejects_non_imaginary(capsys):
 
 
 def test_fixset_rejects_bad_literal(capsys):
-    for literal in ("[1,2]", "[1/0,0,0,0,0,0,0,0]"):
+    for literal in ("[1,2]", "[1/0,0,0,0,0,0,0,0]", f"[0,{'9' * 5000},0,0,0,0,0,0]"):
         code, _, err = run(capsys, "fixset", literal)
         assert code == 2
         assert "error" in err
+
+
+def test_fixset_rejects_non_finite_float_literal(capsys):
+    for entry in ("nan", "inf", "-1e400"):
+        code, out, err = run(capsys, "fixset", f"[0,{entry},0,0,0,0,0,0]",
+                             "--backend", "float")
+        assert code == 2, entry
+        assert out == ""
+        assert err.startswith("error:") and "non-finite" in err
+    # scientific notation, as float reports print it, still parses
+    code, _, _ = run(capsys, "fixset", "[0,1e0,0e0,0,0,0,0,0]", "--backend", "float")
+    assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["table"],
+    ["fixset", "[0,1,0,0,0,0,0,0]"],
+    ["kai", "--trials", "1", "--backend", "float"],
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, args):
+    for out in (tmp_path / "missing" / "rep.json", tmp_path):
+        code, _, err = run(capsys, *args, "--out", str(out))
+        assert code == 2, out
+        assert "error: cannot write report" in err
+        assert "Traceback" not in err
 
 
 def test_antipodal(capsys):
@@ -84,11 +112,13 @@ def test_antipodal_negated_v_swaps(capsys):
 
 
 def test_kai_subcommand(capsys):
-    code, out, _ = run(capsys, "kai", "--trials", "3", "--backend", "float")
+    code, out, err = run(capsys, "kai", "--trials", "3", "--backend", "float")
     assert code == 0
     rep = json.loads(out)
-    assert rep["checks"][0]["name"] == "kai-property"
+    assert rep["config"]["command"] == "kai"
+    assert [c["name"] for c in rep["checks"]] == ["kai-property"]
     assert rep["checks"][0]["status"] == "pass"
+    assert "1/1 checks passed" in err
 
 
 def test_verify_all_small(tmp_path, capsys):
@@ -161,3 +191,21 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["verify-all", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["fixset", "antipodal"]),
+       backend=st.sampled_from(["exact", "float"]),
+       literal=st.one_of(
+           st.text(),
+           st.lists(st.sampled_from(["0", "1", "-1", "3/5", "4/5", "1/0", "r3",
+                                     "nan", "inf", "1e-3", "1e400", "x", ""]),
+                    min_size=7, max_size=9).map(lambda xs: f"[{','.join(xs)}]"),
+       ))
+def test_any_literal_keeps_the_exit_code_contract(capsys, command, backend, literal):
+    # exit 0 pass, 1 check failed, 2 usage or parse error; never a traceback
+    code = main([command, literal, "--trials", "1", "--backend", backend])
+    _, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -11,12 +11,10 @@ from spin8.scalars import (
     ParseError,
     QuadExt,
     Rational,
-    embed_float,
     format_scalar,
     get_backend,
     infer_backend,
     invert,
-    is_exact_zero,
 )
 
 
@@ -88,6 +86,9 @@ def test_approx_real_tolerance():
     wide = ApproxReal(1.0, 1e-3)
     assert (a + wide).eps == 1e-3
     assert wide == ApproxReal(1.0005, 1e-9)
+    # truthiness is exact zero on every backend, never tolerance-based
+    assert not ApproxReal(0.0, 1e-9) and not QuadExt(0, 0) and not Rational(0)
+    assert ApproxReal(1e-30, 1e-9) and QuadExt(0, Rational(1, 10**9))
 
 
 def test_approx_real_division_guard():
@@ -122,12 +123,6 @@ def test_invert():
         invert(0)
 
 
-def test_embed_float_examples():
-    assert embed_float(Rational(1, 2)).value == 0.5
-    assert embed_float(QuadExt(Rational(-1, 2), Rational(1, 2))).value == 0.3660254037844386
-    assert embed_float(Rational(0)).value == 0.0
-
-
 def test_embed_float_is_homomorphic_up_to_ulps():
     # 4 ulp measured at the scale where the roundings happen: the
     # cancellation-free magnitude |a| + sqrt(3)|b| of each operand
@@ -145,8 +140,8 @@ def test_embed_float_is_homomorphic_up_to_ulps():
             (lambda u, v: u + v, magnitude(a) + magnitude(b)),
             (lambda u, v: u * v, magnitude(a) * magnitude(b)),
         ):
-            exact = embed_float(op(a, b)).value
-            floated = op(embed_float(a), embed_float(b)).value
+            exact = float(op(a, b))
+            floated = op(ApproxReal(float(a), 1e-9), ApproxReal(float(b), 1e-9)).value
             assert abs(exact - floated) <= 4 * math.ulp(max(scale, 1.0))
 
 
@@ -165,7 +160,8 @@ def test_parse_scalars():
     }
     for text, expected in cases.items():
         assert EXACT.parse(text) == expected, text
-    for bad in ("", "x", "1//2", "r3r3", "1+", "--1", "1/0", "1/2+3/0*r3"):
+    for bad in ("", "x", "1//2", "r3r3", "1+", "--1", "1/0", "1/2+3/0*r3",
+                "9" * 5000):
         with pytest.raises(ParseError):
             EXACT.parse(bad)
 
@@ -185,6 +181,12 @@ def test_float_backend_parsing():
     assert fb.parse("1e-3").value == 1e-3
     assert abs(fb.parse("-1/2+1/2*r3").value - 0.3660254037844386) < 1e-15
     assert fb.scalar(Fraction(1, 4)).value == 0.25
+    # float reports print repr, so every finite repr parses back
+    for x in (1.5e-300, -2.5e+300, 5e-324, 0.1):
+        assert fb.parse(repr(x)).value == x
+    for bad in ("nan", "-inf", "Infinity", "1e400", "10" * 200 + "/3"):
+        with pytest.raises(ParseError):
+            fb.parse(bad)
 
 
 def test_backends():
@@ -197,16 +199,6 @@ def test_backends():
     assert abs(fb.sqrt3().value - math.sqrt(3)) == 0.0
     assert infer_backend([Rational(1), 0]) is EXACT
     assert infer_backend([ApproxReal(1.0, 1e-6), 0]).eps == 1e-6
-
-
-def test_exact_zero_detection():
-    assert is_exact_zero(0)
-    assert is_exact_zero(Rational(0))
-    assert is_exact_zero(QuadExt(0, 0))
-    assert is_exact_zero(ApproxReal(0.0, 1e-9))
-    # tolerance never makes a nonzero exact-zero
-    assert not is_exact_zero(ApproxReal(1e-30, 1e-9))
-    assert not is_exact_zero(QuadExt(0, Rational(1, 10**9)))
 
 
 def test_quadext_hash_agrees_with_eq():

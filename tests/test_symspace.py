@@ -12,6 +12,7 @@ from spin8.octonion import (
 from spin8.sampling import random_g2, random_gamma, random_sphere_point, random_triple
 from spin8.scalars import EXACT, FloatBackend, QuadExt, Rational
 from spin8.symspace import (
+    AntipodalityViolated,
     PolarSphere,
     SpherePoint,
     act,
@@ -25,7 +26,6 @@ from spin8.symspace import (
     kai_sides,
     maximality_scan,
     phi_x,
-    polar_intersection_check,
     sigma_sphere,
     tau_fixed_characterization,
     tau_sphere,
@@ -282,10 +282,78 @@ def test_polar_sphere_builds_its_group_once(monkeypatch):
 
 
 def test_polar_intersection_check():
-    assert polar_intersection_check(e(2))
+    assert antipodal_set(e(2)).polar_intersections
     rng = random.Random(15)
     v = random_imaginary_unit(rng, EXACT)
-    assert polar_intersection_check(v)
+    assert antipodal_set(v).polar_intersections
+
+
+def _record_group_tests(monkeypatch, verdict=lambda base, z: True):
+    """Replace PolarSphere.point_group_fixes by a recorder of its (basepoint,
+    target) pairs that answers `verdict(basepoint, target)` after the real
+    test has passed."""
+    real = PolarSphere.point_group_fixes
+    pairs = []
+
+    def recording(self, z):
+        pairs.append((self.basepoint, z))
+        return real(self, z) and verdict(self.basepoint, z)
+
+    monkeypatch.setattr(PolarSphere, "point_group_fixes", recording)
+    return pairs
+
+
+def test_antipodal_set_certifies_the_polar_pairs(monkeypatch):
+    # the six pairwise polar conditions are certificates antipodal_set runs
+    # itself, so polar_intersections only adds q = fix_tau_point(-v)
+    pairs = _record_group_tests(monkeypatch)
+    rng = random.Random(16)
+    for v in (e(2), random_imaginary_unit(rng, EXACT),
+              random_imaginary_unit(rng, FloatBackend(1e-9))):
+        pairs.clear()
+        aset = antipodal_set(v)
+        o, p, q = aset.points
+        assert aset.polar_intersections
+        for base, target in ((p, o), (p, q), (q, o), (q, p), (o, p), (o, q)):
+            assert any(b == base and t == target for b, t in pairs), (base, target)
+
+
+def test_antipodal_set_raises_on_a_failed_group_test(monkeypatch):
+    s = cube_root_of_unity(e(2))
+    p = SpherePoint(s, s.conj())
+    o = base_point()
+    _record_group_tests(monkeypatch, lambda base, z: not (base == p and z == o))
+    with pytest.raises(AntipodalityViolated, match="moves"):
+        antipodal_set(e(2))
+
+
+def test_antipodal_set_raises_on_a_misplaced_witness(monkeypatch):
+    # a witness for p that transports o to q instead
+    import spin8.symspace as symspace
+
+    real = symspace.spin_from_unit
+    monkeypatch.setattr(symspace, "spin_from_unit", lambda s: real(s.conj()))
+    with pytest.raises(AntipodalityViolated, match="does not transport"):
+        antipodal_set(e(2))
+
+
+def test_antipodal_callers_build_two_witnesses_per_v(monkeypatch, capsys):
+    import spin8.checks as checks
+    import spin8.symspace as symspace
+    from spin8.cli import main
+
+    calls = []
+    real = symspace.spin_from_unit
+    monkeypatch.setattr(symspace, "spin_from_unit",
+                        lambda s: calls.append(s) or real(s))
+    for backend in (EXACT, FloatBackend(1e-9)):
+        calls.clear()
+        _, n_v = checks._check_antipodal(backend, random.Random(17), 5)
+        assert len(calls) == 2 * n_v
+    calls.clear()
+    assert main(["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * 2  # one v on each backend
 
 
 def test_perturbed_point_is_not_fixed():
