@@ -70,7 +70,6 @@ from .symspace import (
     fix_tau_point,
     gamma_sphere,
     is_fixed_by_tau,
-    kai_check,
     kai_sides,
     maximality_scan,
     phi_x,

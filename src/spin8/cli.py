@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -82,6 +83,20 @@ def _emit(report: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _probe(out: str | None) -> None:
+    """Raise OSError now, before any work, if the report cannot be written
+    to `out`.  A missing file is created and removed again, an existing one
+    opened for appending, so the probe leaves no trace."""
+    if not out:
+        return
+    try:
+        open(out, "x").close()
+    except FileExistsError:
+        open(out, "a").close()
+    else:
+        os.remove(out)
 
 
 def _summarize(results) -> None:
@@ -227,6 +242,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        _probe(cfg.out)
         if args.command == "verify-all":
             return cmd_checks(cfg, "verify-all")
         if args.command == "fixset":

@@ -36,7 +36,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 
-from .scalars import QuadExt, Rational
+from .scalars import SQRT3, QuadExt, Rational
 
 
 def scale(values):
@@ -80,6 +80,44 @@ def unscale(d, a, b):
         else (Rational(x, d) if x else 0)
         for x, y in zip(a, b)
     ]
+
+
+def to_floats(d, a, b):
+    """The entries of a flat form as floats, each bit for bit ``float()`` of
+    the scalar ``unscale`` gives.
+
+    float(Fraction(x, d)) is x/d: the reduced fraction has the same value,
+    and CPython's int/int true division is correctly rounded, so both are
+    the double nearest to it, whether or not x/d is in lowest terms (for an
+    int entry, d = 1, x/1 is float(x)).  float(QuadExt) is
+    float(a) + float(b)*SQRT3, hence x/d + (y/d)*SQRT3; where y = 0 that
+    adds +0.0 to x/d, which is never -0.0, so it leaves x/d.
+    """
+    if b is None:
+        return tuple([x / d for x in a])
+    return tuple([x / d + (y / d) * SQRT3 for x, y in zip(a, b)])
+
+
+def _ratio(x, d):
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def literals(d, a, b):
+    """The entries of a flat form as ``format_scalar`` writes their scalars:
+    "p/q" in lowest terms ("p" when q = 1), "r/s*r3" and "p/q+r/s*r3" or
+    "p/q-r/s*r3" once sqrt 3 enters.  d > 0, so the sign is the numerator's."""
+    if b is None:
+        return [_ratio(x, d) for x in a]
+    out = []
+    for x, y in zip(a, b):
+        if not y:
+            out.append(_ratio(x, d))
+        elif not x:
+            out.append(_ratio(y, d) + "*r3")
+        else:
+            out.append(f"{_ratio(x, d)}{'+' if y > 0 else ''}{_ratio(y, d)}*r3")
+    return out
 
 
 def rows_of(flat, n):

@@ -148,20 +148,28 @@ class Matrix:
         return Matrix._of_form(kernel.shaped(*kernel.reduce(da * db, pa, pb), n))
 
     def apply(self, vec) -> tuple:
+        """M vec for a vector of scalars, through the kernel of its backend."""
         vec = tuple(vec)
         n = self.n
         if len(vec) != n:
             raise DimensionMismatch(f"vector of length {len(vec)} against {n}x{n}")
         eps = approx_eps(vec)
         if eps or self._fl is not None:
-            meps, rows = self._floats()
-            eps = max(eps, meps)
-            vf = list(map(float, vec))
-            return tuple([ApproxReal._fast(sum(map(mul, r, vf)), eps) for r in rows])
-        d, a, b = self._scaled()
-        dv, va, vb = kernel.scale(vec)
-        pa, pb = kernel.zmul(kernel.matmul, (a, b), ([va], vb and [vb]))
-        return tuple(kernel.unscale(*kernel.reduce(d * dv, pa, pb)))
+            eps, out = self.apply_floats(eps, tuple(map(float, vec)))
+            return tuple([ApproxReal._fast(v, eps) for v in out])
+        return tuple(kernel.unscale(*self.apply_scaled(*kernel.scale(vec))))
+
+    def apply_floats(self, eps: float, vec):
+        """(tolerance, floats) of M v for v given as floats at tolerance eps
+        (0.0 for exact v); M is read as floats when exact."""
+        meps, rows = self._floats()
+        return max(eps, meps), tuple([sum(map(mul, r, vec)) for r in rows])
+
+    def apply_scaled(self, d, a, b):
+        """Reduced kernel form of M v for exact M and v = (a + b sqrt 3)/d."""
+        md, ma, mb = self._scaled()
+        pa, pb = kernel.zmul(kernel.matmul, (ma, mb), ([a], b and [b]))
+        return kernel.reduce(md * d, pa, pb)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):

@@ -10,24 +10,37 @@ generated once at import time by Cayley-Dickson doubling
 and is the single source of truth for every product in the package.
 Conjugation is the full octonionic one: it fixes e1 and negates e2..e8.
 
-Products run on one kernel per backend: exact coefficients multiply as
-L(x) y on their scaled-integer forms (``kernel``), float coefficients in
-``mul_floats``, the straight-line product written out from the table.
+Like a ``Matrix``, an octonion computes through one form of its backend, and
+the form decides the backend:
+
+* exact: the reduced scaled-integer form (d, a, b) of ``kernel``, coefficient
+  i being (a[i] + b[i]*sqrt 3)/d with a and b lists.  It is unique per value,
+  so exact equality is equality of forms.
+* float: (eps, floats), set when some coefficient is an ``ApproxReal``, eps
+  being the largest tolerance among them.  An exact zero coefficient stays
+  the int 0 there and every other coefficient is read as a float.  The int 0
+  acts as +0.0 in every float operation, but it negates to 0 and formats as
+  "0", as the exact zero it stands for did; -0.0 stays -0.0.
+
+An octonion built from coefficients keeps them and builds its exact form on
+first use; one computed on a form builds scalar ``coeffs`` only when they
+are read.  Products run on one straight-line kernel written out from the
+table, ``mul_lines``: on floats, and on the integer parts of exact forms,
+combined over Z[sqrt 3] by ``kernel.zmul``.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from math import lcm
+from operator import itemgetter, sub
 
 from . import kernel
 from .linalg import Matrix
 from .scalars import (
+    SQRT3,
     ApproxReal,
     Rational,
     approx_eps,
-    format_scalar,
-    infer_backend,
-    invert,
     ParseError,
 )
 
@@ -114,69 +127,131 @@ def _layouts():
 _LEFT, _RIGHT = _layouts()
 
 
-def _left_rows(x):
-    """Rows of L(x) for an integer 8-vector x (None stays None)."""
+def _placed(x, layout):
+    """Rows of L(x) or R(x) for an integer 8-vector x (None stays None)."""
     if x is None:
         return None
     signed = x + [-v for v in x]
-    return [get(signed) for get in _LEFT]
+    return [get(signed) for get in layout]
 
 
-def mul_floats(x, y):
-    """Octonion product of two float 8-sequences: the float kernel.
+def mul_lines(x, y, zero=0):
+    """Octonion product of two 8-sequences, the straight-line kernel of both
+    backends: the integer parts of exact forms, and floats with zero=0.0.
 
     Line k is coordinate k of x*y: the terms +-x[p]*y[q] with e_p e_q = +-e_k,
-    added in ascending p onto +0.0, as an accumulation loop over ``TABLE``
-    does (a test pins each line to the table), so on finite inputs every
+    added in ascending p onto `zero`, as an accumulation loop over ``TABLE``
+    does (a test pins each line to the table), so on finite floats every
     coordinate has the loop's bits.  A zero term, which such a loop may skip,
-    leaves a nonzero sum unchanged and a zero sum at +0.0; starting from
-    +0.0 keeps -0.0, which formats as "-0.0", out of the result.
+    leaves a nonzero sum unchanged and a zero sum at +0.0; starting floats
+    from +0.0 keeps -0.0, which formats as "-0.0", out of the result.
     """
     x0, x1, x2, x3, x4, x5, x6, x7 = x
     y0, y1, y2, y3, y4, y5, y6, y7 = y
-    return (
-        0.0 + x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4 - x5 * y5 - x6 * y6 - x7 * y7,
-        0.0 + x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2 + x4 * y5 - x5 * y4 - x6 * y7 + x7 * y6,
-        0.0 + x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1 + x4 * y6 + x5 * y7 - x6 * y4 - x7 * y5,
-        0.0 + x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0 + x4 * y7 - x5 * y6 + x6 * y5 - x7 * y4,
-        0.0 + x0 * y4 - x1 * y5 - x2 * y6 - x3 * y7 + x4 * y0 + x5 * y1 + x6 * y2 + x7 * y3,
-        0.0 + x0 * y5 + x1 * y4 - x2 * y7 + x3 * y6 - x4 * y1 + x5 * y0 - x6 * y3 + x7 * y2,
-        0.0 + x0 * y6 + x1 * y7 + x2 * y4 - x3 * y5 - x4 * y2 + x5 * y3 + x6 * y0 - x7 * y1,
-        0.0 + x0 * y7 - x1 * y6 + x2 * y5 + x3 * y4 - x4 * y3 - x5 * y2 + x6 * y1 + x7 * y0,
-    )
+    return [
+        zero + x0 * y0 - x1 * y1 - x2 * y2 - x3 * y3 - x4 * y4 - x5 * y5 - x6 * y6 - x7 * y7,
+        zero + x0 * y1 + x1 * y0 + x2 * y3 - x3 * y2 + x4 * y5 - x5 * y4 - x6 * y7 + x7 * y6,
+        zero + x0 * y2 - x1 * y3 + x2 * y0 + x3 * y1 + x4 * y6 + x5 * y7 - x6 * y4 - x7 * y5,
+        zero + x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0 + x4 * y7 - x5 * y6 + x6 * y5 - x7 * y4,
+        zero + x0 * y4 - x1 * y5 - x2 * y6 - x3 * y7 + x4 * y0 + x5 * y1 + x6 * y2 + x7 * y3,
+        zero + x0 * y5 + x1 * y4 - x2 * y7 + x3 * y6 - x4 * y1 + x5 * y0 - x6 * y3 + x7 * y2,
+        zero + x0 * y6 + x1 * y7 + x2 * y4 - x3 * y5 - x4 * y2 + x5 * y3 + x6 * y0 - x7 * y1,
+        zero + x0 * y7 - x1 * y6 + x2 * y5 + x3 * y4 - x4 * y3 - x5 * y2 + x6 * y1 + x7 * y0,
+    ]
 
 
 def mul_coeffs(x, y):
-    """Product of two octonion coefficient 8-tuples (the hot path).
+    """Product of two octonion coefficient 8-tuples, as scalars.
 
-    Exact inputs multiply as x*y = L(x) y on their scaled-integer forms.
-    Tolerance-backend inputs are multiplied by ``mul_floats`` and re-wrapped
-    at the largest tolerance, as entrywise ``ApproxReal`` arithmetic would.
+    The product of the octonions they build: exact inputs multiply on their
+    kernel forms; with a float input the result is ``mul_lines`` at the
+    largest tolerance of both, as entrywise ``ApproxReal`` arithmetic would
+    give it.
     """
-    eps = max(approx_eps(x), approx_eps(y))
-    if eps:
-        return tuple([ApproxReal._fast(v, eps)
-                      for v in mul_floats(map(float, x), map(float, y))])
-    dx, xa, xb = kernel.scale(x)
-    dy, ya, yb = kernel.scale(y)
-    pa, pb = kernel.zmul(
-        kernel.matmul, (_left_rows(xa), _left_rows(xb)), ([ya], yb and [yb])
-    )
-    return tuple(kernel.unscale(*kernel.reduce(dx * dy, pa, pb)))
+    return (Octonion(x) * Octonion(y)).coeffs
 
 
 # --- the algebra ------------------------------------------------------------
 
 class Octonion:
-    """8-vector of scalars with the Cayley-Dickson product."""
+    """8-vector of scalars with the Cayley-Dickson product.
 
-    __slots__ = ("coeffs",)
+    ``_coeffs`` holds the scalars once known, ``_form`` the exact kernel form
+    once built and ``_fl`` the float form of a float octonion (None for an
+    exact one).  An octonion computed on a form starts from the form alone.
+    """
+
+    __slots__ = ("_coeffs", "_form", "_fl")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != 8:
             raise ValueError("octonion needs exactly 8 coefficients")
-        self.coeffs = coeffs
+        self._coeffs = coeffs
+        self._form = None
+        eps = approx_eps(coeffs)
+        self._fl = (eps, tuple([float(v) if v or type(v) is ApproxReal else 0
+                                for v in coeffs])) if eps else None
+
+    @classmethod
+    def _of_form(cls, form) -> "Octonion":
+        x = object.__new__(cls)
+        x._coeffs = None
+        x._form = form
+        x._fl = None
+        return x
+
+    @classmethod
+    def _of_floats(cls, eps: float, floats) -> "Octonion":
+        """A float octonion from its tolerance and its 8 floats (the int 0 for
+        an exact zero)."""
+        x = object.__new__(cls)
+        x._coeffs = None
+        x._form = None
+        x._fl = (eps, floats)
+        return x
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            if self._fl is not None:
+                eps, fl = self._fl
+                self._coeffs = tuple([ApproxReal._fast(v, eps) if type(v) is float else v
+                                      for v in fl])
+            else:
+                self._coeffs = tuple(kernel.unscale(*self._form))
+        return self._coeffs
+
+    def _scaled(self):
+        """Kernel form (d, a, b) of an exact octonion."""
+        if self._form is None:
+            self._form = kernel.scale(self._coeffs)
+        return self._form
+
+    def _floats(self):
+        """(eps, floats): the float form, or (0.0, the coefficients as floats)
+        for an exact octonion."""
+        if self._fl is not None:
+            return self._fl
+        return 0.0, kernel.to_floats(*self._scaled())
+
+    def _tolerance(self) -> float:
+        """The tolerance a norm or a translation carries: the largest among
+        the nonzero float coefficients, 0.0 if there are none.  A zero
+        carries none, as a loop that skips zero terms would give it."""
+        fl = self._fl
+        if fl is None:
+            return 0.0
+        if self._coeffs is None:
+            return fl[0] if any(fl[1]) else 0.0
+        return approx_eps([v for v in self._coeffs if v])
+
+    def _exact(self) -> "Octonion":
+        """Self when exact; for a float octonion of tolerance 0.0 (every float
+        coefficient zero) the same values with those zeros made exact."""
+        if self._fl is None:
+            return self
+        return Octonion([0 if type(v) is ApproxReal else v for v in self.coeffs])
 
     @classmethod
     def basis(cls, i: int) -> "Octonion":
@@ -187,72 +262,86 @@ class Octonion:
     def one(cls) -> "Octonion":
         return _BASIS[0]
 
-    @classmethod
-    def zero(cls) -> "Octonion":
-        return _ZERO
-
-    def __add__(self, other):
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return Octonion(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return Octonion(a - b for a, b in zip(self.coeffs, other.coeffs))
-
     def __neg__(self):
-        return Octonion(-c for c in self.coeffs)
+        if self._fl is not None:
+            eps, f = self._fl
+            return Octonion._of_floats(eps, tuple([-v for v in f]))
+        d, a, b = self._scaled()
+        return Octonion._of_form((d, [-v for v in a], b and [-v for v in b]))
 
     def __mul__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(mul_coeffs(self.coeffs, other.coeffs))
-
-    def scale(self, s) -> "Octonion":
-        return Octonion(c * s for c in self.coeffs)
+        if self._fl is not None or other._fl is not None:
+            ex, x = self._floats()
+            ey, y = other._floats()
+            return Octonion._of_floats(max(ex, ey), mul_lines(x, y, 0.0))
+        dx, xa, xb = self._scaled()
+        dy, ya, yb = other._scaled()
+        pa, pb = kernel.zmul(mul_lines, (xa, xb), (ya, yb))
+        return Octonion._of_form(kernel.reduce(dx * dy, pa, pb))
 
     def conj(self) -> "Octonion":
-        c = self.coeffs
-        return Octonion((c[0],) + tuple(-v for v in c[1:]))
+        if self._fl is not None:
+            eps, f = self._fl
+            return Octonion._of_floats(eps, (f[0],) + tuple([-v for v in f[1:]]))
+        d, a, b = self._scaled()
+        return Octonion._of_form(
+            (d, a[:1] + [-v for v in a[1:]], b and b[:1] + [-v for v in b[1:]]))
+
+    def _float_norm(self) -> float:
+        # the squares added in index order onto +0.0; a zero square adds +0.0
+        # to a sum >= +0.0, so this is the sum over the nonzero terms
+        n = 0.0
+        for v in self._fl[1]:
+            n += v * v
+        return n
 
     def norm_sq(self):
         """|x|^2, the sum of the squared coefficients.
 
-        With a nonzero float coefficient the squares add in floats, in index
-        order onto +0.0, at the largest tolerance among the nonzero
-        coefficients: ``ApproxReal`` arithmetic over the nonzero terms bit
-        for bit, since a zero square adds +0.0 to a sum >= +0.0.  Exact
-        coefficients mixed in are read as floats, as ``mul_coeffs`` reads
-        them.  Otherwise the kernel sums exactly; all zeros give the int 0.
+        With a nonzero float coefficient the squares add in floats at the
+        tolerance of ``_tolerance``: ``ApproxReal`` arithmetic over the
+        nonzero terms bit for bit, exact coefficients mixed in being read as
+        floats.  Otherwise the kernel sums exactly; all zeros give the int 0.
         """
-        c = self.coeffs
-        if any(type(v) is ApproxReal for v in c):
-            c = [v for v in c if v]
-            eps = approx_eps(c)
-            if eps:
-                n = 0.0
-                for v in map(float, c):
-                    n += v * v
-                return ApproxReal._fast(n, eps)
-        d, a, b = kernel.scale(c)
+        tol = self._tolerance()
+        if tol:
+            return ApproxReal._fast(self._float_norm(), tol)
+        d, a, b = self._exact()._scaled()
         x, y = kernel.zdot((a, b), (a, b))
         return kernel.unscale(d * d, [x], [y] if y else None)[0]
 
-    def inverse(self) -> "Octonion":
-        """x^-1 = conj(x) / |x|^2."""
-        return self.conj().scale(invert(self.norm_sq()))
-
     def is_unit(self) -> bool:
-        return self.norm_sq() == 1
+        """norm_sq() == 1, without building the scalar: within the tolerance,
+        or on the form as the integer identity |a + b sqrt 3|^2 = d^2."""
+        tol = self._tolerance()
+        if tol:
+            return abs(self._float_norm() - 1.0) <= tol
+        d, a, b = self._exact()._scaled()
+        x, y = kernel.zdot((a, b), (a, b))
+        return y == 0 and x == d * d
 
     def is_imaginary_unit(self) -> bool:
-        return self.coeffs[0] == 0 and self.is_unit()
+        if self._fl is not None:
+            eps, f = self._fl
+            first_zero = abs(f[0]) <= eps
+        else:
+            _, a, b = self._scaled()
+            first_zero = not a[0] and (b is None or not b[0])
+        return first_zero and self.is_unit()
 
     def __eq__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        if self._fl is None and other._fl is None:
+            # reduced kernel forms are unique, see kernel
+            return self._scaled() == other._scaled()
+        ex, x = self._floats()
+        ey, y = other._floats()
+        # eps >= |x - y| at the larger tolerance, like ApproxReal.__eq__, and
+        # False on a nan
+        return all(map(max(ex, ey).__ge__, map(abs, map(sub, x, y))))
 
     def __repr__(self):
         return f"Octonion({format_octonion(self)})"
@@ -264,7 +353,17 @@ class Octonion:
 _BASIS = tuple(
     Octonion(tuple(1 if j == i else 0 for j in range(8))) for i in range(8)
 )
-_ZERO = Octonion((0,) * 8)
+
+
+def deviation(x: Octonion, y: Octonion) -> float:
+    """Largest |x_i - y_i| over the coefficients read as floats.
+
+    Exact coefficients are read through ``kernel.to_floats``, which gives
+    ``float()`` of each scalar bit for bit, so this is the residual a loop
+    over ``abs(float(a) - float(b))`` computes; ``float`` keeps it a float
+    where two exact zeros of float forms leave the int 0 as the largest.
+    """
+    return float(max(map(abs, map(sub, x._floats()[1], y._floats()[1]))))
 
 
 def ensure_unit(x: Octonion) -> Octonion:
@@ -281,24 +380,29 @@ def ensure_imaginary_unit(v: Octonion) -> Octonion:
     return v
 
 
+def transform(m: Matrix, x: Octonion) -> Octonion:
+    """The octonion m x for an 8x8 matrix m, computed on the forms of both."""
+    if m._fl is not None or x._fl is not None:
+        return Octonion._of_floats(*m.apply_floats(*x._floats()))
+    return Octonion._of_form(m.apply_scaled(*x._scaled()))
+
+
 def _translation(x: Octonion, layout) -> Matrix:
     """L(x) or R(x): signed copies of the coefficients of x placed by the
     layout, so no scalar products are needed.
 
     A zero coefficient places 0 and carries no tolerance.  With a nonzero
-    float coefficient the matrix is built on its float form, at the largest
-    tolerance among the nonzero coefficients and with +0.0 for the zeros:
-    the form ``Matrix`` takes from those entries.
+    float coefficient the matrix is built on its float form, at the tolerance
+    of ``_tolerance`` and with +0.0 for the zeros; otherwise on the kernel
+    form, whose signed and permuted entries stay reduced.
     """
-    c = x.coeffs
-    eps = approx_eps([v for v in c if v])
-    if eps:
-        f = [float(v) if v else 0.0 for v in c]
-        signed = f + [-u if v else 0.0 for u, v in zip(f, c)]
-        return Matrix._of_floats(eps, tuple([get(signed) for get in layout]))
-    signed = [v if v else 0 for v in c]
-    signed += [-v for v in signed]
-    return Matrix([get(signed) for get in layout])
+    tol = x._tolerance()
+    if tol:
+        f = [v if v else 0.0 for v in x._fl[1]]
+        signed = f + [-v if v else 0.0 for v in f]
+        return Matrix._of_floats(tol, tuple([get(signed) for get in layout]))
+    d, a, b = x._exact()._scaled()
+    return Matrix._of_form((d, _placed(a, layout), _placed(b, layout)))
 
 
 def left_translation(x: Octonion) -> Matrix:
@@ -314,18 +418,18 @@ def right_translation(x: Octonion) -> Matrix:
 def sandwich_matrix(l: Octonion, r: Octonion) -> Matrix:
     """Matrix of x -> l (x r); column j is l (e_j r).
 
-    On float input column j is ``mul_floats`` of l and column j of R(r), at
-    the largest tolerance of l and r: the floats ``mul_coeffs`` computes for
-    l (e_j r), since e_j r is a signed copy of r and ``mul_floats`` gives
-    the same bits for +0.0 and -0.0 inputs.
+    Exact input gives the kernel product L(l) R(r).  On float input column j
+    is ``mul_lines`` of l and column j of R(r), at the largest tolerance of
+    l and r: the floats the octonion product computes for l (e_j r), since
+    e_j r is a signed copy of r and ``mul_lines`` gives the same bits for
+    +0.0 and -0.0 inputs.
     """
-    lc, rc = l.coeffs, r.coeffs
-    eps = max(approx_eps(lc), approx_eps(rc))
-    if not eps:
-        return Matrix(zip(*[mul_coeffs(lc, mul_coeffs(e.coeffs, rc)) for e in _BASIS]))
-    lf = tuple(map(float, lc))
+    if l._fl is None and r._fl is None:
+        return left_translation(l) * right_translation(r)
+    el, lf = l._floats()
     cols = zip(*right_translation(r)._floats()[1])
-    return Matrix._of_floats(eps, tuple(zip(*[mul_floats(lf, col) for col in cols])))
+    eps = max(el, r._floats()[0])
+    return Matrix._of_floats(eps, tuple(zip(*[mul_lines(lf, col, 0.0) for col in cols])))
 
 
 def to_backend(x: Octonion, backend) -> Octonion:
@@ -338,21 +442,33 @@ def cube_root_of_unity(v: Octonion) -> Octonion:
 
     Satisfies s**3 = 1, s != 1 and s*s = conj(s); together with conj(s) and 1
     these are the cube roots of unity in the subalgebra spanned by 1 and v.
+
+    On floats coefficient 0 is -0.5 and coefficient i is (sqrt(3) * 0.5) * v_i,
+    the products ``ApproxReal`` arithmetic forms, with the exact 0 for a zero
+    v_i.  On the kernel form, v_0 = 0 gives
+    s = (-d + 3 b_i + a_i sqrt 3) / 2d for v = (a + b sqrt 3)/d.
     """
     ensure_imaginary_unit(v)
-    backend = infer_backend(v.coeffs)
-    half = backend.scalar(Rational(1, 2))
-    hr3 = backend.sqrt3() * half
-    coeffs = [-half]
-    for c in v.coeffs[1:]:
-        coeffs.append(hr3 * c if c else 0)
-    return Octonion(coeffs)
+    if v._fl is not None:
+        eps, f = v._fl
+        h = SQRT3 * 0.5
+        return Octonion._of_floats(eps, (-0.5,) + tuple([h * c if c else 0 for c in f[1:]]))
+    d, a, b = v._scaled()
+    ra = [-d] + ([3 * y for y in b[1:]] if b else [0] * 7)
+    return Octonion._of_form(kernel.reduce(2 * d, ra, [0] + a[1:]))
 
 
 # --- parsing / formatting ---------------------------------------------------
 
 def format_octonion(x: Octonion) -> str:
-    return "[" + ", ".join(format_scalar(c) for c in x.coeffs) + "]"
+    """The literal "[c1, ..., c8]": the float form by ``repr`` (the int 0 as
+    "0"), the exact form in the grammar of ``format_scalar``
+    (``kernel.literals``)."""
+    if x._fl is not None:
+        parts = map(repr, x._fl[1])
+    else:
+        parts = kernel.literals(*x._scaled())
+    return "[" + ", ".join(parts) + "]"
 
 
 def parse_octonion(text: str, backend) -> Octonion:
@@ -371,37 +487,49 @@ def parse_octonion(text: str, backend) -> Octonion:
 # Exact-backend points on spheres come from inverse stereographic projection
 # of small random rational vectors, so they are exactly unit-norm rationals.
 
-def _random_rational(rng, lim: int = 4):
-    return Rational(rng.randint(-lim, lim), rng.randint(1, lim))
+def _draw(rng, lim: int = 4):
+    """Numerator and denominator of a small random rational."""
+    return rng.randint(-lim, lim), rng.randint(1, lim)
 
 
-def _rational_unit_vector(rng, dim: int):
-    u = [_random_rational(rng) for _ in range(dim - 1)]
-    n = 0
-    for c in u:
-        n = n + c * c
-    den = invert(n + 1)
-    return tuple([(n - 1) * den] + [2 * c * den for c in u])
+def _random_rational(rng):
+    return Rational(*_draw(rng))
 
 
-def _float_unit_vector(rng, dim: int, backend):
+def _rational_unit_form(rng, dim: int):
+    """Kernel form of the inverse stereographic image of a random rational
+    u in Q^(dim-1), its entries drawn as ``_random_rational`` draws them.
+
+    The image of u is (n - 1, 2 u_1, ..., 2 u_(dim-1)) / (n + 1), n = |u|^2.
+    With u_i = p_i / L over the common denominator L and S = sum p_i^2 that
+    is (S - L^2, 2 L p_1, ...) / (S + L^2).
+    """
+    draws = [_draw(rng) for _ in range(dim - 1)]
+    den = lcm(*[q for _, q in draws])
+    p = [n * (den // q) for n, q in draws]
+    s = sum([x * x for x in p])
+    return kernel.reduce(s + den * den, [s - den * den] + [2 * den * x for x in p], None)
+
+
+def _float_unit_vector(rng, dim: int):
     while True:
         u = [rng.gauss(0.0, 1.0) for _ in range(dim)]
         n = sum(c * c for c in u) ** 0.5
         if n > 1e-6:
-            return tuple(backend.scalar(c / n) for c in u)
+            return tuple([c / n for c in u])
 
 
 def random_unit_octonion(rng, backend) -> Octonion:
     if backend.exact:
-        return Octonion(_rational_unit_vector(rng, 8))
-    return Octonion(_float_unit_vector(rng, 8, backend))
+        return Octonion._of_form(_rational_unit_form(rng, 8))
+    return Octonion._of_floats(backend.eps, _float_unit_vector(rng, 8))
 
 
 def random_imaginary_unit(rng, backend) -> Octonion:
     if backend.exact:
-        return Octonion((0,) + _rational_unit_vector(rng, 7))
-    return Octonion((0,) + _float_unit_vector(rng, 7, backend))
+        d, a, _ = _rational_unit_form(rng, 7)
+        return Octonion._of_form((d, [0] + a, None))
+    return Octonion._of_floats(backend.eps, (0,) + _float_unit_vector(rng, 7))
 
 
 def random_octonion(rng, backend) -> Octonion:

@@ -285,18 +285,25 @@ def format_scalar(x) -> str:
 
 
 _TERM = re.compile(
-    r"([+-]?)(?:(\d+(?:\.\d*)?|\.\d+|\d+/\d+)(?:\*(r3))?|(r3))$"
+    r"([+-]?)(?:((?:\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?|\d+/\d+)(?:\*(r3))?|(r3))$"
 )
+
+# A decimal exponent adds as many digits to the exact value as it says, so it
+# is bounded like the digits of an integer literal (CPython's default limit
+# for int() on strings); "1e999999999" would otherwise build a huge power of 10.
+_MAX_EXPONENT = 4300
 
 
 def _parse_exact(text: str):
-    """Parse "p/q", decimals, and "a+b*r3" forms into Rational or QuadExt."""
+    """Parse "p/q", decimals with an optional exponent ("2.5E-3" is 1/400
+    exactly), and "a+b*r3" forms into Rational or QuadExt."""
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty scalar literal")
     a = Rational(0)
     b = Rational(0)
-    for part in re.split(r"(?=[+-])", s):
+    # a sign right after an exponent marker belongs to the exponent
+    for part in re.split(r"(?<![eE])(?=[+-])", s):
         if not part or part in "+-":
             if part:
                 raise ParseError(f"bad scalar literal {text!r}")
@@ -304,12 +311,14 @@ def _parse_exact(text: str):
         m = _TERM.match(part)
         if m is None or m.end() != len(part):
             raise ParseError(f"bad scalar literal {text!r}")
-        sign, coef, r3a, r3b = m.groups()
+        sign, coef, exponent, r3a, r3b = m.groups()
         try:
+            if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+                raise ValueError(f"exponent {exponent} out of range")
             val = Rational(coef) if coef else Rational(1)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {text!r}") from None
-        except ValueError as exc:  # more digits than int() converts
+        except ValueError as exc:  # too many digits for int(), or a huge exponent
             raise ParseError(f"bad scalar literal: {exc}") from None
         if sign == "-":
             val = -val

@@ -27,11 +27,13 @@ from dataclasses import dataclass
 from .octonion import (
     Octonion,
     cube_root_of_unity,
+    deviation,
     ensure_unit,
     format_octonion,
     parse_octonion,
     random_imaginary_unit,
     to_backend,
+    transform,
 )
 from .scalars import infer_backend
 from .triality import (
@@ -85,9 +87,7 @@ def base_point() -> SpherePoint:
 
 
 def act(g: TrialityTriple, pt: SpherePoint) -> SpherePoint:
-    return SpherePoint(
-        Octonion(g.A.apply(pt.x.coeffs)), Octonion(g.B.apply(pt.y.coeffs))
-    )
+    return SpherePoint(transform(g.A, pt.x), transform(g.B, pt.y))
 
 
 def tau_sphere(pt: SpherePoint) -> SpherePoint:
@@ -158,12 +158,6 @@ def kai_sides(
     return lhs, rhs
 
 
-def kai_check(gx, gy, gamma, delta, points) -> bool:
-    """Compare both sides of the conjugation identity as maps on sample points."""
-    lhs, rhs = kai_sides(gx, gy, gamma, delta)
-    return all(act_semidirect(lhs, p) == act_semidirect(rhs, p) for p in points)
-
-
 class PolarSphere:
     """The polar 6-sphere of a basepoint: the image of Y under a transporter."""
 
@@ -173,9 +167,6 @@ class PolarSphere:
         self.witness = witness
         self.basepoint = act(witness, base_point())
         self._group = {}
-
-    def point_at(self, v: Octonion) -> SpherePoint:
-        return act(self.witness, fix_tau_point(v))
 
     def point_group_fixes(self, z: SpherePoint) -> bool:
         """Whether the transported order-3 symmetry group at the basepoint fixes z.
@@ -251,9 +242,6 @@ class ScanReport:
     def accepted_candidates(self) -> list:
         return [r.candidate for r in self.rows if r.accepted]
 
-    def rejected_count(self) -> int:
-        return sum(1 for r in self.rows if not r.accepted)
-
     def closes_on(self, points) -> bool:
         """Acceptance as a set statement: every accepted candidate is one of
         the points, and every point is accepted (the closed-form candidates
@@ -272,16 +260,22 @@ def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
     conj(s)*conj(t) = conj(s*t), i.e. iff s and t commute, which forces the
     candidate back into {p, q, o}; the report records every decision.
 
+    Each candidate runs on the octonion forms with every test in place: the
+    imaginary-unit test of w in ``cube_root_of_unity``, the unit tests of
+    both components in ``SpherePoint``, acceptance as equality of forms
+    (reduced exact forms are unique per value) and the float residual
+    ``deviation``.
+
     `rng` may be a random.Random or a plain integer seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if isinstance(rng, int):
         rng = random.Random(rng)
+    backend = infer_backend(v.coeffs)
     s = cube_root_of_unity(v)
-    backend = infer_backend(s.coeffs)
-    one = to_backend(Octonion.one(), backend)
-    candidates = [one, cube_root_of_unity(v), cube_root_of_unity(-v)]
+    sc = s.conj()
+    candidates = [to_backend(Octonion.one(), backend), s, cube_root_of_unity(-v)]
     candidates += [
         cube_root_of_unity(random_imaginary_unit(rng, backend))
         for _ in range(trials)
@@ -289,18 +283,8 @@ def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
     rows = []
     for t in candidates:
         st = s * t
-        pair = s.conj() * t.conj()
+        pair = sc * t.conj()
         want = st.conj()
-        residual = max(
-            abs(float(a) - float(b)) for a, b in zip(pair.coeffs, want.coeffs)
-        )
-        rows.append(
-            ScanRow(
-                t=t,
-                candidate=SpherePoint(st, pair),
-                accepted=(pair == want),
-                residual=residual,
-            )
-        )
+        rows.append(ScanRow(t=t, candidate=SpherePoint(st, pair),
+                            accepted=(pair == want), residual=deviation(pair, want)))
     return ScanReport(v, rows)
-

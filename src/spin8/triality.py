@@ -33,7 +33,7 @@ from .octonion import (
     TABLE,
     ensure_unit,
     left_translation,
-    mul_floats,
+    mul_lines,
     right_translation,
     sandwich_matrix,
 )
@@ -121,7 +121,7 @@ def _triality_defect(acols, bcols, ccols):
         ci = ccols[i]
         row = TABLE[i]
         for j in range(8):
-            prod = mul_floats(ci, acols[j])
+            prod = mul_lines(ci, acols[j], 0.0)
             s, k = row[j]
             r = max(map(abs, map(sub if s > 0 else add, bcols[k], prod)))
             if r > worst:

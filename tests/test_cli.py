@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import spin8.cli as cli
 from spin8.cli import main
 
 
@@ -83,6 +85,64 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, args):
         assert code == 2, out
         assert "error: cannot write report" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-all", "--trials", "1"],
+    ["kai", "--trials", "1"],
+    ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "1"],
+    ["fixset", "[0,1,0,0,0,0,0,0]"],
+])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, args):
+    calls = []
+
+    def refuse(*a, **kw):
+        calls.append(a)
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("run_checks", "maximality_scan", "fix_tau_point"):
+        monkeypatch.setattr(cli, name, refuse)
+    for out in (tmp_path / "missing" / "rep.json", tmp_path):
+        code, stdout, err = run(capsys, *args, "--out", str(out))
+        assert code == 2, out
+        assert stdout == ""
+        assert err.startswith("error: cannot write report")
+    assert calls == []
+
+
+def test_out_probe_leaves_no_trace(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    code, _, _ = run(capsys, "fixset", "[1,2]", "--out", str(out))
+    assert code == 2
+    assert not out.exists()  # a probe-created file is removed again
+    out.write_text("old")
+    code, _, _ = run(capsys, "fixset", "[1,2]", "--out", str(out))
+    assert code == 2
+    assert out.read_text() == "old"  # and an existing one is not truncated
+
+
+# SHA-256 of reports taken before the octonions computed on kernel forms.
+# The float cases pin the exact 0 that cube_root_of_unity (and conj) leave
+# in a zero coordinate, printed "0", against the "0.0" and "-0.0" of parsed
+# float coordinates.
+REPORT_DIGESTS = [
+    (["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--backend", "both", "--trials", "20"],
+     "31b6cda902d8b6ac0f103a769b30430cba423c193b9f1399da06fb1cc4ab1d47"),
+    (["antipodal", "[0,0.6,-0.0,-0.8,0,0,0,0]", "--backend", "both", "--trials", "5"],
+     "22384a0a28aeb4fbbfecbd8e7796b5e3499f4c9581523f9feaa6369e68731b52"),
+    (["fixset", "[0,1,0,0,0,0,0,0]", "--backend", "both"],
+     "e6571f2c99fcdedf6ab8cde80f0a790e4fe230370f44276b5f2ad6f51eac7d3c"),
+    (["fixset", "[0,0.6,-0.0,-0.8,0,0,0,0]", "--backend", "both"],
+     "4a6c2184ef7dd3d29c6d5cb16b6e1e93bc031b2b055e759a47c09eae96f8bbe3"),
+]
+
+
+@pytest.mark.parametrize("args,digest", REPORT_DIGESTS)
+def test_report_bytes(tmp_path, capsys, args, digest):
+    out = tmp_path / "rep.json"
+    code, _, _ = run(capsys, *args, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_antipodal(capsys):

@@ -85,7 +85,7 @@ def test_recover_rejects_partial_match():
 
 
 def test_ad_conjugate_identity_pair():
-    x = e(2) + e(5)
+    x = Octonion((0, 1, 0, 0, 1, 0, 0, 0))  # e2 + e5
     assert ad_conjugate(Matrix.identity(8), Matrix.identity(8),
                         x) == clifford_embed(x).matrix
 

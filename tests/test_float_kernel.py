@@ -25,7 +25,7 @@ from spin8.octonion import (
     cube_root_of_unity,
     left_translation,
     mul_coeffs,
-    mul_floats,
+    mul_lines,
     random_imaginary_unit,
     random_unit_octonion,
     right_translation,
@@ -142,22 +142,24 @@ class Sym:
 
 
 def test_product_lines_follow_table():
-    # line k adds +-x[p]*y[q], e_p e_q = +-e_k, in ascending p onto 0.0
-    got = mul_floats([Sym(f"x{p}") for p in range(8)],
-                     [Sym(f"y{q}") for q in range(8)])
-    for k in range(8):
-        want = "0.0"
-        for p, row in enumerate(TABLE):
-            (q, s), = [(q, s) for q, (s, kk) in enumerate(row) if kk == k]
-            want = f"({want}{'+' if s > 0 else '-'}x{p}*y{q})"
-        assert got[k].text == want
+    # line k adds +-x[p]*y[q], e_p e_q = +-e_k, in ascending p onto the start
+    # value: +0.0 for floats, 0 for the integer parts of exact forms
+    for zero in (0.0, 0):
+        got = mul_lines([Sym(f"x{p}") for p in range(8)],
+                        [Sym(f"y{q}") for q in range(8)], zero)
+        for k in range(8):
+            want = repr(zero)
+            for p, row in enumerate(TABLE):
+                (q, s), = [(q, s) for q, (s, kk) in enumerate(row) if kk == k]
+                want = f"({want}{'+' if s > 0 else '-'}x{p}*y{q})"
+            assert got[k].text == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(vectors, vectors)
 def test_product_matches_table_loop(x, y):
     want = reprs(loop_product(x, y))
-    assert reprs(mul_floats(x, y)) == want
+    assert reprs(mul_lines(x, y, 0.0)) == want
     wrapped = mul_coeffs(tuple(ApproxReal(v, EPS) for v in x),
                          tuple(ApproxReal(v, EPS) for v in y))
     assert reprs(wrapped) == want

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spin8.linalg import Matrix, is_special_orthogonal
 from spin8.octonion import (
@@ -19,9 +20,18 @@ from spin8.octonion import (
     random_unit_octonion,
     right_translation,
     table_rows,
+    to_backend,
     unit_product,
 )
-from spin8.scalars import EXACT, FloatBackend, ParseError, QuadExt, Rational
+from spin8.scalars import (
+    EXACT,
+    ApproxReal,
+    FloatBackend,
+    ParseError,
+    QuadExt,
+    Rational,
+    format_scalar,
+)
 
 e = Octonion.basis
 
@@ -100,20 +110,6 @@ def test_nonassociative_in_general():
     assert (e(2) * e(3)) * e(5) != e(2) * (e(3) * e(5))
 
 
-def test_inverse():
-    assert e(1).inverse() == e(1)
-    assert e(2).inverse() == -e(2)
-    rng = random.Random(8)
-    for _ in range(10):
-        x = random_octonion(rng, EXACT)
-        if not x.norm_sq():
-            continue
-        assert x * x.inverse() == e(1)
-        assert x.inverse() * x == e(1)
-    with pytest.raises(ZeroDivisionError):
-        Octonion.zero().inverse()
-
-
 def test_left_translation():
     assert left_translation(e(1)) == Matrix.identity(8)
     assert Octonion(left_translation(e(2)).apply(e(1).coeffs)) == e(2)
@@ -126,7 +122,8 @@ def test_left_translation():
         assert left_translation(s.conj()) * ls == Matrix.identity(8)
         assert Octonion(ls.apply(x.coeffs)) == s * x
         # linear in s: L(s + x) = L(s) + L(x)
-        assert left_translation(s + x) == ls + left_translation(x)
+        sx = Octonion(a + b for a, b in zip(s.coeffs, x.coeffs))
+        assert left_translation(sx) == ls + left_translation(x)
 
 
 def test_sandwich_identity():
@@ -162,7 +159,7 @@ def test_cube_root_of_unity_canonical():
     assert s * s == s.conj()
     assert s * (s * s) == e(1)
     assert s != e(1)
-    assert s.inverse() == s.conj()
+    assert s * s.conj() == e(1) == s.conj() * s
 
 
 def test_cube_root_of_unity_random_rational():
@@ -179,7 +176,7 @@ def test_cube_root_rejects_non_imaginary():
     with pytest.raises(NotImaginaryUnit):
         cube_root_of_unity(e(1))
     with pytest.raises(NotImaginaryUnit):
-        cube_root_of_unity(e(2).scale(Rational(1, 2)))
+        cube_root_of_unity(Octonion((0, Rational(1, 2), 0, 0, 0, 0, 0, 0)))
 
 
 def test_ensure_unit():
@@ -187,9 +184,32 @@ def test_ensure_unit():
     u = random_unit_octonion(rng, EXACT)
     assert ensure_unit(u) is u
     with pytest.raises(NotUnit):
-        ensure_unit(u.scale(2))
+        ensure_unit(Octonion(2 * c for c in u.coeffs))
     v = random_imaginary_unit(rng, EXACT)
     assert ensure_imaginary_unit(v) is v
+    # floats: |x|^2 within the tolerance of 1, on a form and on scalars
+    fb = FloatBackend(1e-9)
+    w = random_unit_octonion(rng, fb)
+    assert ensure_unit(w) is w and ensure_unit(w * w)
+    with pytest.raises(NotUnit):
+        ensure_unit(w * to_backend(Octonion((2, 0, 0, 0, 0, 0, 0, 0)), fb))
+    for slack, unit in ((0.5e-9, True), (2e-9, False)):
+        x = Octonion([ApproxReal((1 + slack) ** 0.5, 1e-9)] + [0] * 7)
+        assert x.is_unit() is unit and x.conj().is_unit() is unit
+
+
+def test_exact_equality_reads_the_whole_form():
+    # reduced forms (d, a, b) that differ only in d, only in b, only in a
+    half, third = Rational(1, 2), Rational(1, 3)
+    pairs = [
+        ([half] + [0] * 7, [third] + [0] * 7),
+        ([0, QuadExt(half, half)] + [0] * 6, [0, QuadExt(half, -half)] + [0] * 6),
+        ([0, QuadExt(half, half)] + [0] * 6, [0, QuadExt(-half, half)] + [0] * 6),
+    ]
+    for a, b in pairs:
+        x, y = Octonion(a), Octonion(b)
+        assert x != y and x.conj() != y.conj() and x * e(2) != y * e(2)
+        assert x == Octonion(a) and x * e(2) == Octonion(a) * e(2)
 
 
 def test_exact_sampling_is_exactly_unit():
@@ -225,3 +245,55 @@ def test_parse_format_round_trip():
     fb = FloatBackend(1e-9)
     xf = parse_octonion("[0.5, 0, 0, 0, 0, 0, 0, 0]", fb)
     assert xf.coeffs[0].value == 0.5
+
+
+# --- the form-based formatter against format_scalar ---------------------------
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+exact_scalars = st.one_of(
+    st.integers(-30, 30),
+    rationals,
+    # a and b each zero or not, of either sign: they decide "+" and "-"
+    st.builds(QuadExt, st.one_of(st.just(0), rationals), rationals),
+)
+exact_octonions = st.lists(exact_scalars, min_size=8, max_size=8).map(Octonion)
+EPS = 1e-9
+float_octonions = st.lists(
+    st.one_of(st.just(0), st.sampled_from([0.0, -0.0]),
+              st.floats(min_value=-1e100, max_value=1e100)),
+    min_size=8, max_size=8,
+).map(lambda vs: Octonion([ApproxReal(v, EPS) if type(v) is float else v for v in vs]))
+
+
+def scalar_literal(x):
+    return "[" + ", ".join(format_scalar(c) for c in x.coeffs) + "]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_octonions, exact_octonions)
+def test_format_octonion_matches_format_scalar(x, y):
+    # built from scalars, and computed on the kernel form
+    for z in (x, x * y, x.conj(), -y):
+        assert format_octonion(z) == scalar_literal(z)
+        assert parse_octonion(format_octonion(z), EXACT) == z
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_octonions, float_octonions)
+def test_float_format_round_trip(x, y):
+    fb = FloatBackend(EPS)
+    for z in (x, x * y, x.conj(), -y):
+        text = format_octonion(z)
+        assert text == scalar_literal(z)
+        assert parse_octonion(text, fb) == z
+
+
+def test_float_forms_keep_the_exact_zero():
+    s = cube_root_of_unity(parse_octonion("[0, 0.6, -0.0, -0.8, 0, 0, 0, 0]",
+                                          FloatBackend(EPS)))
+    assert format_octonion(s) == (
+        "[-0.5, 0.5196152422706631, 0, -0.6928203230275509, 0, 0, 0, 0]")
+    assert format_octonion(s.conj()).endswith("0.6928203230275509, 0, 0, 0, 0]")
+    one = Octonion([ApproxReal(1.0, EPS)] + [ApproxReal(0.0, EPS)] * 7)
+    assert format_octonion(one.conj()) == "[1.0" + ", -0.0" * 7 + "]"
+    assert s.coeffs[2] == 0 and type(s.coeffs[2]) is int

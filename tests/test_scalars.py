@@ -157,11 +157,21 @@ def test_parse_scalars():
         "-1/2+1/2*r3": QuadExt(Rational(-1, 2), Rational(1, 2)),
         "1/2 - 1/2 * r3": QuadExt(Rational(1, 2), Rational(-1, 2)),
         "2+r3": QuadExt(2, 1),
+        # decimal exponents, read exactly: the float grammar's literals
+        "1e0": Rational(1),
+        "2.5E-3": Rational(1, 400),
+        "-1.5e+2": Rational(-150),
+        ".5e1": Rational(5),
+        "1e-2+3E1*r3": QuadExt(Rational(1, 100), 30),
+        "1e4300": Rational(10**4300),
     }
     for text, expected in cases.items():
         assert EXACT.parse(text) == expected, text
+    for text in ("1e0", "2.5E-3", "-1.5e+2", ".5e1", "0e0", "1e-2"):
+        assert FloatBackend(1e-9).parse(text).value == float(EXACT.parse(text)), text
     for bad in ("", "x", "1//2", "r3r3", "1+", "--1", "1/0", "1/2+3/0*r3",
-                "9" * 5000):
+                "9" * 5000, "1/2e3", "1e", "e3", "1e+-2", "r3e1", "1e4301",
+                "1e-4301", "1e" + "9" * 5000):
         with pytest.raises(ParseError):
             EXACT.parse(bad)
 

@@ -22,7 +22,6 @@ from spin8.symspace import (
     fix_tau_point,
     gamma_sphere,
     is_fixed_by_tau,
-    kai_check,
     kai_sides,
     maximality_scan,
     phi_x,
@@ -37,7 +36,7 @@ e = Octonion.basis
 
 def test_sphere_point_validates():
     with pytest.raises(NotUnit):
-        SpherePoint(e(2).scale(2), e(1))
+        SpherePoint(Octonion((0, 2, 0, 0, 0, 0, 0, 0)), e(1))
 
 
 def test_action_basics():
@@ -171,7 +170,7 @@ def test_kai_trivial_configuration():
     assert lhs.gamma == rhs.gamma == tau_w
     rng = random.Random(9)
     grid = [random_sphere_point(rng, EXACT) for _ in range(4)]
-    assert kai_check(ident, ident, tau_w, tau_w, grid)
+    assert all(act_semidirect(lhs, p) == act_semidirect(rhs, p) for p in grid)
 
 
 def test_kai_random_configurations():
@@ -181,7 +180,8 @@ def test_kai_random_configurations():
         for _ in range(3):
             gx = random_triple(rng, backend, max_len=2)
             gy = random_triple(rng, backend, max_len=2)
-            assert kai_check(gx, gy, random_gamma(rng), random_gamma(rng), grid)
+            lhs, rhs = kai_sides(gx, gy, random_gamma(rng), random_gamma(rng))
+            assert all(act_semidirect(lhs, p) == act_semidirect(rhs, p) for p in grid)
 
 
 def test_antipodal_set_canonical():
@@ -238,7 +238,7 @@ def test_maximality_scan_float():
 
     report = maximality_scan(to_backend(e(2), fb), 25, rng)
     assert len(report.accepted_candidates()) == 3
-    assert report.rejected_count() == 25
+    assert sum(not row.accepted for row in report.rows) == 25
 
 
 def test_maximality_scan_accepts_plain_seed():
@@ -261,7 +261,7 @@ def test_polar_sphere():
     assert polar.basepoint == SpherePoint(s, s.conj())
     rng = random.Random(14)
     v = random_imaginary_unit(rng, EXACT)
-    z = polar.point_at(v)
+    z = act(polar.witness, fix_tau_point(v))
     assert polar.point_group_fixes(z)
     assert polar.point_group_fixes(base_point())
 
