@@ -375,16 +375,22 @@ class FloatBackend:
         return ApproxReal(SQRT3, self.eps)
 
     def parse(self, text: str):
-        """A float literal (scientific notation included, as float reports
-        print repr) or an exact one read to the nearest double; it must be
-        finite."""
+        """A literal of the exact grammar read to the nearest double; it must
+        be finite.  A plain decimal ("5e-324", "-0.0", as float reports print
+        repr) is read by float(), which rounds it correctly as float() of its
+        exact value does and keeps the sign of a zero; the grammar check
+        rejects what float() alone would take, such as "1_0" or "1E5_0"."""
         try:
             value = float(text)
         except ValueError:
-            try:
-                value = float(_parse_exact(text))
-            except OverflowError:
-                value = math.inf
+            value = None
+        if value is None or math.isfinite(value):
+            exact = _parse_exact(text)  # the grammar both backends read
+            if value is None:
+                try:
+                    value = float(exact)
+                except OverflowError:
+                    value = math.inf
         if not math.isfinite(value):
             raise ParseError(f"non-finite scalar literal {text!r}")
         return ApproxReal(value, self.eps)

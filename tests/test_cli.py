@@ -1,9 +1,11 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import spin8.checks as checks
 import spin8.cli as cli
 from spin8.cli import main
 
@@ -60,6 +62,17 @@ def test_fixset_rejects_bad_literal(capsys):
         code, _, err = run(capsys, "fixset", literal)
         assert code == 2
         assert "error" in err
+
+
+def test_underscored_literal_is_rejected_on_every_backend(capsys):
+    # float() alone reads "1_0e-1" as 1.0 and "1E5_0" as 1e50
+    for entry in ("1_0e-1", "1E5_0"):
+        for backend in ("exact", "float", "both"):
+            code, out, err = run(capsys, "fixset", f"[0,{entry},0,0,0,0,0,0]",
+                                 "--backend", backend)
+            assert code == 2, (entry, backend)
+            assert out == ""
+            assert err == f"error: bad scalar literal {entry!r}\n"
 
 
 def test_fixset_rejects_non_finite_float_literal(capsys):
@@ -194,6 +207,23 @@ def test_verify_all_small(tmp_path, capsys):
     assert "checks passed" in err
 
 
+@pytest.mark.parametrize("fixture", ["capsys", "capfd"])
+def test_verify_all_prints_each_line_once(request, monkeypatch, fixture):
+    # forked workers end through os._exit: they never flush the stdio
+    # buffers they inherited, so nothing written before the run repeats
+    capture = request.getfixturevalue(fixture)
+    monkeypatch.setattr(checks, "_cpus", lambda: 4)
+    sys.stdout.write("unflushed")
+    code = main(["verify-all", "--trials", "1", "--seed", "4"])
+    out, err = capture.readouterr()
+    assert code == 0
+    assert out.count("unflushed") == 1
+    assert len(json.loads(out[len("unflushed"):])["checks"]) == 26
+    passes = [line for line in err.splitlines() if line.startswith("PASS")]
+    assert len(passes) == len(set(passes)) == 26
+    assert err.count("26/26 checks passed") == 1
+
+
 def test_verify_all_exact_residuals_are_zero(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, _, _ = run(capsys, "verify-all", "--trials", "2",
@@ -260,7 +290,8 @@ def test_usage_error_exit_code(capsys):
        literal=st.one_of(
            st.text(),
            st.lists(st.sampled_from(["0", "1", "-1", "3/5", "4/5", "1/0", "r3",
-                                     "nan", "inf", "1e-3", "1e400", "x", ""]),
+                                     "nan", "inf", "1e-3", "1e400", "x", "",
+                                     "_", "1_0", "1E5_0"]),
                     min_size=7, max_size=9).map(lambda xs: f"[{','.join(xs)}]"),
        ))
 def test_any_literal_keeps_the_exit_code_contract(capsys, command, backend, literal):

@@ -194,9 +194,16 @@ def test_float_backend_parsing():
     # float reports print repr, so every finite repr parses back
     for x in (1.5e-300, -2.5e+300, 5e-324, 0.1):
         assert fb.parse(repr(x)).value == x
+    assert math.copysign(1.0, fb.parse("-0.0").value) == -1.0
     for bad in ("nan", "-inf", "Infinity", "1e400", "10" * 200 + "/3"):
         with pytest.raises(ParseError):
             fb.parse(bad)
+    # the float backend reads only the exact grammar, which has no "_"
+    for bad in ("1_0e-1", "1E5_0", "1_0", "_1", "1e-5000"):
+        with pytest.raises(ParseError, match="bad scalar literal"):
+            fb.parse(bad)
+        with pytest.raises(ParseError, match="bad scalar literal"):
+            EXACT.parse(bad)
 
 
 def test_backends():
