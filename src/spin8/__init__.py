@@ -10,7 +10,6 @@ from .scalars import (
     QuadExt,
     Rational,
     format_scalar,
-    get_backend,
 )
 from .linalg import (
     DimensionMismatch,
@@ -41,7 +40,6 @@ from .clifford import (
     ad_conjugate,
     clifford_embed,
     classify_parity,
-    is_spin_pair,
     recover_vector,
 )
 from .triality import (
@@ -53,7 +51,6 @@ from .triality import (
     apply_sigma,
     apply_tau,
     is_g2,
-    kappa_conjugate,
     spin_from_unit,
     triality_residual,
     triple_from_pair,

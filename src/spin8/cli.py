@@ -25,7 +25,7 @@ import sys
 from .checks import _CHECK_FAILURES, RunConfig, derive_seed, run_checks
 from .octonion import (
     NotImaginaryUnit,
-    NotUnit,
+    ensure_imaginary_unit,
     format_octonion,
     parse_octonion,
     table_rows,
@@ -132,11 +132,23 @@ def cmd_checks(cfg: RunConfig, command: str, names=None) -> int:
     return 1 if failed else 0
 
 
+def _read_v(literal: str, backend):
+    """The user's v on one backend, parsed and checked to be a unit imaginary
+    octonion.  This is the usage-error boundary: a literal that is not one
+    raises ParseError here, while a NotUnit or NotImaginaryUnit raised later,
+    by what is built from a valid v, is a failed check."""
+    v = parse_octonion(literal, backend)
+    try:
+        return ensure_imaginary_unit(v)
+    except NotImaginaryUnit as exc:
+        raise ParseError(str(exc)) from None
+
+
 def cmd_fixset(cfg: RunConfig, literal: str) -> int:
     sections = []
     ok = True
     for backend in cfg.backends():
-        v = parse_octonion(literal, backend)
+        v = _read_v(literal, backend)
         pt = fix_tau_point(v)
         fixed = is_fixed_by_tau(pt) and tau_fixed_characterization(pt)
         orbit_closed = tau_sphere(tau_sphere(tau_sphere(pt))) == pt
@@ -164,7 +176,7 @@ def cmd_antipodal(cfg: RunConfig, literal: str) -> int:
     sections = []
     ok = True
     for backend in cfg.backends():
-        v = parse_octonion(literal, backend)
+        v = _read_v(literal, backend)
         aset = antipodal_set(v)          # raises if a certificate fails
         o, p, q = aset.points
         swap = sigma_sphere(p) == q and sigma_sphere(q) == p
@@ -252,7 +264,7 @@ def main(argv=None) -> int:
         if args.command == "kai":
             return cmd_checks(cfg, "kai", names=["kai-property"])
         return cmd_table(cfg)
-    except (ParseError, NotImaginaryUnit, NotUnit) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

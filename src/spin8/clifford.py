@@ -20,7 +20,7 @@ EVEN = "even"
 ODD = "odd"
 MIXED = "mixed"
 
-_Z8 = Matrix.zeros(8)
+_Z8 = Matrix(((0,) * 8,) * 8)
 
 
 class NotVectorShaped(ValueError):
@@ -117,20 +117,3 @@ def recover_vector(m) -> Octonion:
     if tr != -left_translation(w.conj()):
         raise NotVectorShaped("upper-right block does not match the conjugate")
     return w
-
-
-def is_spin_pair(a: Matrix, b: Matrix) -> bool:
-    """Conjugation test for triality-group membership of a rotation pair.
-
-    True iff Ad(diag(a, b)) maps all eight basis embeddings to embedded
-    vectors.  This is the expensive 16x16 route; the 64-basis-pair check in
-    the triality module must agree with it, and that agreement is tested.
-    """
-    if not (is_special_orthogonal(a) and is_special_orthogonal(b)):
-        return False
-    for i in range(1, 9):
-        try:
-            recover_vector(ad_conjugate(a, b, Octonion.basis(i)))
-        except NotVectorShaped:
-            return False
-    return True

@@ -10,7 +10,8 @@ through one form of its backend, and the form decides the backend:
   rows holding an ``ApproxReal``, eps being the largest tolerance among
   them, or directly when a float operation computes the matrix.
 
-A matrix computed on either form builds its scalar rows only when ``rows``
+Products, transposes, equality and determinants run on the forms alone, and
+a matrix computed on either form builds its scalar rows only when ``rows``
 is read.  Float results are bit-identical to entrywise ``ApproxReal``
 arithmetic: the same float operations run in the same order (dot products
 are ``sum`` over the terms in index order), and a run's tolerances are
@@ -98,7 +99,9 @@ class Matrix:
         return 0.0, tuple(tuple(map(float, r)) for r in self.rows)
 
     def _scaled(self):
-        """Kernel form (d, a, b) of an exact matrix, a and b as lists of row tuples."""
+        """Kernel form (d, a, b) of an exact matrix, a and b as lists of row
+        tuples, as in every form a matrix computes; reduced forms are unique
+        per value (see ``kernel``), so equal matrices have equal forms."""
         if self._form is None:
             d, a, b = kernel.scale([e for row in self._rows for e in row])
             self._form = kernel.shaped(d, a, b, self.n)
@@ -114,18 +117,12 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, n: int) -> "Matrix":
-        return cls(((0,) * n,) * n)
-
     def transpose(self) -> "Matrix":
         if self._fl is not None:
             eps, rows = self._fl
             return Matrix._of_floats(eps, tuple(zip(*rows)))
-        if self._form is not None:
-            d, a, b = self._form
-            return Matrix._of_form((d, columns(a), columns(b)))
-        return Matrix(zip(*self._rows))
+        d, a, b = self._scaled()
+        return Matrix._of_form((d, columns(a), columns(b)))
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
@@ -147,18 +144,6 @@ class Matrix:
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
         return Matrix._of_form(kernel.shaped(*kernel.reduce(da * db, pa, pb), n))
 
-    def apply(self, vec) -> tuple:
-        """M vec for a vector of scalars, through the kernel of its backend."""
-        vec = tuple(vec)
-        n = self.n
-        if len(vec) != n:
-            raise DimensionMismatch(f"vector of length {len(vec)} against {n}x{n}")
-        eps = approx_eps(vec)
-        if eps or self._fl is not None:
-            eps, out = self.apply_floats(eps, tuple(map(float, vec)))
-            return tuple([ApproxReal._fast(v, eps) for v in out])
-        return tuple(kernel.unscale(*self.apply_scaled(*kernel.scale(vec))))
-
     def apply_floats(self, eps: float, vec):
         """(tolerance, floats) of M v for v given as floats at tolerance eps
         (0.0 for exact v); M is read as floats when exact."""
@@ -171,16 +156,6 @@ class Matrix:
         pa, pb = kernel.zmul(kernel.matmul, (ma, mb), ([a], b and [b]))
         return kernel.reduce(md * d, pa, pb)
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch("size mismatch")
-        return Matrix(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-
     def __neg__(self):
         return Matrix(tuple(-e for e in row) for row in self.rows)
 
@@ -192,20 +167,14 @@ class Matrix:
             return NotImplemented
         if other.n != self.n:
             return False
-        if self._form is not None and other._form is not None:
+        if self._fl is None and other._fl is None:
             # reduced kernel forms are unique, see kernel
-            return self._form == other._form
-        if self._fl is not None or other._fl is not None:
-            ea, a = self._floats()
-            eb, b = other._floats()
-            # eps >= |x - y|, like ApproxReal.__eq__, and False on a nan
-            return all(map(max(ea, eb).__ge__, map(abs, map(
-                sub, chain.from_iterable(a), chain.from_iterable(b)))))
-        for ra, rb in zip(self.rows, other.rows):
-            for a, b in zip(ra, rb):
-                if not (a == b):
-                    return False
-        return True
+            return self._scaled() == other._scaled()
+        ea, a = self._floats()
+        eb, b = other._floats()
+        # eps >= |x - y|, like ApproxReal.__eq__, and False on a nan
+        return all(map(max(ea, eb).__ge__, map(abs, map(
+            sub, chain.from_iterable(a), chain.from_iterable(b)))))
 
     def det(self):
         """Determinant: fraction-free elimination on the kernel form for exact

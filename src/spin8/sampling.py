@@ -19,7 +19,6 @@ from .octonion import (
 from .symspace import SpherePoint
 from .triality import (
     GammaElement,
-    SemidirectElement,
     TrialityTriple,
     apply_sigma,
     apply_tau,
@@ -63,10 +62,6 @@ def random_g2(rng, backend, max_len: int = 2) -> TrialityTriple:
 
 def random_gamma(rng) -> GammaElement:
     return GammaElement(rng.randrange(2), rng.randrange(3))
-
-
-def random_semidirect(rng, backend, max_len: int = 2) -> SemidirectElement:
-    return SemidirectElement(random_triple(rng, backend, max_len), random_gamma(rng))
 
 
 def random_sphere_point(rng, backend) -> SpherePoint:

@@ -1,11 +1,15 @@
-"""Scalar arithmetic: exact rationals, the quadratic field Q(sqrt 3), and
+"""Scalars: exact rationals, the quadratic field Q(sqrt 3), and
 tolerance-aware floats.
 
-Everything else in this package is generic over these scalar types.  A scalar
-supports +, -, *, /, unary minus and ==, with semantics fixed by its backend:
-exact equality for ``Rational`` and ``QuadExt``, absolute-tolerance equality
-for ``ApproxReal``.  Plain ``int`` values mix freely with every backend, which
-lets identity matrices and basis vectors be written with literal 0 and 1.
+Scalars are boundary values.  Matrices and octonions compute on the integer
+or float forms of ``kernel``; scalars are what parsing produces, what
+``Matrix.rows`` and ``Octonion.coeffs`` read back, and what ``to_json``
+formats.  So a scalar supports only +, *, unary minus, == and float(), with
+semantics fixed by its backend: exact equality for ``Rational`` and
+``QuadExt``, absolute-tolerance equality for ``ApproxReal``, which also
+takes ``1 - x`` and an inverse for ``linalg.random_rotation``.  Plain
+``int`` values mix freely with every backend, which lets identity matrices
+and basis vectors be written with literal 0 and 1.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ class ParseError(ValueError):
 class QuadExt:
     """a + b*sqrt(3) with exact rational coefficients.
 
-    Closed under the field operations; (sqrt 3)**2 reduces to the rational 3,
-    and equality is exact coefficient equality.
+    Closed under + and *; (sqrt 3)**2 reduces to the rational 3, and equality
+    is exact coefficient equality.
     """
 
     __slots__ = ("a", "b")
@@ -56,18 +60,6 @@ class QuadExt:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, QuadExt):
-            return QuadExt._fast(self.a - other.a, self.b - other.b)
-        if isinstance(other, _RAT_TYPES):
-            return QuadExt._fast(self.a - other, self.b)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            return QuadExt._fast(other - self.a, -self.b)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, QuadExt):
             return QuadExt._fast(
@@ -80,32 +72,8 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            other = QuadExt(other)
-        if isinstance(other, QuadExt):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            return self.inverse() * other
-        return NotImplemented
-
     def __neg__(self):
         return QuadExt._fast(-self.a, -self.b)
-
-    def inverse(self) -> "QuadExt":
-        # a^2 = 3 b^2 has no rational solution besides a = b = 0, so the
-        # field norm vanishes exactly on the zero element.
-        n = self.a * self.a - 3 * (self.b * self.b)
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-        return QuadExt._fast(self.a / n, -self.b / n)
-
-    def conjugate(self) -> "QuadExt":
-        """Galois conjugate a - b*sqrt(3)."""
-        return QuadExt._fast(self.a, -self.b)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -166,13 +134,6 @@ class ApproxReal:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if type(other) is ApproxReal:
-            return ApproxReal._fast(self.value - other.value, max(self.eps, other.eps))
-        if isinstance(other, _NUM_TYPES):
-            return ApproxReal._fast(self.value - float(other), self.eps)
-        return NotImplemented
-
     def __rsub__(self, other):
         if isinstance(other, _NUM_TYPES):
             return ApproxReal._fast(float(other) - self.value, self.eps)
@@ -187,33 +148,8 @@ class ApproxReal:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        eps = max(self.eps, o.eps)
-        if abs(o.value) <= eps:
-            raise ZeroDivisionError("divisor indistinguishable from zero")
-        return ApproxReal._fast(self.value / o.value, eps)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
-    def _coerce(self, other):
-        if type(other) is ApproxReal:
-            return other
-        if isinstance(other, _NUM_TYPES):
-            return ApproxReal._fast(float(other), self.eps)
-        return None
-
     def __neg__(self):
         return ApproxReal._fast(-self.value, self.eps)
-
-    def __abs__(self):
-        return ApproxReal._fast(abs(self.value), self.eps)
 
     def inverse(self) -> "ApproxReal":
         if abs(self.value) <= self.eps:
@@ -255,16 +191,11 @@ def approx_eps(values) -> float:
 
 
 def invert(x):
-    """Multiplicative inverse of any scalar, staying in its backend."""
-    if isinstance(x, (QuadExt, ApproxReal)):
+    """1/x for a rational (int or Fraction) or an ``ApproxReal``; a zero, or
+    an ``ApproxReal`` within its tolerance of zero, raises ZeroDivisionError."""
+    if type(x) is ApproxReal:
         return x.inverse()
-    if type(x) is int:
-        if x == 0:
-            raise ZeroDivisionError("division by zero")
-        return Rational(1, x)
-    if x == 0:
-        raise ZeroDivisionError("division by zero")
-    return 1 / x
+    return Rational(1, x)
 
 
 def format_scalar(x) -> str:
@@ -343,9 +274,6 @@ class ExactBackend:
             return self.parse(x)
         return Rational(x)
 
-    def sqrt3(self):
-        return QuadExt(0, 1)
-
     def parse(self, text: str):
         return _parse_exact(text)
 
@@ -370,9 +298,6 @@ class FloatBackend:
         if isinstance(x, str):
             return self.parse(x)
         return ApproxReal(float(x), self.eps)
-
-    def sqrt3(self):
-        return ApproxReal(SQRT3, self.eps)
 
     def parse(self, text: str):
         """A literal of the exact grammar read to the nearest double; it must
@@ -401,18 +326,3 @@ class FloatBackend:
 
 EXACT = ExactBackend()
 
-
-def get_backend(name: str, eps: float = 1e-9):
-    if name == "exact":
-        return EXACT
-    if name == "float":
-        return FloatBackend(eps)
-    raise ValueError(f"unknown backend {name!r}")
-
-
-def infer_backend(values, default=EXACT):
-    """Pick the backend matching a batch of scalar values (ints stay exact)."""
-    for v in values:
-        if isinstance(v, ApproxReal):
-            return FloatBackend(v.eps)
-    return default

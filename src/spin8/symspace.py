@@ -35,7 +35,7 @@ from .octonion import (
     to_backend,
     transform,
 )
-from .scalars import infer_backend
+from .scalars import EXACT, FloatBackend
 from .triality import (
     GammaElement,
     SemidirectElement,
@@ -264,7 +264,8 @@ def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
     imaginary-unit test of w in ``cube_root_of_unity``, the unit tests of
     both components in ``SpherePoint``, acceptance as equality of forms
     (reduced exact forms are unique per value) and the float residual
-    ``deviation``.
+    ``deviation``.  The random candidates are drawn on the backend of v: exact,
+    or floats at the tolerance of v's float form.
 
     `rng` may be a random.Random or a plain integer seed.
     """
@@ -272,7 +273,7 @@ def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
         raise ValueError("trials must be >= 1")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    backend = infer_backend(v.coeffs)
+    backend = EXACT if v._fl is None else FloatBackend(v._fl[0])
     s = cube_root_of_unity(v)
     sc = s.conj()
     candidates = [to_backend(Octonion.one(), backend), s, cube_root_of_unity(-v)]

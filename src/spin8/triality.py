@@ -239,13 +239,6 @@ def _kconj_rows(rows):
     ]
 
 
-def kappa_conjugate(d: Matrix) -> Matrix:
-    """k d k for the octonion-conjugation matrix k; preserves SO(8)."""
-    if not is_special_orthogonal(d):
-        raise NotOrthogonal("kappa conjugation is used on SO(8) elements here")
-    return _kconj(d)
-
-
 def apply_tau(g: TrialityTriple) -> TrialityTriple:
     """The order-3 outer symmetry (A, B, C) -> (kBk, kCk, A)."""
     if g._tau is None:
@@ -288,13 +281,6 @@ class GammaElement:
     @classmethod
     def sigma(cls) -> "GammaElement":
         return cls(1, 0)
-
-    @classmethod
-    def parse(cls, word: str) -> "GammaElement":
-        try:
-            return cls(*cls._WORDS[word.strip()])
-        except KeyError:
-            raise ValueError(f"unknown word {word!r}; use e|t|t2|s|st|st2") from None
 
     @classmethod
     def all_elements(cls) -> list["GammaElement"]:

