@@ -17,7 +17,8 @@ import math
 import os
 import random
 import zlib
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import partial
 from itertools import chain
 from operator import sub
 
@@ -73,21 +74,19 @@ from .triality import (
 )
 
 
-@dataclass
 class RunConfig:
-    seed: int = 0
-    trials: int = 100
-    eps: float = 1e-9
-    backend: str = "both"
-    out: str | None = None
+    __slots__ = ("seed", "trials", "eps", "backend", "out")
 
-    def __post_init__(self):
-        if self.trials < 1:
+    def __init__(self, seed: int = 0, trials: int = 100, eps: float = 1e-9,
+                 backend: str = "both", out: str | None = None):
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
+        if not (eps > 0 and math.isfinite(eps)):
             raise ValueError("eps must be a positive finite number")
-        if self.backend not in ("exact", "float", "both"):
+        if backend not in ("exact", "float", "both"):
             raise ValueError("backend must be exact, float or both")
+        self.seed, self.trials, self.eps = seed, trials, eps
+        self.backend, self.out = backend, out
 
     def backends(self):
         if self.backend == "exact":
@@ -105,30 +104,16 @@ class RunConfig:
         }
 
 
-@dataclass
-class CheckResult:
-    name: str
-    claim: str
-    backend: str
-    status: str
-    max_residual: float
-    trials: int
-    seed: int
+class CheckResult(namedtuple("CheckResult",
+                             "name claim backend status max_residual trials seed")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "backend": self.backend,
-            "status": self.status,
-            "max_residual": self.max_residual,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return self._asdict()
 
 
 def residual(a, b) -> float:
@@ -422,11 +407,7 @@ def _check_antipodal(backend, rng, trials):
     return j, len(vs)
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    name: str
-    claim: str
-    run: object = field(repr=False)
+CheckDef = namedtuple("CheckDef", "name claim run")
 
 
 CHECKS = [
@@ -562,8 +543,9 @@ def run_checks(cfg: RunConfig, names=None) -> list[CheckResult]:
     results come back in report order whichever process ran them.
     """
     selected = CHECKS if names is None else [c for c in CHECKS if c.name in names]
-    jobs = [(check, backend) for check in selected for backend in cfg.backends()]
-    return _run_jobs(cfg, jobs, _dispatch_order(jobs))
+    pairs = [(check, backend) for check in selected for backend in cfg.backends()]
+    jobs = [partial(run_check, check, cfg, backend) for check, backend in pairs]
+    return _run_jobs(jobs, _dispatch_order(pairs))
 
 
 # The two largest jobs of every measured run: kai-property and
@@ -576,11 +558,12 @@ def run_checks(cfg: RunConfig, names=None) -> list[CheckResult]:
 _HEAVIEST_FIRST = ("kai-property", "triality-closure")
 
 
-def _dispatch_order(jobs) -> list[int]:
-    """Job indices: the heaviest checks first, then the rest in report order."""
+def _dispatch_order(pairs) -> list[int]:
+    """Indices of (check, backend) pairs: the heaviest checks first, then the
+    rest in report order."""
     rank = {name: r for r, name in enumerate(_HEAVIEST_FIRST)}
-    return sorted(range(len(jobs)),
-                  key=lambda i: rank.get(jobs[i][0].name, len(rank)))
+    return sorted(range(len(pairs)),
+                  key=lambda i: rank.get(pairs[i][0].name, len(rank)))
 
 
 def _cpus() -> int:
@@ -604,16 +587,18 @@ def _pull(queue_fd: int):
         yield byte[0]
 
 
-def _run_jobs(cfg: RunConfig, jobs, order, _workers=None) -> list[CheckResult]:
-    """Run `jobs`, (check, backend) pairs, taken in `order`; results by index.
+def _run_jobs(jobs, order=None, workers=None) -> list:
+    """Run `jobs`, zero-argument callables, taken in `order` (by default as
+    listed); their results by index.
 
-    The calling process forks one worker fewer than there are CPUs (never
-    more than there are jobs to share; `_workers` overrides the count, for
-    tests only) and then pulls jobs from the same queue itself.  With no
-    workers the same loop runs the whole queue here.
+    The calling process forks `workers` workers, by default one fewer than
+    there are CPUs (never more than there are jobs to share), and then pulls
+    jobs from the same queue itself.  With no workers the same loop runs the
+    whole queue here.
 
-    Each worker runs its jobs, then sends (done, error) pickled over its own
-    pipe, done being its (index, CheckResult) pairs, and leaves through
+    Workers are forked, so a job need not pickle, but its result must: each
+    worker runs its jobs, then sends (done, error) pickled over its own
+    pipe, done being its (index, result) pairs, and leaves through
     os._exit: it never flushes the stdio buffers it inherited nor runs atexit
     handlers or a test runner's teardown.  An error a worker raised is raised
     again here; a worker that ends without sending a result, or a job that
@@ -622,10 +607,12 @@ def _run_jobs(cfg: RunConfig, jobs, order, _workers=None) -> list[CheckResult]:
     """
     if len(jobs) > 256:
         raise ValueError("a job index must fit in one byte")
-    workers = _workers
+    if order is None:
+        order = range(len(jobs))
     if workers is None:
         workers = min(_cpus(), len(jobs)) - 1 if hasattr(os, "fork") else 0
-    results: list = [None] * len(jobs)
+    pending = object()
+    results = [pending] * len(jobs)
     queue_r, queue_w = os.pipe()
     try:
         os.write(queue_w, bytes(order))  # at most 256 bytes: one write
@@ -634,12 +621,12 @@ def _run_jobs(cfg: RunConfig, jobs, order, _workers=None) -> list[CheckResult]:
     running: dict[int, int] = {}  # worker pid -> read end of its result pipe
     try:
         for _ in range(workers):
-            started = _fork_worker(cfg, jobs, queue_r)
+            started = _fork_worker(jobs, queue_r)
             if started is None:  # the system refused a fork: share among fewer
                 break
             running[started[0]] = started[1]
         for i in _pull(queue_r):
-            results[i] = run_check(jobs[i][0], cfg, jobs[i][1])
+            results[i] = jobs[i]()
         for pid, fd in list(running.items()):
             import pickle  # only the parallel path pays for it
 
@@ -666,9 +653,9 @@ def _run_jobs(cfg: RunConfig, jobs, order, _workers=None) -> list[CheckResult]:
             except (ProcessLookupError, ChildProcessError):  # already reaped
                 pass
         os.close(queue_r)
-    missing = [jobs[i][0].name for i, r in enumerate(results) if r is None]
+    missing = [i for i, r in enumerate(results) if r is pending]
     if missing:
-        raise RuntimeError(f"no result for checks {missing}")
+        raise RuntimeError(f"no result for jobs {missing}")
     return results
 
 
@@ -676,7 +663,7 @@ def _run_jobs(cfg: RunConfig, jobs, order, _workers=None) -> list[CheckResult]:
 _SIGKILL = 9
 
 
-def _fork_worker(cfg, jobs, queue_fd):
+def _fork_worker(jobs, queue_fd):
     """Start one worker; (pid, read end of its result pipe), or None if the
     system refuses the fork."""
     import pickle
@@ -695,7 +682,7 @@ def _fork_worker(cfg, jobs, queue_fd):
             done, error = [], None
             try:
                 for i in _pull(queue_fd):
-                    done.append((i, run_check(jobs[i][0], cfg, jobs[i][1])))
+                    done.append((i, jobs[i]()))
             except BaseException as exc:  # sent to the parent, raised there
                 error = exc
             try:

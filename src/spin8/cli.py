@@ -21,8 +21,9 @@ import json
 import os
 import random
 import sys
+from functools import partial
 
-from .checks import _CHECK_FAILURES, RunConfig, derive_seed, run_checks
+from .checks import _CHECK_FAILURES, RunConfig, _run_jobs, derive_seed, run_checks
 from .octonion import (
     NotImaginaryUnit,
     ensure_imaginary_unit,
@@ -144,81 +145,91 @@ def _read_v(literal: str, backend):
         raise ParseError(str(exc)) from None
 
 
-def cmd_fixset(cfg: RunConfig, literal: str) -> int:
-    sections = []
-    ok = True
-    for backend in cfg.backends():
-        v = _read_v(literal, backend)
-        pt = fix_tau_point(v)
-        fixed = is_fixed_by_tau(pt) and tau_fixed_characterization(pt)
-        orbit_closed = tau_sphere(tau_sphere(tau_sphere(pt))) == pt
-        ok = ok and fixed and orbit_closed
-        sections.append({
-            "backend": backend.name,
-            "v": format_octonion(v),
-            "base_point": base_point().to_json(),
-            "fixed_point": pt.to_json(),
-            "tau_fixed": fixed,
-            "tau_orbit_trivial": orbit_closed,
-            "sigma_image": sigma_sphere(pt).to_json(),
-        })
-        print(
-            f"{'PASS' if fixed else 'FAIL'} fixset [{backend.name}] "
-            f"point={pt.to_json()}",
-            file=sys.stderr,
-        )
-    report = {"schema": 1, "config": _config_dict(cfg, "fixset"), "fixset": sections}
-    _emit(report, cfg.out)
-    return 0 if ok else 1
-
-
-def cmd_antipodal(cfg: RunConfig, literal: str) -> int:
-    sections = []
-    ok = True
-    for backend in cfg.backends():
-        v = _read_v(literal, backend)
-        aset = antipodal_set(v)          # raises if a certificate fails
-        o, p, q = aset.points
-        swap = sigma_sphere(p) == q and sigma_sphere(q) == p
-        polar = aset.polar_intersections
-        rng = random.Random(derive_seed(cfg.seed, "antipodal-cmd", backend.name))
-        report_scan = maximality_scan(v, cfg.trials, rng)
-        accepted = report_scan.accepted_candidates()
-        scan_ok = report_scan.closes_on(aset.points)
-        ok = ok and swap and polar and scan_ok
-        sections.append({
-            "backend": backend.name,
-            "v": format_octonion(v),
-            "points": [x.to_json() for x in aset.points],
-            "sigma_swaps_pair": swap,
-            "polar_intersections": polar,
-            "maximality": {
-                "trials": cfg.trials,
-                "accepted": len(accepted),
-                "extra_acceptances": 0 if scan_ok else len(accepted),
-                "candidates": [
-                    {
-                        "t": format_octonion(row.t),
-                        "candidate": row.candidate.to_json(),
-                        "accepted": row.accepted,
-                        "residual": row.residual,
-                    }
-                    for row in report_scan.rows
-                ],
-            },
-        })
-        print(
-            f"{'PASS' if (swap and polar and scan_ok) else 'FAIL'} antipodal "
-            f"[{backend.name}] accepted={len(accepted)} of "
-            f"{len(report_scan.rows)} candidates",
-            file=sys.stderr,
-        )
-    report = {
-        "schema": 1,
-        "config": _config_dict(cfg, "antipodal"),
-        "antipodal": sections,
+def _fixset_section(cfg: RunConfig, v, backend):
+    pt = fix_tau_point(v)
+    fixed = is_fixed_by_tau(pt) and tau_fixed_characterization(pt)
+    orbit_closed = tau_sphere(tau_sphere(tau_sphere(pt))) == pt
+    section = {
+        "backend": backend.name,
+        "v": format_octonion(v),
+        "base_point": base_point().to_json(),
+        "fixed_point": pt.to_json(),
+        "tau_fixed": fixed,
+        "tau_orbit_trivial": orbit_closed,
+        "sigma_image": sigma_sphere(pt).to_json(),
     }
-    _emit(report, cfg.out)
+    line = f"{'PASS' if fixed else 'FAIL'} fixset [{backend.name}] point={pt.to_json()}"
+    return section, line, fixed and orbit_closed
+
+
+def _antipodal_section(cfg: RunConfig, v, backend):
+    aset = antipodal_set(v)          # raises if a certificate fails
+    o, p, q = aset.points
+    swap = sigma_sphere(p) == q and sigma_sphere(q) == p
+    polar = aset.polar_intersections
+    rng = random.Random(derive_seed(cfg.seed, "antipodal-cmd", backend.name))
+    report_scan = maximality_scan(v, cfg.trials, rng)
+    accepted = report_scan.accepted_candidates()
+    scan_ok = report_scan.closes_on(aset.points)
+    section = {
+        "backend": backend.name,
+        "v": format_octonion(v),
+        "points": [x.to_json() for x in aset.points],
+        "sigma_swaps_pair": swap,
+        "polar_intersections": polar,
+        "maximality": {
+            "trials": cfg.trials,
+            "accepted": len(accepted),
+            "extra_acceptances": 0 if scan_ok else len(accepted),
+            "candidates": [
+                {
+                    "t": format_octonion(row.t),
+                    "candidate": row.candidate.to_json(),
+                    "accepted": row.accepted,
+                    "residual": row.residual,
+                }
+                for row in report_scan.rows
+            ],
+        },
+    }
+    ok = swap and polar and scan_ok
+    line = (f"{'PASS' if ok else 'FAIL'} antipodal [{backend.name}] "
+            f"accepted={len(accepted)} of {len(report_scan.rows)} candidates")
+    return section, line, ok
+
+
+def _sections(cfg: RunConfig, literal: str, command: str, section,
+              workers=None) -> int:
+    """Report `section(cfg, v, backend)` for each backend under `command`.
+
+    v is read and checked on every backend before any work.  The sections
+    then run as one job per backend on the shared runner (with `workers`
+    forked workers, by default one per further CPU), and the summary
+    lines, the failure raised and the report are those of running them one
+    after another: lines in backend order, and the first section's failure
+    (a _CHECK_FAILURES error) raised after the lines of the sections before
+    it.
+    """
+    backends = cfg.backends()
+    vs = [_read_v(literal, backend) for backend in backends]
+
+    def job(v, backend):
+        try:
+            return section(cfg, v, backend)
+        except _CHECK_FAILURES as exc:  # raised below, in backend order
+            return exc
+
+    sections, ok = [], True
+    jobs = [partial(job, v, b) for v, b in zip(vs, backends)]
+    for outcome in _run_jobs(jobs, workers=workers):
+        if isinstance(outcome, Exception):
+            raise outcome
+        body, line, passed = outcome
+        print(line, file=sys.stderr)
+        sections.append(body)
+        ok = ok and passed
+    _emit({"schema": 1, "config": _config_dict(cfg, command), command: sections},
+          cfg.out)
     return 0 if ok else 1
 
 
@@ -258,9 +269,12 @@ def main(argv=None) -> int:
         if args.command == "verify-all":
             return cmd_checks(cfg, "verify-all")
         if args.command == "fixset":
-            return cmd_fixset(cfg, args.v)
+            # a fixset section takes 1-3 ms, less than forking a worker and
+            # sending its result back (about 6 ms on a 2-core host): both run
+            # in this process
+            return _sections(cfg, args.v, "fixset", _fixset_section, workers=0)
         if args.command == "antipodal":
-            return cmd_antipodal(cfg, args.v)
+            return _sections(cfg, args.v, "antipodal", _antipodal_section)
         if args.command == "kai":
             return cmd_checks(cfg, "kai", names=["kai-property"])
         return cmd_table(cfg)

@@ -22,7 +22,7 @@ actions are modelled.)
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .octonion import (
     Octonion,
@@ -183,11 +183,7 @@ class PolarSphere:
         return True
 
 
-@dataclass
-class AntipodalSet:
-    points: list
-    v: Octonion
-    polar_intersections: bool
+AntipodalSet = namedtuple("AntipodalSet", "points v polar_intersections")
 
 
 def antipodal_set(v: Octonion) -> AntipodalSet:
@@ -226,18 +222,11 @@ def antipodal_set(v: Octonion) -> AntipodalSet:
     return AntipodalSet(points, v, q == fix_tau_point(-v))
 
 
-@dataclass
-class ScanRow:
-    t: Octonion
-    candidate: SpherePoint
-    accepted: bool
-    residual: float
+ScanRow = namedtuple("ScanRow", "t candidate accepted residual")
 
 
-@dataclass
-class ScanReport:
-    v: Octonion
-    rows: list
+class ScanReport(namedtuple("ScanReport", "v rows")):
+    __slots__ = ()
 
     def accepted_candidates(self) -> list:
         return [r.candidate for r in self.rows if r.accepted]

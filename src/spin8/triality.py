@@ -50,6 +50,9 @@ class TrialityViolated(ValueError):
             f"B(e{i+1}*e{j+1}) != (C e{i+1})*(A e{j+1}), residual {residual:g}"
         )
 
+    def __reduce__(self):  # pickled from a worker process by (pair, residual)
+        return type(self), (self.pair, self.residual)
+
 
 def _float_cols(*mats):
     """The largest tolerance of the matrices and the float columns of each."""

@@ -1,12 +1,15 @@
 import math
 import os
+import pickle
 import select
+import subprocess
+import sys
 import time
+from functools import partial
 
 import spin8.checks as checks
 from spin8.checks import (
     CHECKS,
-    CheckDef,
     CheckResult,
     Judge,
     RunConfig,
@@ -21,6 +24,7 @@ from spin8.cli import main
 from spin8.linalg import Matrix
 from spin8.octonion import Octonion
 from spin8.scalars import EXACT, ApproxReal, Rational
+from spin8.triality import TrialityViolated
 
 import pytest
 
@@ -116,15 +120,18 @@ def assert_no_children():
 def test_results_and_report_bytes_do_not_depend_on_workers_or_order(
         tmp_path, capsys, monkeypatch):
     cfg = RunConfig(seed=11, trials=1)
-    jobs = [(c, b) for c in CHECKS for b in cfg.backends()]
-    serial = [run_check(c, cfg, b) for c, b in jobs]
-    order = _dispatch_order(jobs)
-    assert [jobs[i][0].name for i in order[:4]] == (
+    pairs = [(c, b) for c in CHECKS for b in cfg.backends()]
+    serial = [run_check(c, cfg, b) for c, b in pairs]
+    jobs = [partial(run_check, c, cfg, b) for c, b in pairs]
+    order = _dispatch_order(pairs)
+    assert [pairs[i][0].name for i in order[:4]] == (
         ["kai-property"] * 2 + ["triality-closure"] * 2)
     assert sorted(order) == list(range(len(jobs)))
     for workers in (0, 1, 3):
         for o in (order, order[::-1]):
-            assert _run_jobs(cfg, jobs, o, _workers=workers) == serial
+            assert _run_jobs(jobs, o, workers=workers) == serial
+    # any zero-argument callable is a job; None is a result like any other
+    assert _run_jobs([lambda: None, os.getpid], workers=1)[0] is None
     reports = set()
     for cpus in (1, 2, 4):  # 0, 1 and 3 workers
         for reverse in (False, True):
@@ -141,19 +148,19 @@ def test_results_and_report_bytes_do_not_depend_on_workers_or_order(
 
 
 def in_a_worker(parent, worker_job):
-    """A check that runs `worker_job` in a worker; in the parent it waits
+    """A job that runs `worker_job` in a worker; in the parent it waits
     (at most 30 s) until a worker has taken a job, so a worker surely does."""
     r, w = os.pipe()
 
-    def run(backend, rng, trials):
+    def run():
         if os.getpid() != parent:
             os.write(w, b"x")
             worker_job()
         else:
             select.select([r], [], [], 30)
-        return Judge(backend.exact), 1
+        return "done"
 
-    return CheckDef("worker-job", "runs in a worker", run), (r, w)
+    return run, (r, w)
 
 
 class PicklableError(Exception):  # module level, so it pickles
@@ -181,10 +188,10 @@ def _raise(exc):
     (lambda: os._exit(3), RuntimeError, "ended without a result.*exit code 3"),
 ])
 def test_worker_errors_are_raised_in_the_parent(job, kind, message):
-    check, fds = in_a_worker(os.getpid(), job)
+    run, fds = in_a_worker(os.getpid(), job)
     try:
         with pytest.raises(kind, match=message):
-            _run_jobs(RunConfig(), [(check, EXACT)] * 2, [0, 1], _workers=1)
+            _run_jobs([run] * 2, [0, 1], workers=1)
     finally:
         for fd in fds:
             os.close(fd)
@@ -194,16 +201,15 @@ def test_worker_errors_are_raised_in_the_parent(job, kind, message):
 def test_interrupt_in_the_parent_kills_and_reaps_workers():
     parent = os.getpid()
 
-    def run(backend, rng, trials):
+    def run():
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)  # each worker holds one job, so the parent gets one
-        return Judge(backend.exact), 1
+        return "done"
 
-    check = CheckDef("interrupted", "interrupted in the parent", run)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        _run_jobs(RunConfig(), [(check, EXACT)] * 3, [0, 1, 2], _workers=2)
+        _run_jobs([run] * 3, [0, 1, 2], workers=2)
     assert time.monotonic() - t0 < 30
     assert_no_children()
 
@@ -227,3 +233,24 @@ def test_forks_only_when_jobs_can_share(monkeypatch):
     assert both[1] == single
     monkeypatch.delattr(os, "fork")
     assert run_checks(RunConfig(seed=1, trials=1), names=["fixed-sets"]) == both
+
+
+def test_check_failures_survive_a_worker():
+    # a section run by a worker returns the failure it caught, pickled
+    failures = [kind("text") for kind in checks._CHECK_FAILURES
+                if kind is not TrialityViolated]
+    for exc in [TrialityViolated((1, 2), 0.5), *failures]:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of
+    # every command's start-up
+    code = ("import sys, spin8.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(checks.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out == "[]\n"

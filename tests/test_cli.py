@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import sys
 
 import pytest
@@ -286,6 +287,72 @@ def test_antipodal_hostile_eps_fails_cleanly(capsys):
     assert out == ""
     assert err.startswith("error:") and "NotOrthogonal" in err
     assert "Traceback" not in err
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command", ["antipodal", "fixset"])
+def test_sections_do_not_depend_on_workers(tmp_path, capsys, monkeypatch, command):
+    # one job per backend: with 1 CPU both sections run here, one after the
+    # other; with 2 or 4 a worker runs one antipodal section.  Passing sections,
+    # failed checks (exit 1) and literals that are no unit at that eps
+    # (exit 2) alike give the same report bytes, stderr and exit code.
+    for literal in ("[0,3/5,4/5,0,0,0,0,0]", "[0,1/2,1/2*r3,0,0,0,0,0]",
+                    "[0,0.6,-0.0,-0.8,0,0,0,0]"):
+        for eps in ("1e-9", "1e-16", "1e-20"):
+            seen = set()
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(checks, "_cpus", lambda: cpus)
+                out = tmp_path / f"{cpus}.json"
+                code = main([command, literal, "--backend", "both", "--eps", eps,
+                             "--trials", "4", "--out", str(out)])
+                report = out.read_bytes() if out.exists() else None
+                seen.add((code, report, capsys.readouterr().err))
+                assert_no_children()
+            assert len(seen) == 1, (literal, eps)
+
+
+def test_fixset_forks_nothing(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", refuse)
+    code, _, err = run(capsys, "fixset", "[0,3/5,4/5,0,0,0,0,0]", "--backend", "both")
+    assert code == 0
+    assert err.count("PASS fixset") == 2
+
+
+def test_a_failed_section_is_raised_after_the_lines_before_it(capsys):
+    # the float section fails its SO(8) test at eps 1e-20, whichever process
+    # ran it: the exact section's line comes first, as run one after another
+    code, out, err = run(capsys, "antipodal", "[0,3/5,4/5,0,0,0,0,0]",
+                         "--backend", "both", "--eps", "1e-20")
+    assert code == 1
+    assert out == ""
+    assert err == ("PASS antipodal [exact] accepted=3 of 103 candidates\n"
+                   "error: NotOrthogonal: component C is not in SO(8)\n")
+    assert_no_children()
+
+
+@pytest.mark.parametrize("command", ["antipodal", "fixset"])
+def test_v_is_read_on_every_backend_before_any_work(capsys, monkeypatch, command):
+    # a unit imaginary in exact arithmetic that is none in floats at eps
+    # 1e-20: a usage error before the exact section runs, so no PASS line
+    def refuse(*a, **kw):
+        raise AssertionError("a section started before v was read on every backend")
+
+    for name in ("antipodal_set", "fix_tau_point"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, command, "[0,2/7,3/7,6/7,0,0,0,0]",
+                         "--eps", "1e-20", "--trials", "1000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: expected a unit octonion with zero e1 component\n"
+    assert_no_children()
 
 
 def test_determinism_byte_identical(tmp_path, capsys):

@@ -357,6 +357,8 @@ def test_antipodal_callers_build_two_witnesses_per_v(monkeypatch, capsys):
         _, n_v = checks._check_antipodal(backend, random.Random(17), 5)
         assert len(calls) == 2 * n_v
     calls.clear()
+    # calls are counted in this process, so no section may run in a worker
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)
     assert main(["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "2"]) == 0
     capsys.readouterr()
     assert len(calls) == 2 * 2  # one v on each backend
