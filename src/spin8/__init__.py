@@ -35,7 +35,6 @@ from .octonion import (
     unit_product,
 )
 from .clifford import (
-    CliffordElement,
     NotVectorShaped,
     ad_conjugate,
     clifford_embed,

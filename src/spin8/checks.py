@@ -25,6 +25,7 @@ from operator import sub
 from .clifford import (
     NotVectorShaped,
     ad_conjugate,
+    classify_parity,
     clifford_embed,
     recover_vector,
 )
@@ -207,14 +208,13 @@ def _check_clifford(backend, rng, trials):
         y = random_octonion(rng, backend)
         ex = clifford_embed(x)
         ey = clifford_embed(y)
-        j.expect(ex.parity == "odd")
+        j.expect(classify_parity(ex) == "odd")
         j.eq(
-            trace_inner_product(ex.matrix, ey.matrix),
+            trace_inner_product(ex, ey),
             sum(a * b for a, b in zip(x.coeffs, y.coeffs)),
         )
-        sq = (ex * ex).matrix
-        j.expect((ex * ey).parity == "even")
-        j.eq(sq, i16.scale(-x.norm_sq()))
+        j.expect(classify_parity(ex * ey) == "even")
+        j.eq(ex * ex, i16.scale(-x.norm_sq()))
         j.eq(recover_vector(ex), x)
     for _ in range(max(1, trials // 10)):
         g = random_triple(rng, backend, max_len=2)
@@ -601,8 +601,9 @@ def _run_jobs(jobs, order=None, workers=None) -> list:
     pipe, done being its (index, result) pairs, and leaves through
     os._exit: it never flushes the stdio buffers it inherited nor runs atexit
     handlers or a test runner's teardown.  An error a worker raised is raised
-    again here; a worker that ends without sending a result, or a job that
-    no process finished, is an error too.  Whatever ends this function,
+    again here, as a RuntimeError of its type's name and text if it does not
+    pickle and load again; a worker that ends without sending a result, or a
+    job that no process finished, is an error too.  Whatever ends this function,
     interrupts included, no worker outlives it.
     """
     if len(jobs) > 256:
@@ -685,11 +686,11 @@ def _fork_worker(jobs, queue_fd):
                     done.append((i, jobs[i]()))
             except BaseException as exc:  # sent to the parent, raised there
                 error = exc
-            try:
-                data = pickle.dumps((done, error))
-            except Exception:  # an error that does not pickle: keep its text
-                data = pickle.dumps(
-                    (done, RuntimeError(f"{type(error).__name__}: {error}")))
+                try:  # forked, the parent loads what loads here
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # it does not pickle or load: keep its text
+                    error = RuntimeError(f"{type(exc).__name__}: {exc}")
+            data = pickle.dumps((done, error))
             view = memoryview(data)
             while view:
                 view = view[os.write(write_fd, view):]

@@ -10,9 +10,11 @@ through one form of its backend, and the form decides the backend:
   rows holding an ``ApproxReal``, eps being the largest tolerance among
   them, or directly when a float operation computes the matrix.
 
-Products, transposes, equality and determinants run on the forms alone, and
-a matrix computed on either form builds its scalar rows only when ``rows``
-is read.  Float results are bit-identical to entrywise ``ApproxReal``
+Products, transposes, negation, equality, determinants, the trace form,
+blocks (``Matrix.blocks``, ``join``) and the plane rotations of
+``random_rotation`` run on the forms alone, and a matrix computed on either
+form builds its scalar rows only when ``rows`` is read.  Float results are
+bit-identical to entrywise ``ApproxReal``
 arithmetic: the same float operations run in the same order (dot products
 are ``sum`` over the terms in index order), and a run's tolerances are
 uniform and combine as the max.
@@ -21,11 +23,12 @@ uniform and combine as the max.
 from __future__ import annotations
 
 from itertools import chain
+from math import lcm
 from operator import mul, sub
 
 from . import kernel
 from .kernel import columns
-from .scalars import ApproxReal, Rational, approx_eps, format_scalar, invert
+from .scalars import ApproxReal, approx_eps, format_scalar
 
 
 class DimensionMismatch(ValueError):
@@ -93,10 +96,11 @@ class Matrix:
 
     def _floats(self):
         """(eps, rows as float tuples): the float form, or (0.0, the entries
-        as floats) for an exact matrix."""
+        as floats, see ``kernel.to_floats``) for an exact matrix."""
         if self._fl is not None:
             return self._fl
-        return 0.0, tuple(tuple(map(float, r)) for r in self.rows)
+        d, a, b = self._scaled()
+        return 0.0, tuple(kernel.rows_of(kernel.to_floats(d, _flat(a), _flat(b)), len(a)))
 
     def _scaled(self):
         """Kernel form (d, a, b) of an exact matrix, a and b as lists of row
@@ -124,9 +128,6 @@ class Matrix:
         d, a, b = self._scaled()
         return Matrix._of_form((d, columns(a), columns(b)))
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -142,7 +143,7 @@ class Matrix:
         da, a, ab = self._scaled()
         db, b, bb = other._scaled()
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
-        return Matrix._of_form(kernel.shaped(*kernel.reduce(da * db, pa, pb), n))
+        return _reduced(da * db, pa, pb, n)
 
     def apply_floats(self, eps: float, vec):
         """(tolerance, floats) of M v for v given as floats at tolerance eps
@@ -157,7 +158,10 @@ class Matrix:
         return kernel.reduce(md * d, pa, pb)
 
     def __neg__(self):
-        return Matrix(tuple(-e for e in row) for row in self.rows)
+        if self._fl is not None:
+            return Matrix._of_floats(self._fl[0], tuple(_times(self._fl[1], -1)))
+        d, a, b = self._scaled()
+        return Matrix._of_form((d, _times(a, -1), _times(b, -1)))
 
     def scale(self, s) -> "Matrix":
         return Matrix(tuple(e * s for e in row) for row in self.rows)
@@ -185,6 +189,18 @@ class Matrix:
         x, y = kernel.det(a, b)
         return kernel.unscale(d ** self.n, [x], [y] if y else None)[0]
 
+    def blocks(self) -> tuple:
+        """tl, tr, bl, br: the h x h blocks of a 2h x 2h matrix, on its form
+        (exact blocks reduced, as a block can share a factor with d)."""
+        h, odd = divmod(self.n, 2)
+        if odd:
+            raise DimensionMismatch("blocks need an even size")
+        if self._fl is not None:
+            return tuple(Matrix._of_floats(self._fl[0], q) for q in _quarters(self._fl[1], h))
+        d, a, b = self._scaled()
+        return tuple(_reduced(d, _flat(x), _flat(y), h)
+                     for x, y in zip(_quarters(a, h), _quarters(b, h) if b else [None] * 4))
+
     def to_json(self) -> list[list[str]]:
         """Row-major nested arrays of scalar literals."""
         return [[format_scalar(e) for e in row] for row in self.rows]
@@ -196,6 +212,47 @@ class Matrix:
 
     def __repr__(self):
         return f"<Matrix {self.n}x{self.n}>"
+
+
+def _reduced(d, a, b, n) -> Matrix:
+    """The exact n x n matrix of the flat form (d, a, b), reduced."""
+    return Matrix._of_form(kernel.shaped(*kernel.reduce(d, a, b), n))
+
+
+def _flat(rows):
+    return rows and [x for r in rows for x in r]
+
+
+def _times(rows, k):
+    return rows and [tuple([x * k for x in r]) for r in rows]
+
+
+def _quarters(rows, h):
+    halves = (slice(h), slice(h, None))
+    return [tuple(r[c] for r in rows[s]) for s in halves for c in halves]
+
+
+def _side_by_side(tl, tr, bl, br):
+    return [x + y for x, y in chain(zip(tl, tr), zip(bl, br))]
+
+
+def join(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
+    """[[tl, tr], [bl, br]] from four h x h blocks: on the float form if any
+    block is a float matrix, else on the kernel form."""
+    parts = (tl, tr, bl, br)
+    if any(m.n != tl.n for m in parts):
+        raise DimensionMismatch("blocks must have one size")
+    if any(m._fl is not None for m in parts):
+        eps, rows = zip(*[m._floats() for m in parts])
+        return Matrix._of_floats(max(eps), tuple(_side_by_side(*rows)))
+    forms = [m._scaled() for m in parts]
+    # Over d = lcm(d_i) reduced blocks join reduced: a prime p | d divides some
+    # d_i as often as d, so p divides neither d / d_i nor (that block being
+    # reduced) all of its numerators, nor hence all of the joined ones.
+    d = lcm(*[f[0] for f in forms])
+    zero = ((0,) * tl.n,) * tl.n
+    a, b = [_side_by_side(*[_times(f[k] or zero, d // f[0]) for f in forms]) for k in (1, 2)]
+    return Matrix._of_form((d, a, b if any(f[2] for f in forms) else None))
 
 
 def _det_float(eps, rows):
@@ -259,15 +316,20 @@ def _so8_verdict(m: Matrix) -> bool:
 
 
 def trace_inner_product(a: Matrix, b: Matrix):
-    """<a, b> = trace(a^t b) / n, the trace form normalized so <I, I> = 1."""
+    """<a, b> = trace(a^t b) / n, the trace form normalized so <I, I> = 1.
+
+    On floats the nonzero products add in row-major order onto +0.0, times
+    1/n, as in ``ApproxReal`` arithmetic; with none the result is exact 0."""
     if a.n != b.n:
         raise DimensionMismatch("size mismatch")
-    total = 0
-    for ra, rb in zip(a.rows, b.rows):
-        for x, y in zip(ra, rb):
-            if x and y:
-                total = total + x * y
-    return total * invert(a.n)
+    if a._fl is None and b._fl is None:
+        (da, aa, ab), (db, ba, bb) = a._scaled(), b._scaled()
+        x, y = kernel.zdot((_flat(aa), _flat(ab)), (_flat(ba), _flat(bb)))
+        return kernel.unscale(da * db * a.n, [x], [y] if y else None)[0]
+    (ea, fa), (eb, fb) = a._floats(), b._floats()
+    terms = [x * y for x, y in zip(chain.from_iterable(fa), chain.from_iterable(fb))
+             if x and y]
+    return ApproxReal._fast(sum(terms, 0.0) * (1 / a.n), max(ea, eb)) if terms else 0
 
 
 def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:
@@ -275,7 +337,8 @@ def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:
 
     Each factor uses the rational circle parametrization
     (cos, sin) = ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), so exact-backend output
-    is an exactly orthogonal rational matrix.
+    is an exactly orthogonal rational matrix (t = p/q: (q^2 - p^2, 2pq) over
+    p^2 + q^2, reduced).  A float 1 + t^2 within eps of 0 raises ZeroDivisionError.
     """
     m = Matrix.identity(n)
     for _ in range(steps):
@@ -284,16 +347,18 @@ def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:
         if j >= i:
             j += 1
         if backend.exact:
-            t = Rational(rng.randint(-8, 8), rng.randint(1, 8))
+            p, q = rng.randint(-8, 8), rng.randint(1, 8)
+            d, zero, c, s = p * p + q * q, 0, q * q - p * p, 2 * p * q
         else:
-            t = backend.scalar(rng.uniform(-2.0, 2.0))
-        den = invert(1 + t * t)
-        c = (1 - t * t) * den
-        s = 2 * t * den
-        g = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        g[i][i] = c
-        g[j][j] = c
-        g[i][j] = -s
-        g[j][i] = s
-        m = Matrix(g) * m
+            t = rng.uniform(-2.0, 2.0)
+            if t * t + 1.0 <= backend.eps:
+                raise ZeroDivisionError("1 + t^2 indistinguishable from zero")
+            den = 1.0 / (t * t + 1.0)
+            d, zero, c, s = 1.0, 0.0, (1.0 - t * t) * den, t * 2.0 * den
+        g = [[d if a == b else zero for b in range(n)] for a in range(n)]
+        g[i][i] = g[j][j] = c
+        g[i][j], g[j][i] = -s, s
+        g = (_reduced(d, _flat(g), None, n) if backend.exact
+             else Matrix._of_floats(backend.eps, tuple(map(tuple, g))))
+        m = g * m
     return m

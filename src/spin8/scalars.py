@@ -6,8 +6,7 @@ or float forms of ``kernel``; scalars are what parsing produces, what
 ``Matrix.rows`` and ``Octonion.coeffs`` read back, and what ``to_json``
 formats.  So a scalar supports only +, *, unary minus, == and float(), with
 semantics fixed by its backend: exact equality for ``Rational`` and
-``QuadExt``, absolute-tolerance equality for ``ApproxReal``, which also
-takes ``1 - x`` and an inverse for ``linalg.random_rotation``.  Plain
+``QuadExt``, absolute-tolerance equality for ``ApproxReal``.  Plain
 ``int`` values mix freely with every backend, which lets identity matrices
 and basis vectors be written with literal 0 and 1.
 """
@@ -134,11 +133,6 @@ class ApproxReal:
 
     __radd__ = __add__
 
-    def __rsub__(self, other):
-        if isinstance(other, _NUM_TYPES):
-            return ApproxReal._fast(float(other) - self.value, self.eps)
-        return NotImplemented
-
     def __mul__(self, other):
         if type(other) is ApproxReal:
             return ApproxReal._fast(self.value * other.value, max(self.eps, other.eps))
@@ -150,11 +144,6 @@ class ApproxReal:
 
     def __neg__(self):
         return ApproxReal._fast(-self.value, self.eps)
-
-    def inverse(self) -> "ApproxReal":
-        if abs(self.value) <= self.eps:
-            raise ZeroDivisionError("divisor indistinguishable from zero")
-        return ApproxReal._fast(1.0 / self.value, self.eps)
 
     # No __hash__ (defining __eq__ leaves it None): tolerance equality is not
     # transitive, x == y == z with x != z, so no hash can agree with it and
@@ -188,14 +177,6 @@ def approx_eps(values) -> float:
         if type(v) is ApproxReal and v.eps > eps:
             eps = v.eps
     return eps
-
-
-def invert(x):
-    """1/x for a rational (int or Fraction) or an ``ApproxReal``; a zero, or
-    an ``ApproxReal`` within its tolerance of zero, raises ZeroDivisionError."""
-    if type(x) is ApproxReal:
-        return x.inverse()
-    return Rational(1, x)
 
 
 def format_scalar(x) -> str:

@@ -21,7 +21,6 @@ actions are modelled.)
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 
 from .octonion import (
@@ -253,15 +252,12 @@ def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
     imaginary-unit test of w in ``cube_root_of_unity``, the unit tests of
     both components in ``SpherePoint``, acceptance as equality of forms
     (reduced exact forms are unique per value) and the float residual
-    ``deviation``.  The random candidates are drawn on the backend of v: exact,
-    or floats at the tolerance of v's float form.
-
-    `rng` may be a random.Random or a plain integer seed.
+    ``deviation``.  The random candidates are drawn from `rng`, a
+    random.Random, on the backend of v: exact, or floats at the tolerance of
+    v's float form.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     backend = EXACT if v._fl is None else FloatBackend(v._fl[0])
     s = cube_root_of_unity(v)
     sc = s.conj()

@@ -36,6 +36,7 @@ from .octonion import (
     mul_lines,
     right_translation,
     sandwich_matrix,
+    transform,
 )
 
 
@@ -381,7 +382,7 @@ def triple_from_pair(a: Matrix, b: Matrix) -> TrialityTriple:
     what decides membership, so a pair outside the group raises
     TrialityViolated (or NotOrthogonal).
     """
-    a1 = Octonion(a.column(0))
+    a1 = transform(a, Octonion.one())
     c = right_translation(a1.conj()) * b
     return TrialityTriple(a, b, c)
 

@@ -167,6 +167,11 @@ class PicklableError(Exception):  # module level, so it pickles
     pass
 
 
+class TwoArgs(Exception):  # pickles, but its args do not fit __init__
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 def unpicklable_error():
     class Unpicklable(Exception):  # a local class does not pickle
         pass
@@ -185,6 +190,8 @@ def _raise(exc):
     (_raise(KeyboardInterrupt()), KeyboardInterrupt, None),
     # the type's name and the text survive where the error does not pickle
     (_raise(unpicklable_error()), RuntimeError, "^Unpicklable: text$"),
+    # ... and where it pickles but does not load again
+    (_raise(TwoArgs(1, 2)), RuntimeError, "^TwoArgs: 1 and 2$"),
     (lambda: os._exit(3), RuntimeError, "ended without a result.*exit code 3"),
 ])
 def test_worker_errors_are_raised_in_the_parent(job, kind, message):

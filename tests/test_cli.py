@@ -165,22 +165,68 @@ def test_out_probe_leaves_no_trace(tmp_path, capsys):
 # float coordinates.
 REPORT_DIGESTS = [
     (["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--backend", "both", "--trials", "20"],
-     "31b6cda902d8b6ac0f103a769b30430cba423c193b9f1399da06fb1cc4ab1d47"),
+     "31b6cda902d8b6ac0f103a769b30430cba423c193b9f1399da06fb1cc4ab1d47", 0),
     (["antipodal", "[0,0.6,-0.0,-0.8,0,0,0,0]", "--backend", "both", "--trials", "5"],
-     "22384a0a28aeb4fbbfecbd8e7796b5e3499f4c9581523f9feaa6369e68731b52"),
+     "22384a0a28aeb4fbbfecbd8e7796b5e3499f4c9581523f9feaa6369e68731b52", 0),
     (["fixset", "[0,1,0,0,0,0,0,0]", "--backend", "both"],
-     "e6571f2c99fcdedf6ab8cde80f0a790e4fe230370f44276b5f2ad6f51eac7d3c"),
+     "e6571f2c99fcdedf6ab8cde80f0a790e4fe230370f44276b5f2ad6f51eac7d3c", 0),
     (["fixset", "[0,0.6,-0.0,-0.8,0,0,0,0]", "--backend", "both"],
-     "4a6c2184ef7dd3d29c6d5cb16b6e1e93bc031b2b055e759a47c09eae96f8bbe3"),
+     "4a6c2184ef7dd3d29c6d5cb16b6e1e93bc031b2b055e759a47c09eae96f8bbe3", 0),
+    # the float residual bits of the whole battery, passing and failing
+    (["verify-all", "--trials", "2"],
+     "bbf7d5397e785b6499bd91b80e1f6de53ea8c38c7f393316485e51558ad1cddd", 0),
+    # at eps 5 every 1 + t^2 of random_rotation is within the tolerance of
+    # zero, so clifford-embedding [float] fails with trials=0
+    (["verify-all", "--trials", "3", "--seed", "3", "--eps", "5"],
+     "2fa748c5d0913e450413ffa3451c9a9a6e78747993c3d3c4192e8c9c8bd4c7f4", 1),
+    (["verify-all", "--trials", "3", "--eps", "0.5"],
+     "d2cba2adbb1f584d5445605bc7d64f4b061ae2adb7da0c1842775dd9ed651bda", 0),
+    (["verify-all", "--trials", "3", "--eps", "1e-300"],
+     "c3cd5175ae1cdf415bbfdc417949654d49bd8e6100df16175d7ece2e12fa37ea", 1),
 ]
 
 
-@pytest.mark.parametrize("args,digest", REPORT_DIGESTS)
-def test_report_bytes(tmp_path, capsys, args, digest):
+@pytest.mark.parametrize("args,digest,exit_code", REPORT_DIGESTS)
+def test_report_bytes(tmp_path, capsys, args, digest, exit_code):
     out = tmp_path / "rep.json"
     code, _, _ = run(capsys, *args, "--out", str(out))
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
+    # Matrices and octonions compute on their forms: in a whole run, exact
+    # scalars are made from a form only where a scalar is the result
+    # (Octonion.norm_sq, trace_inner_product), and a matrix is built from
+    # scalar rows only by Matrix.identity and Matrix.scale.
+    from collections import Counter
+
+    from spin8 import kernel
+    from spin8.linalg import Matrix
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    unscaled, built = Counter(), Counter()
+
+    def caller():
+        return sys._getframe(2).f_code.co_name  # the program function that called
+
+    def unscale(*args, real=kernel.unscale):
+        unscaled[caller()] += 1
+        return real(*args)
+
+    def init(self, rows, real=Matrix.__init__):
+        built[caller()] += 1
+        real(self, rows)
+
+    monkeypatch.setattr(kernel, "unscale", unscale)
+    monkeypatch.setattr(Matrix, "__init__", init)
+    out = str(tmp_path / "rep.json")
+    for args in (["verify-all", "--trials", "2", "--backend", "both"],
+                 ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"],
+                 ["fixset", "[0,1,0,0,0,0,0,0]"]):
+        assert run(capsys, *args, "--out", out)[0] == 0
+    assert unscaled and set(unscaled) <= {"norm_sq", "trace_inner_product"}
+    assert built and set(built) <= {"identity", "scale"}
 
 
 def test_antipodal(capsys):

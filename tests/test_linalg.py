@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from spin8.linalg import (
     Matrix,
     is_orthogonal,
     is_special_orthogonal,
+    join,
     random_rotation,
     trace_inner_product,
 )
@@ -208,3 +211,75 @@ def test_float_matrix_ops_fast_path():
     v = Octonion(tuple(fb.scalar(c) for c in Octonion.basis(3).coeffs))
     av = transform(a, v).coeffs
     assert all(isinstance(x, ApproxReal) for x in av)
+
+
+def test_random_rotation():
+    # seeds 0-19 pinned: exact output by its literals, float output by its bits
+    h = hashlib.sha256()
+    for seed in range(20):
+        ex = random_rotation(random.Random(seed), EXACT)
+        fl = random_rotation(random.Random(seed), FloatBackend(1e-9))
+        h.update(json.dumps(ex.to_json()).encode())
+        h.update(repr(fl._fl).encode())
+    assert h.hexdigest() == \
+        "3e60d24df074d685b9fb26003a4d010ecd1da78c29c93cc66bab07b460509d75"
+    assert is_special_orthogonal(random_rotation(random.Random(0), FloatBackend(1e-9)))
+    for steps in (1, 12):  # exact output is on the reduced form
+        m = random_rotation(random.Random(1), EXACT, steps=steps)
+        assert is_special_orthogonal(m) and m == Matrix(m.rows)
+    # every draw has 1 + t^2 <= 5, within the tolerance of zero
+    with pytest.raises(ZeroDivisionError):
+        random_rotation(random.Random(0), FloatBackend(5.0))
+
+
+def test_negation_blocks_and_join_on_forms():
+    rng = random.Random(10)
+    fb = FloatBackend(1e-9)
+    a = random_rotation(rng, EXACT)
+    b = left_translation(cube_root_of_unity(random_imaginary_unit(rng, EXACT)))
+    half = Matrix.identity(8).scale(Rational(1, 2))
+    z = Matrix(((0,) * 8,) * 8)
+    f = random_rotation(rng, fb)
+    for m in (a, b, f):
+        assert -m == Matrix([[-v for v in r] for r in m.rows])
+        assert (-m)._fl == Matrix([[-v for v in r] for r in m.rows])._fl
+    # exact rows read as floats give float() of each scalar
+    assert b._floats()[1] == tuple(tuple(map(float, r)) for r in b.rows)
+    # an exact join over the lcm of the denominators is reduced, and so
+    # are its blocks, whose entries can share a factor with d
+    m = join(a, b, half, z)
+    assert m == Matrix([x + y for x, y in zip(a.rows, b.rows)] +
+                       [x + y for x, y in zip(half.rows, z.rows)])
+    assert m.blocks() == (a, b, half, z)
+    assert join(*m.blocks()) == m
+    # a float block makes a float join; bits agree up to the sign of a zero
+    mf = join(f, z, a, -f)
+    assert mf._fl[0] == fb.eps
+    assert mf._fl == Matrix([x + y for x, y in zip(f.rows, z.rows)] +
+                            [x + y for x, y in zip(a.rows, (-f).rows)])._fl
+    assert [x._fl for x in mf.blocks()] == [f._fl, (fb.eps, z._floats()[1]),
+                                           (fb.eps, a._floats()[1]), (-f)._fl]
+    with pytest.raises(DimensionMismatch):
+        Matrix.identity(3).blocks()
+    with pytest.raises(DimensionMismatch):
+        join(a, b, half, Matrix.identity(4))
+
+
+def test_float_trace_form_bits():
+    # the nonzero products of ApproxReal entries added in row-major order,
+    # times 1/n, at the larger tolerance
+    rng = random.Random(11)
+    a = random_rotation(rng, FloatBackend(1e-9))
+    b = random_rotation(rng, FloatBackend(1e-6))
+    for x, y in ((a, b), (a, random_rotation(rng, EXACT))):
+        total = 0
+        for rx, ry in zip(x.rows, y.rows):
+            for u, v in zip(rx, ry):
+                if u and v:
+                    total = total + u * v
+        want = total * Rational(1, 8)
+        got = trace_inner_product(x, y)
+        assert (repr(got.value), got.eps) == (repr(want.value), want.eps)
+    # no nonzero product: the exact 0
+    zero = trace_inner_product(Matrix.identity(8).scale(ApproxReal(0.0)), a)
+    assert zero == 0 and not isinstance(zero, ApproxReal)

@@ -12,7 +12,6 @@ from spin8.scalars import (
     QuadExt,
     Rational,
     format_scalar,
-    invert,
 )
 
 
@@ -69,14 +68,6 @@ def test_approx_real_tolerance():
     assert ApproxReal(1e-30, 1e-9) and QuadExt(0, Rational(1, 10**9))
 
 
-def test_approx_real_division_guard():
-    tiny = ApproxReal(1e-12, 1e-9)
-    with pytest.raises(ZeroDivisionError):
-        tiny.inverse()
-    with pytest.raises(ZeroDivisionError):
-        invert(tiny)
-
-
 def test_approx_real_eps_validation():
     with pytest.raises(ValueError):
         ApproxReal(1.0, 0.0)
@@ -89,14 +80,6 @@ def test_approx_real_eps_validation():
             ApproxReal(1.0, eps)
         with pytest.raises(ValueError):
             FloatBackend(eps)
-
-
-def test_invert():
-    assert invert(2) == Rational(1, 2)
-    assert invert(Rational(3, 4)) == Rational(4, 3)
-    assert invert(ApproxReal(4.0, 1e-9)).value == 0.25
-    with pytest.raises(ZeroDivisionError):
-        invert(0)
 
 
 def test_embed_float_is_homomorphic_up_to_ulps():
