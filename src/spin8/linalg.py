@@ -184,7 +184,7 @@ class Matrix:
         """Determinant: fraction-free elimination on the kernel form for exact
         entries, partial-pivot LU on raw floats for the tolerance backend."""
         if self._fl is not None:
-            return _det_float(*self._fl)
+            return ApproxReal(_det_float(self._fl[1]), self._fl[0])
         d, a, b = self._scaled()
         x, y = kernel.det(a, b)
         return kernel.unscale(d ** self.n, [x], [y] if y else None)[0]
@@ -255,14 +255,15 @@ def join(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
     return Matrix._of_form((d, a, b if any(f[2] for f in forms) else None))
 
 
-def _det_float(eps, rows):
+def _det_float(rows):
+    """The determinant of float rows by partial-pivot LU, a plain float."""
     n = len(rows)
     m = [list(row) for row in rows]
     det = 1.0
     for k in range(n):
         p = max(range(k, n), key=lambda i: abs(m[i][k]))
         if m[p][k] == 0.0:
-            return ApproxReal(0.0, eps)
+            return 0.0
         if p != k:
             m[k], m[p] = m[p], m[k]
             det = -det
@@ -273,7 +274,7 @@ def _det_float(eps, rows):
             if f:
                 for j in range(k + 1, n):
                     m[i][j] -= f * m[k][j]
-    return ApproxReal(det, eps)
+    return det
 
 
 def is_orthogonal(m: Matrix) -> bool:
@@ -299,7 +300,10 @@ def is_special_orthogonal(m: Matrix) -> bool:
     """m^t m = I (exact, or within tolerance) and det +1 (sign test on floats).
 
     The verdict is computed once per matrix object and kept in ``m._so8``;
-    matrices are immutable, so it cannot go stale.
+    matrices are immutable, so it cannot go stale.  Two places set it
+    without this test: ``triality._kconj`` copies it to kmk, and the exact
+    ``TrialityTriple`` constructor sets True on all three components, which
+    its Gram tests and the 64-pair identity prove special orthogonal.
     """
     if m._so8 is None:
         m._so8 = _so8_verdict(m)
@@ -310,7 +314,7 @@ def _so8_verdict(m: Matrix) -> bool:
     if not is_orthogonal(m):
         return False
     if m._fl is not None:
-        return m.det().value > 0
+        return _det_float(m._fl[1]) > 0
     d, a, b = m._scaled()
     return kernel.det(a, b) == (d ** m.n, 0)
 

@@ -229,6 +229,38 @@ def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
     assert built and set(built) <= {"identity", "scale"}
 
 
+def test_exact_triples_take_no_determinant(tmp_path, capsys, monkeypatch):
+    # An exact triple is decided by the Gram tests of A and B and the 64-pair
+    # identity (triality._exact_triple): no determinant is computed while a
+    # triple is constructed, in the battery or in the antipodal sections.
+    from spin8 import kernel
+    from spin8.triality import TrialityTriple
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    depth, inside, built = [0], [], [0]
+
+    def det(*args, real=kernel.det):
+        if depth[0]:
+            inside.append(args)
+        return real(*args)
+
+    def init(self, a, b, c, real=TrialityTriple.__init__):
+        depth[0] += 1
+        built[0] += 1
+        try:
+            real(self, a, b, c)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernel, "det", det)
+    monkeypatch.setattr(TrialityTriple, "__init__", init)
+    out = str(tmp_path / "rep.json")
+    for args in (["verify-all", "--backend", "exact", "--trials", "2"],
+                 ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"]):
+        assert run(capsys, *args, "--out", out)[0] == 0
+    assert built[0] and not inside
+
+
 def test_antipodal(capsys):
     code, out, _ = run(capsys, "antipodal", "[0,1,0,0,0,0,0,0]",
                        "--trials", "10", "--backend", "exact")

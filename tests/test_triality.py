@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spin8.linalg as linalg
 from spin8.linalg import Matrix, NotOrthogonal, is_special_orthogonal, random_rotation
 from spin8.octonion import (
     NotUnit,
@@ -12,6 +14,7 @@ from spin8.octonion import (
     random_imaginary_unit,
     random_unit_octonion,
     right_translation,
+    transform,
     unit_product,
 )
 from spin8.sampling import (
@@ -27,6 +30,7 @@ from spin8.triality import (
     TrialityTriple,
     TrialityViolated,
     _kconj,
+    _triality_holds,
     apply_gamma,
     apply_sigma,
     apply_tau,
@@ -358,3 +362,94 @@ def test_verification_agrees_with_pairwise_check():
             except TrialityViolated:
                 built = False
             assert built == ok
+
+
+def _fresh(m):
+    # the same matrix on its form, with no SO(8) verdict yet
+    if m._fl is not None:
+        return Matrix._of_floats(*m._fl)
+    return Matrix._of_form(m._scaled())
+
+
+def test_exact_verdicts_equal_a_fresh_verdict():
+    # The exact constructor sets SO(8) of A, B and C from the Gram tests of
+    # A and B and the 64-pair identity (triality._exact_triple); each verdict
+    # must be the one linalg computes from scratch, Gram and determinant.
+    rng = random.Random(19)
+    samples = []
+    for _ in range(3):
+        g = random_triple(rng, EXACT, max_len=3)
+        samples += [g, apply_tau(g), apply_sigma(g), apply_tau(apply_tau(g))]
+        s = cube_root_of_unity(random_imaginary_unit(rng, EXACT))
+        samples += [spin_from_unit(s), apply_tau(spin_from_unit(s)),
+                    conjugation_triple(rng, EXACT)]
+    for g in samples:
+        for m in (g.A, g.B, g.C):
+            assert m._so8 is True and linalg._so8_verdict(_fresh(m)) is True
+        h = TrialityTriple(*map(_fresh, (g.A, g.B, g.C)))
+        assert all(m._so8 is True for m in (h.A, h.B, h.C))
+
+
+def test_verdicts_counted(monkeypatch):
+    # exact triples of fresh matrices compute no SO(8) verdict; float
+    # triples compute all three, as before
+    rng = random.Random(20)
+    g = random_triple(rng, EXACT, max_len=2)
+    f = random_triple(rng, FloatBackend(1e-9), max_len=2)
+    calls = []
+
+    def verdict(m, real=linalg._so8_verdict):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "_so8_verdict", verdict)
+    TrialityTriple(*map(_fresh, (g.A, g.B, g.C)))
+    assert calls == []
+    parts = list(map(_fresh, (f.A, f.B, f.C)))
+    TrialityTriple(*parts)
+    assert calls == parts and all(m._so8 is True for m in parts)
+
+
+def _failure(a, b, c):
+    with pytest.raises((NotOrthogonal, TrialityViolated)) as exc:
+        TrialityTriple(a, b, c)
+    return exc.value
+
+
+# B times the rotation by (3/5, 4/5) in the (e6, e8) plane: still in SO(8)
+_R68 = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
+_R68[5][5] = _R68[7][7] = Fraction(3, 5)
+_R68[5][7], _R68[7][5] = Fraction(-4, 5), Fraction(4, 5)
+_R68 = Matrix(_R68)
+
+
+@pytest.mark.parametrize("kind, residual", [("word", 0.8), ("cube", 0.8928203230275509)])
+def test_exact_failures_match_the_full_test(kind, residual):
+    # When the fast exact test fails, the constructor falls back to SO(8) of
+    # A, B, C and then the identity, so the error is the one that sequence
+    # raises: type, message, pair and residual (the pinned values are those
+    # of the sequence alone).
+    if kind == "word":
+        g = random_triple(random.Random(18), EXACT, max_len=2)
+    else:
+        g = spin_from_unit(cube_root_of_unity(e(3)))
+    one = Octonion.one()
+    # improper: A = g.A k with B = L(c)A and C = R(conj a1)B is orthogonal
+    # throughout with det -1, and step 4 of the proof says the identity fails
+    a = g.A * KAPPA
+    b = left_translation(transform(g.C, one)) * a
+    c = right_translation(transform(a, one).conj()) * b
+    assert all(map(linalg.is_orthogonal, (a, b, c))) and not _triality_holds(a, b, c)
+    assert str(_failure(a, b, c)) == "component A is not in SO(8)"
+    assert str(_failure(g.A, g.B, g.C.scale(2))) == "component C is not in SO(8)"
+    # the identity holds on these, so each Gram test is needed
+    half = Fraction(1, 2)
+    assert str(_failure(g.A.scale(half), g.B, g.C.scale(2))) == "component A is not in SO(8)"
+    assert str(_failure(g.A, g.B.scale(2), g.C.scale(2))) == "component B is not in SO(8)"
+    # one corrupted entry leaves B unorthogonal, so the SO(8) test names B
+    rows = [list(r) for r in g.B.rows]
+    rows[2][5] += Fraction(1, 7)
+    assert str(_failure(g.A, Matrix(rows), g.C)) == "component B is not in SO(8)"
+    exc = _failure(g.A, g.B * _R68, g.C)
+    assert type(exc) is TrialityViolated
+    assert exc.pair == (0, 5) and exc.residual == residual
