@@ -158,8 +158,9 @@ def _fixset_section(cfg: RunConfig, v, backend):
         "tau_orbit_trivial": orbit_closed,
         "sigma_image": sigma_sphere(pt).to_json(),
     }
-    line = f"{'PASS' if fixed else 'FAIL'} fixset [{backend.name}] point={pt.to_json()}"
-    return section, line, fixed and orbit_closed
+    ok = fixed and orbit_closed
+    line = f"{'PASS' if ok else 'FAIL'} fixset [{backend.name}] point={pt.to_json()}"
+    return section, line, ok
 
 
 def _antipodal_section(cfg: RunConfig, v, backend):

@@ -4,11 +4,10 @@ An exact vector or matrix is held as integer numerators over one common
 denominator d.  With rational entries that is one integer list ``a``, entry
 i being a[i]/d.  Once sqrt 3 enters, a second list ``b`` holds the sqrt-3
 parts and entry i is (a[i] + b[i]*sqrt 3)/d, an element of Z[sqrt 3] over d.
-Products, Gram matrices and determinants then run on Python ints, where a
-dot product is one ``sum(map(mul, ...))`` and no gcd is taken per operation;
-comparisons become cross-multiplied integer equalities.  This is the
-fraction-free approach of Bareiss (1968), carried from determinants over to
-the rest of the exact arithmetic.
+Products and Gram matrices then run on Python ints, where a dot product is
+one ``sum(map(mul, ...))`` and no gcd is taken per operation; comparisons
+become cross-multiplied integer equalities.  No exact determinant is taken:
+the sign an SO(n) verdict needs is read from floats (``linalg._so8_verdict``).
 
 A form (d, a, b) is *reduced* when gcd(d, a..., b...) = 1 and b is None
 whenever every sqrt-3 part is zero.  Then d is the least common denominator
@@ -209,66 +208,3 @@ def is_orthogonal(d, a, b) -> bool:
         gb = sum(map(mul, wide, bnarrow)) + sum(map(mul, bwide, narrow))
     return gb == 0 and ga == d * d * sum(1 << (n + 1) * w * i for i in range(n))
 
-
-def det(a, b):
-    """Determinant of the Z[sqrt 3] matrix a + b sqrt 3 as an integer pair.
-
-    Fraction-free Bareiss elimination.  Every intermediate entry is a minor
-    of the input, hence lies in Z[sqrt 3], so each division by the previous
-    pivot p is exact; over Z[sqrt 3] it is carried out as
-    x / p = x * conj(p) / N(p) with the integer norm N(p) = p_a^2 - 3 p_b^2,
-    nonzero for p != 0 because sqrt 3 is irrational.
-    """
-    if b is None:
-        return _det_bareiss_int([list(r) for r in a]), 0
-    n = len(a)
-    a = [list(r) for r in a]
-    b = [list(r) for r in b]
-    sign = 1
-    pa, pb = 1, 0
-    for k in range(n - 1):
-        if not (a[k][k] or b[k][k]):
-            for i in range(k + 1, n):
-                if a[i][k] or b[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    b[k], b[i] = b[i], b[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, 0
-        ka, kb = a[k][k], b[k][k]
-        norm = pa * pa - 3 * pb * pb
-        for i in range(k + 1, n):
-            ai, bi = a[i], b[i]
-            ia, ib = ai[k], bi[k]
-            for j in range(k + 1, n):
-                xa = ka * ai[j] + 3 * kb * bi[j] - ia * a[k][j] - 3 * ib * b[k][j]
-                xb = ka * bi[j] + kb * ai[j] - ia * b[k][j] - ib * a[k][j]
-                ai[j] = (xa * pa - 3 * xb * pb) // norm
-                bi[j] = (xb * pa - xa * pb) // norm
-            ai[k] = bi[k] = 0
-        pa, pb = ka, kb
-    return sign * a[n - 1][n - 1], sign * b[n - 1][n - 1]
-
-
-def _det_bareiss_int(m):
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        tail = m[k][k + 1:]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mik = mi[k]
-            mi[k + 1:] = [(pivot * x - mik * y) // prev for x, y in zip(mi[k + 1:], tail)]
-        prev = pivot
-    return sign * m[n - 1][n - 1]

@@ -10,14 +10,18 @@ through one form of its backend, and the form decides the backend:
   rows holding an ``ApproxReal``, eps being the largest tolerance among
   them, or directly when a float operation computes the matrix.
 
-Products, transposes, negation, equality, determinants, the trace form,
-blocks (``Matrix.blocks``, ``join``) and the plane rotations of
-``random_rotation`` run on the forms alone, and a matrix computed on either
-form builds its scalar rows only when ``rows`` is read.  Float results are
-bit-identical to entrywise ``ApproxReal``
-arithmetic: the same float operations run in the same order (dot products
-are ``sum`` over the terms in index order), and a run's tolerances are
-uniform and combine as the max.
+Products, transposes, negation, equality, the trace form, blocks
+(``Matrix.blocks``, ``join``) and the plane rotations of ``random_rotation``
+run on the forms alone, and a matrix computed on either form builds its
+scalar rows only when ``rows`` is read.  Float results are bit-identical to
+entrywise ``ApproxReal`` arithmetic: the same float operations run in the
+same order (dot products are ``sum`` over the terms in index order), and a
+run's tolerances are uniform and combine as the max.
+
+The one determinant is ``_det_float``, partial-pivot LU on floats.  It gives
+the sign of every SO(n) verdict, exact ones included: an exactly orthogonal
+matrix is far enough from singular that the float sign is exact (see
+``_so8_verdict``).
 """
 
 from __future__ import annotations
@@ -180,15 +184,6 @@ class Matrix:
         return all(map(max(ea, eb).__ge__, map(abs, map(
             sub, chain.from_iterable(a), chain.from_iterable(b)))))
 
-    def det(self):
-        """Determinant: fraction-free elimination on the kernel form for exact
-        entries, partial-pivot LU on raw floats for the tolerance backend."""
-        if self._fl is not None:
-            return ApproxReal(_det_float(self._fl[1]), self._fl[0])
-        d, a, b = self._scaled()
-        x, y = kernel.det(a, b)
-        return kernel.unscale(d ** self.n, [x], [y] if y else None)[0]
-
     def blocks(self) -> tuple:
         """tl, tr, bl, br: the h x h blocks of a 2h x 2h matrix, on its form
         (exact blocks reduced, as a block can share a factor with d)."""
@@ -297,7 +292,9 @@ def is_orthogonal(m: Matrix) -> bool:
 
 
 def is_special_orthogonal(m: Matrix) -> bool:
-    """m^t m = I (exact, or within tolerance) and det +1 (sign test on floats).
+    """m^t m = I (exact, or within tolerance) and det > 0, the sign read from
+    the float LU of ``_det_float`` on both backends (exact for an exact
+    matrix, see ``_so8_verdict``).
 
     The verdict is computed once per matrix object and kept in ``m._so8``;
     matrices are immutable, so it cannot go stale.  Two places set it
@@ -311,12 +308,45 @@ def is_special_orthogonal(m: Matrix) -> bool:
 
 
 def _so8_verdict(m: Matrix) -> bool:
-    if not is_orthogonal(m):
-        return False
-    if m._fl is not None:
-        return _det_float(m._fl[1]) > 0
-    d, a, b = m._scaled()
-    return kernel.det(a, b) == (d ** m.n, 0)
+    """m^t m = I, then the sign of the float LU determinant of m's floats.
+
+    A float matrix reads its own float rows.  An exact matrix is first tested
+    exactly (``kernel.is_orthogonal``); only an orthogonal one is read as
+    floats (``kernel.to_floats``), and for it the float sign is the sign of
+    det M.  Proof, u = 2^-53 the unit roundoff, gamma_k = k u / (1 - k u)
+    (N. Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.):
+
+    1. M^t M = I, so every singular value of M is 1 and |m_ij| <= 1.  Over
+       Q(sqrt 3) the Galois conjugate M* (sqrt 3 -> -sqrt 3) is orthogonal
+       too, so an entry a + b sqrt 3 has |a| <= 1 and |b sqrt 3| <= 1.
+    2. F = to_floats(M) is within a few ulps of M entrywise: x/d is
+       correctly rounded, and x/d + (y/d)*SQRT3 adds four roundings of
+       quantities bounded by step 1.  So ||F - M||_2 <= n * 5u.
+    3. Partial-pivot LU of F computes L^U^ = PF + dF with
+       |dF| <= gamma_(n+1) |L^||U^| (Thm 9.3; n+1, not n, because a
+       multiplier is m_ik * (1/m_kk), two roundings).  Partial pivoting keeps
+       |l^_ij| <= 1 and |u^_ij| <= 2^(n-1) max|f_ij| (1 + O(u)), so every entry
+       of |L^||U^| is at most n 2^(n-1) (1 + O(u)), and P^t L^U^ = M + E with
+       ||E||_2 <= n^2 2^(n-1) gamma_(n+1) (1 + O(u)) + n * 5u: about 8e-12 at
+       n = 8, 2e-8 at n = 16 and 8e-3 at n = 32.  A
+       multiplier that underflows to 0 skips an update below 2^-1022, which
+       is inside the same bound.
+    4. Weyl: every M + tE, t in [0, 1], has singular values >= 1 - ||E|| > 0,
+       so det(M + tE) never vanishes and det(M + E) = det(P) prod u^_kk has
+       the sign of det M.  In particular no computed pivot is 0.
+    5. ``_det_float`` returns +-prod u^_kk rounded after each factor, and a
+       rounding keeps the sign of a normal number.  No partial product
+       leaves the normal range: each |u^_kk| <= 2^(n-1) (1 + O(u)) and the
+       whole product is at least (1 - ||E||)^n, so a partial product (the
+       whole one over at most n - 1 pivots) lies between about
+       (1 - ||E||)^n 2^(-(n-1)^2) and 2^(n(n-1)): 2^-962 .. 2^992 at n = 32.
+
+    Step 3's bound passes 1 beyond n = 32, so a larger exact matrix raises
+    DimensionMismatch; this package builds only 8x8 and 16x16 ones.
+    """
+    if m._fl is None and m.n > 32:
+        raise DimensionMismatch(f"exact SO(n) sign is proved up to n = 32, got {m.n}")
+    return is_orthogonal(m) and _det_float(m._floats()[1]) > 0
 
 
 def trace_inner_product(a: Matrix, b: Matrix):

@@ -205,6 +205,15 @@ def antipodal_set(v: Octonion) -> AntipodalSet:
     o = base_point()
     p = SpherePoint(s, s.conj())
     q = SpherePoint(s.conj(), s)
+    # Under a loose float tolerance the three points can compare equal, and
+    # a one-point "set" would certify nothing.  With s = (-1 + sqrt 3 v)/2,
+    # o and p (and o and q) differ by 3/2 in coefficient 0 of x, and p and q
+    # by sqrt 3 |v_i| in coefficient i of x, the largest of these being at
+    # least sqrt(3/7) ~ 0.65 for a unit v (sqrt(3 (1 - eps)/7), still > eps
+    # for eps < 0.47, for a float v of norm^2 within eps of 1).  So this
+    # never fires on the exact backend, nor at any eps below that.
+    if o == p or o == q or p == q:
+        raise AntipodalityViolated(f"o, p and q are not three points at {v!r}")
     points = [o, p, q]
     witnesses = [
         TrialityTriple.identity(),

@@ -249,8 +249,8 @@ def _kconj(m: Matrix) -> Matrix:
     on kmk equals the one on m, so once known it is copied, not recomputed:
 
     * exact: k is orthogonal with det k = +-1, so (kmk)^t (kmk) = k m^t m k
-      is I iff m^t m is, and det(kmk) = det(k)^2 det(m) = det(m); the kernel
-      decides both exactly.
+      is I iff m^t m is, and det(kmk) = det(k)^2 det(m) = det(m);
+      ``_so8_verdict`` decides both exactly.
     * float, bit for bit: entry (r, j) of kmk is k_r k_j m[r][j], and IEEE
       +, -, *, / round symmetrically, so negating operands negates results
       exactly.  Gram entry (i, j) of kmk sums the terms k_i k_j m[r][i] m[r][j]

@@ -176,9 +176,10 @@ REPORT_DIGESTS = [
     (["verify-all", "--trials", "2"],
      "bbf7d5397e785b6499bd91b80e1f6de53ea8c38c7f393316485e51558ad1cddd", 0),
     # at eps 5 every 1 + t^2 of random_rotation is within the tolerance of
-    # zero, so clifford-embedding [float] fails with trials=0
+    # zero, so clifford-embedding [float] fails with trials=0, and o, p and q
+    # compare equal, so antipodal-triple [float] fails with trials=0
     (["verify-all", "--trials", "3", "--seed", "3", "--eps", "5"],
-     "2fa748c5d0913e450413ffa3451c9a9a6e78747993c3d3c4192e8c9c8bd4c7f4", 1),
+     "7b70676fc8b77be495e9ebf2accdc42e24f463615b6adc8ac285e758eedb4911", 1),
     (["verify-all", "--trials", "3", "--eps", "0.5"],
      "d2cba2adbb1f584d5445605bc7d64f4b061ae2adb7da0c1842775dd9ed651bda", 0),
     (["verify-all", "--trials", "3", "--eps", "1e-300"],
@@ -194,18 +195,49 @@ def test_report_bytes(tmp_path, capsys, args, digest, exit_code):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_fixset_line_reads_the_exit_verdict(tmp_path, capsys):
+    # tau fixes this float point at eps 1e-16, but tau^3 does not return it
+    # within that tolerance: the run fails, and its summary line says so
+    literal = ("[0, 0.763917764645415, 0.30347905445147294, -0.27466015661858745, "
+               "-0.17550650070929996, -0.35530424663703664, -0.2768657098307493, "
+               "-0.12326252465784164]")
+    out = tmp_path / "rep.json"
+    code, _, err = run(capsys, "fixset", literal, "--backend", "float", "--eps", "1e-16",
+                       "--out", str(out))
+    assert code == 1
+    assert err.startswith("FAIL fixset [float] ")
+    section = json.loads(out.read_text())["fixset"][0]
+    assert section["tau_fixed"] is True and section["tau_orbit_trivial"] is False
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "bede30f3853f5a1799f7805b4b31814d3403597dccf9906dfafcffb208862d5a")
+
+
+def test_antipodal_points_must_stay_distinct(capsys):
+    # at eps 1.5, o, p = (s, conj s) and q = (conj s, s) for v = (3/5, 4/5)
+    # compare equal (3/2 apart in e1, sqrt 3 * 4/5 ~ 1.39 in e3), so the
+    # three-point set collapses: a failed check, not a vacuous pass
+    v = "[0,3/5,4/5,0,0,0,0,0]"
+    code, out, err = run(capsys, "antipodal", v, "--backend", "float", "--eps", "1.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: AntipodalityViolated: ")
+    assert run(capsys, "antipodal", v, "--backend", "float", "--eps", "1")[0] == 0
+
+
 def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
     # Matrices and octonions compute on their forms: in a whole run, exact
     # scalars are made from a form only where a scalar is the result
     # (Octonion.norm_sq, trace_inner_product), and a matrix is built from
-    # scalar rows only by Matrix.identity and Matrix.scale.
+    # scalar rows only by Matrix.identity and Matrix.scale.  No run builds
+    # a scalar view of a form (Matrix.rows read while _rows is None,
+    # Octonion.coeffs while _coeffs is None): only tests and benchmarks do.
     from collections import Counter
 
     from spin8 import kernel
     from spin8.linalg import Matrix
+    from spin8.octonion import Octonion
 
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
-    unscaled, built = Counter(), Counter()
+    unscaled, built, viewed = Counter(), Counter(), Counter()
 
     def caller():
         return sys._getframe(2).f_code.co_name  # the program function that called
@@ -218,8 +250,19 @@ def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
         built[caller()] += 1
         real(self, rows)
 
+    def lazy_view(cls, name):
+        real = getattr(cls, name).fget
+
+        def get(self):
+            if getattr(self, "_" + name) is None:
+                viewed[f"{cls.__name__}.{name} in {caller()}"] += 1
+            return real(self)
+        monkeypatch.setattr(cls, name, property(get))
+
     monkeypatch.setattr(kernel, "unscale", unscale)
     monkeypatch.setattr(Matrix, "__init__", init)
+    lazy_view(Matrix, "rows")
+    lazy_view(Octonion, "coeffs")
     out = str(tmp_path / "rep.json")
     for args in (["verify-all", "--trials", "2", "--backend", "both"],
                  ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"],
@@ -227,32 +270,34 @@ def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
         assert run(capsys, *args, "--out", out)[0] == 0
     assert unscaled and set(unscaled) <= {"norm_sq", "trace_inner_product"}
     assert built and set(built) <= {"identity", "scale"}
+    assert not viewed, viewed
 
 
 def test_exact_triples_take_no_determinant(tmp_path, capsys, monkeypatch):
     # An exact triple is decided by the Gram tests of A and B and the 64-pair
     # identity (triality._exact_triple): no determinant is computed while a
     # triple is constructed, in the battery or in the antipodal sections.
-    from spin8 import kernel
+    # (_det_float is the one determinant; float triples do take it.)
+    from spin8 import linalg
     from spin8.triality import TrialityTriple
 
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
-    depth, inside, built = [0], [], [0]
+    exact, inside, built = [], [], [0]
 
-    def det(*args, real=kernel.det):
-        if depth[0]:
+    def det(*args, real=linalg._det_float):
+        if exact and exact[-1]:
             inside.append(args)
         return real(*args)
 
     def init(self, a, b, c, real=TrialityTriple.__init__):
-        depth[0] += 1
-        built[0] += 1
+        exact.append(a._fl is None and b._fl is None and c._fl is None)
+        built[0] += exact[-1]
         try:
             real(self, a, b, c)
         finally:
-            depth[0] -= 1
+            exact.pop()
 
-    monkeypatch.setattr(kernel, "det", det)
+    monkeypatch.setattr(linalg, "_det_float", det)
     monkeypatch.setattr(TrialityTriple, "__init__", init)
     out = str(tmp_path / "rep.json")
     for args in (["verify-all", "--backend", "exact", "--trials", "2"],

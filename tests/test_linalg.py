@@ -1,9 +1,12 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spin8.linalg as linalg
 from spin8.linalg import (
     DimensionMismatch,
     Matrix,
@@ -20,6 +23,7 @@ from spin8.octonion import (
     random_imaginary_unit,
     random_unit_octonion,
     right_translation,
+    sandwich_matrix,
     transform,
 )
 from spin8.scalars import EXACT, ApproxReal, FloatBackend, QuadExt, Rational
@@ -100,49 +104,67 @@ def test_dimension_mismatch():
         Matrix([[1, 2, 3], [4, 5, 6]])
 
 
-def test_det_exact():
-    assert Matrix.identity(8).det() == 1
-    assert Matrix([[0, 1], [1, 0]]).det() == -1
-    assert Matrix([[Rational(1, 2), 0], [0, Rational(1, 3)]]).det() == Rational(1, 6)
-    # a known 3x3 with fractions: det = 1/2*(1*4-2*3) - ... computed by cofactors
-    m = Matrix([
-        [Rational(1, 2), 1, 2],
-        [0, 1, 3],
-        [1, 0, 1],
-    ])
-    assert m.det() == Rational(1, 2) * (1 - 0) - 1 * (0 - 3) + 2 * (0 - 1)
-    # singular
-    assert Matrix([[1, 2], [2, 4]]).det() == 0
-
-
 def test_det_quadext():
-    r3 = QuadExt(0, 1)
-    m = Matrix([[r3, 1], [1, r3]])
-    assert m.det() == 2
-    m2 = Matrix([[r3, 0, 0], [0, r3, 0], [0, 0, r3]])
-    assert m2.det() == QuadExt(0, 3)
     # L(s) for a cube root of unity s is a rotation; negating one column
-    # flips the sign of its determinant
+    # makes it orthogonal with det -1
     ls = left_translation(cube_root_of_unity(Octonion.basis(2)))
-    assert ls.det() == 1
+    assert is_special_orthogonal(ls)
     flipped = Matrix([(-row[0],) + row[1:] for row in ls.rows])
-    assert flipped.det() == -1
     assert is_orthogonal(flipped) and not is_special_orthogonal(flipped)
-    # a zero first pivot forces a row swap, here in a singular and a regular
-    # matrix
-    assert Matrix([[0, r3, 1], [r3, 0, 1], [r3, 0, 1]]).det() == 0
-    assert Matrix([[0, r3], [1, 1]]).det() == -r3
 
 
-def test_det_float_matches_exact():
-    rng = random.Random(3)
-    fb = FloatBackend(1e-9)
-    for _ in range(5):
-        grid = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(5)]
-        exact = Matrix(grid).det()
-        approx = Matrix([[fb.scalar(e) for e in row] for row in grid]).det()
-        assert isinstance(approx, ApproxReal)
-        assert abs(float(exact) - approx.value) < 1e-9
+def _known_sign_matrix(rng, kind):
+    """An exact matrix and its SO(n) verdict, known by construction: +1 for
+    rotations and unit translations, the permutation's sign times the signs'
+    product for a signed permutation."""
+    if kind == "rotation":
+        n = rng.choice([8, 16])
+        return random_rotation(rng, EXACT, n=n, steps=rng.randint(0, 200)), 1
+    if kind == "permutation":
+        n = rng.choice([2, 3, 8, 16])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        signs = [rng.choice([1, -1]) for _ in range(n)]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        sign = (-1) ** inversions * math.prod(signs)
+        return Matrix([[signs[i] if j == perm[i] else 0 for j in range(n)]
+                       for i in range(n)]), sign
+    m = Matrix.identity(8)
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            u = random_unit_octonion(rng, EXACT)
+        else:
+            u = cube_root_of_unity(random_imaginary_unit(rng, EXACT))
+        make = rng.choice([left_translation, right_translation,
+                           lambda s: sandwich_matrix(s, s.conj())])
+        m = m * make(u)
+    return m, 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["rotation", "translations", "permutation"]),
+       st.sampled_from(["as-is", "column-negated", "scaled-2", "scaled-quadext"]))
+def test_so8_verdict_reads_the_exact_sign(seed, kind, change):
+    # The exact verdict is the exact Gram test, then the sign of the float LU
+    # determinant (linalg._so8_verdict); it matches the sign known by
+    # construction, on rational and Q(sqrt 3) matrices of size 2 to 16.
+    rng = random.Random(seed)
+    m, sign = _known_sign_matrix(rng, kind)
+    if change == "column-negated":
+        c = rng.randrange(m.n)
+        m = Matrix([[-x if j == c else x for j, x in enumerate(r)] for r in m.rows])
+        sign = -sign
+    elif change != "as-is":
+        k = 2 if change == "scaled-2" else QuadExt(Rational(1, 2), Rational(1, 2))
+        m, sign = m.scale(k), None
+    assert is_orthogonal(m) is (sign is not None)
+    assert linalg._so8_verdict(m) is (sign == 1)
+
+
+def test_so8_verdict_refuses_exact_matrices_beyond_its_proof():
+    with pytest.raises(DimensionMismatch):
+        is_special_orthogonal(Matrix.identity(33))
+    assert is_special_orthogonal(Matrix.identity(32))
 
 
 def test_special_orthogonal_predicate():
@@ -172,8 +194,6 @@ def test_so_closed_under_product_and_transpose():
         assert is_special_orthogonal(a)
         assert is_special_orthogonal(a * b)
         assert is_special_orthogonal(a.transpose())
-        d = a.det()
-        assert d == 1 if backend.exact else abs(d.value - 1.0) < 1e-9
 
 
 def test_trace_inner_product():
@@ -195,7 +215,8 @@ def test_matrix_json_round_trip():
     fb = FloatBackend(1e-9)
     mf = random_rotation(rng, fb)
     assert Matrix.from_json(mf.to_json(), fb) == mf
-    assert Matrix.from_json([["1/2", "0"], ["0", "2"]], EXACT).det() == 1
+    assert Matrix.from_json([["1/2", "0"], ["0", "2"]], EXACT) == Matrix(
+        [[Rational(1, 2), 0], [0, 2]])
 
 
 def test_float_matrix_ops_fast_path():
