@@ -17,11 +17,11 @@ pass, 1 a check failed, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 from functools import partial
+from json.encoder import encode_basestring_ascii as _string
 
 from .checks import _CHECK_FAILURES, RunConfig, _run_jobs, derive_seed, run_checks
 from .octonion import (
@@ -77,8 +77,63 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class _Rendered(str):
+    """Report text already rendered at its depth, spliced in verbatim."""
+
+    __slots__ = ()
+
+
+# the depth of a section in a report {..., command: [section, ...]}
+_SECTION = "\n    "
+
+
+def _render(obj, ind="\n") -> str:
+    """`obj` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it, byte
+    for byte; `ind` is a newline and the indent of obj's own line, so its
+    members go two spaces deeper.  Dicts need str keys, a _Rendered string
+    is spliced as it is, and a type the report never holds raises TypeError.
+    (Given an indent, json falls back to its pure-Python encoder.)"""
+    parts = []
+    _put(obj, ind, parts)
+    return "".join(parts)
+
+
+def _put(obj, ind, parts) -> None:
+    """Append the text of `obj` at depth `ind` to `parts`, piece by piece,
+    so that no text is copied until the one join."""
+    if isinstance(obj, dict):  # _string raises TypeError on a key that is no str
+        brackets, items = "{}", [(_string(k) + ": ", obj[k]) for k in sorted(obj)]
+    elif isinstance(obj, list):
+        brackets, items = "[]", [("", x) for x in obj]
+    else:
+        parts.append(_scalar(obj))
+        return
+    lead, inner = brackets[0], ind + "  "
+    for key, x in items:
+        parts.append(lead + inner + key)
+        lead = ","
+        _put(x, inner, parts)
+    parts.append(ind + brackets[1] if items else brackets)
+
+
+def _scalar(obj) -> str:
+    if isinstance(obj, str):
+        return obj if type(obj) is _Rendered else _string(obj)
+    if obj is None or type(obj) is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"{type(obj).__name__} is not a report value")
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _render(report) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -163,6 +218,19 @@ def _fixset_section(cfg: RunConfig, v, backend):
     return section, line, ok
 
 
+def _candidates(rows, ind) -> list:
+    """The scan's rows, each as _render writes its dict {"t", "candidate":
+    {"x", "y"}, "accepted", "residual"} in a list at depth `ind`: one
+    template that _render made, filled per row, so no row dict is built."""
+    slot = _Rendered("%s")  # filled in key order
+    row = _render({"accepted": slot, "candidate": {"x": slot, "y": slot},
+                   "residual": slot, "t": slot}, ind + "  ")
+    return [_Rendered(row % (_scalar(r.accepted), _string(format_octonion(r.candidate.x)),
+                             _string(format_octonion(r.candidate.y)), _scalar(r.residual),
+                             _string(format_octonion(r.t))))
+            for r in rows]
+
+
 def _antipodal_section(cfg: RunConfig, v, backend):
     aset = antipodal_set(v)          # raises if a certificate fails
     o, p, q = aset.points
@@ -182,15 +250,7 @@ def _antipodal_section(cfg: RunConfig, v, backend):
             "trials": cfg.trials,
             "accepted": len(accepted),
             "extra_acceptances": 0 if scan_ok else len(accepted),
-            "candidates": [
-                {
-                    "t": format_octonion(row.t),
-                    "candidate": row.candidate.to_json(),
-                    "accepted": row.accepted,
-                    "residual": row.residual,
-                }
-                for row in report_scan.rows
-            ],
+            "candidates": _candidates(report_scan.rows, _SECTION + "    "),
         },
     }
     ok = swap and polar and scan_ok
@@ -216,9 +276,11 @@ def _sections(cfg: RunConfig, literal: str, command: str, section,
 
     def job(v, backend):
         try:
-            return section(cfg, v, backend)
+            body, line, passed = section(cfg, v, backend)
         except _CHECK_FAILURES as exc:  # raised below, in backend order
             return exc
+        # rendered here, so a worker sends back one string
+        return _Rendered(_render(body, _SECTION)), line, passed
 
     sections, ok = [], True
     jobs = [partial(job, v, b) for v, b in zip(vs, backends)]

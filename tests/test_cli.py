@@ -526,3 +526,91 @@ def test_any_literal_keeps_the_exit_code_contract(capsys, command, backend, eps,
     except (ParseError, NotImaginaryUnit):
         valid = False
     assert (code == 2) == (not valid) or literal.startswith("-")
+
+
+# JSON trees as reports could hold them, and as json.dumps writes them
+_report_text = st.one_of(
+    st.text(),
+    # lone surrogates, control characters, non-ASCII letters, quotes, backslashes
+    st.text(st.characters(categories=["Cs", "Cc", "Lo", "Po"])),
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "é \U0001f600", "\ud800"]),
+)
+_report_values = st.recursive(
+    st.none() | st.booleans() | _report_text
+    | st.integers() | st.integers(-2**200, 2**200)
+    | st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308,
+                                      float("nan"), float("inf"), float("-inf")]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_report_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_report_values, depth=st.integers(0, 6))
+def test_the_writer_is_json_dumps(tree, depth):
+    text = json.dumps(tree, indent=2, sort_keys=True)
+    assert cli._render(tree) == text
+    # at a depth, every line moves in by the indent (json escapes newlines
+    # inside strings)
+    ind = "\n" + " " * depth
+    assert cli._render(tree, ind) == text.replace("\n", ind)
+    assert cli._render([cli._Rendered(cli._render(tree, "\n  "))]) == json.dumps(
+        [tree], indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [(1, 2), {1: "a"}, {"a": [{(): 0}]}, object(),
+                                   [b"bytes"], {"a": {1.5}}])
+def test_the_writer_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        cli._render(value)
+
+
+@pytest.mark.parametrize("literal,backend,eps,accepted", [
+    ("[0,3/5,4/5,0,0,0,0,0]", "exact", 1e-9, 3),
+    ("[0,3/5,4/5,0,0,0,0,0]", "float", 1e-9, 3),
+    ("[0,0.6,-0.0,-0.8,0,0,0,0]", "float", 1e-9, 3),  # int 0 and -0.0 entries
+    ("[0,3/5,4/5,0,0,0,0,0]", "float", 1.0, 70),  # rows carry true and false
+])
+def test_the_row_template_is_the_writer(literal, backend, eps, accepted):
+    import random
+
+    from spin8.checks import derive_seed
+    from spin8.octonion import format_octonion
+    from spin8.symspace import maximality_scan
+
+    (parsing,) = RunConfig(backend=backend, eps=eps).backends()
+    v = parse_octonion(literal, parsing)
+    rng = random.Random(derive_seed(0, "antipodal-cmd", parsing.name))
+    rows = maximality_scan(v, 100, rng).rows
+    assert sum(r.accepted for r in rows) == accepted
+    dicts = [{"t": format_octonion(r.t), "candidate": r.candidate.to_json(),
+              "accepted": r.accepted, "residual": r.residual} for r in rows]
+    for ind in ("\n", cli._SECTION + "    "):
+        assert cli._render(cli._candidates(rows, ind), ind) == cli._render(dicts, ind)
+
+
+def test_no_run_reaches_the_stdlib_encoder(tmp_path, capsys, monkeypatch):
+    # every report goes through cli._render; json.dumps with an indent would
+    # walk the report in json's pure-Python encoder
+    import json.encoder
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr(json, "dumps", refuse("json.dumps"))
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse("_make_iterencode"))
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse("JSONEncoder.encode"))
+    out = str(tmp_path / "rep.json")
+    for args in (["verify-all", "--trials", "2", "--backend", "both"],
+                 ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"],
+                 ["fixset", "[0,1,0,0,0,0,0,0]"],
+                 ["table"]):
+        assert run(capsys, *args, "--out", out)[0] == 0
+    assert not calls
