@@ -144,13 +144,14 @@ def _emit(report: dict, out: str | None) -> None:
 def _probe(out: str | None) -> None:
     """Raise OSError now, before any work, if the report cannot be written
     to `out`.  A missing file is created and removed again, an existing one
-    opened for appending, so the probe leaves no trace."""
+    opened for appending, so the probe leaves no trace.  That open does not
+    block: a FIFO with no reader raises ENXIO instead of waiting for one."""
     if not out:
         return
     try:
         open(out, "x").close()
     except FileExistsError:
-        open(out, "a").close()
+        os.close(os.open(out, os.O_WRONLY | os.O_APPEND | getattr(os, "O_NONBLOCK", 0)))
     else:
         os.remove(out)
 

@@ -353,7 +353,8 @@ def trace_inner_product(a: Matrix, b: Matrix):
     """<a, b> = trace(a^t b) / n, the trace form normalized so <I, I> = 1.
 
     On floats the nonzero products add in row-major order onto +0.0, times
-    1/n, as in ``ApproxReal`` arithmetic; with none the result is exact 0."""
+    1/n, as in ``ApproxReal`` arithmetic, at the larger tolerance of a and b;
+    with no nonzero product that is +0.0 at that tolerance."""
     if a.n != b.n:
         raise DimensionMismatch("size mismatch")
     if a._fl is None and b._fl is None:
@@ -363,7 +364,7 @@ def trace_inner_product(a: Matrix, b: Matrix):
     (ea, fa), (eb, fb) = a._floats(), b._floats()
     terms = [x * y for x, y in zip(chain.from_iterable(fa), chain.from_iterable(fb))
              if x and y]
-    return ApproxReal._fast(sum(terms, 0.0) * (1 / a.n), max(ea, eb)) if terms else 0
+    return ApproxReal._fast(sum(terms, 0.0) * (1 / a.n), max(ea, eb))
 
 
 def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:

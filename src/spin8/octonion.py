@@ -179,6 +179,9 @@ class Octonion:
     ``_coeffs`` holds the scalars once known, ``_form`` the exact kernel form
     once built and ``_fl`` the float form of a float octonion (None for an
     exact one).  An octonion computed on a form starts from the form alone.
+    A float octonion has one tolerance, its form's eps: its norms and
+    translations carry that eps, and a product or comparison of two
+    octonions the larger of theirs.
     """
 
     __slots__ = ("_coeffs", "_form", "_fl")
@@ -235,24 +238,6 @@ class Octonion:
             return self._fl
         return 0.0, kernel.to_floats(*self._scaled())
 
-    def _tolerance(self) -> float:
-        """The tolerance a norm or a translation carries: the largest among
-        the nonzero float coefficients, 0.0 if there are none.  A zero
-        carries none, as a loop that skips zero terms would give it."""
-        fl = self._fl
-        if fl is None:
-            return 0.0
-        if self._coeffs is None:
-            return fl[0] if any(fl[1]) else 0.0
-        return approx_eps([v for v in self._coeffs if v])
-
-    def _exact(self) -> "Octonion":
-        """Self when exact; for a float octonion of tolerance 0.0 (every float
-        coefficient zero) the same values with those zeros made exact."""
-        if self._fl is None:
-            return self
-        return Octonion([0 if type(v) is ApproxReal else v for v in self.coeffs])
-
     @classmethod
     def basis(cls, i: int) -> "Octonion":
         """Basis octonion e_i (1-based); e_1 is the unit."""
@@ -300,25 +285,24 @@ class Octonion:
     def norm_sq(self):
         """|x|^2, the sum of the squared coefficients.
 
-        With a nonzero float coefficient the squares add in floats at the
-        tolerance of ``_tolerance``: ``ApproxReal`` arithmetic over the
-        nonzero terms bit for bit, exact coefficients mixed in being read as
-        floats.  Otherwise the kernel sums exactly; all zeros give the int 0.
+        A float octonion adds the squares of its float form in index order
+        onto +0.0, at the form's tolerance: ``ApproxReal`` arithmetic over the
+        nonzero terms bit for bit.  An exact one sums exactly on the kernel
+        form.
         """
-        tol = self._tolerance()
-        if tol:
-            return ApproxReal._fast(self._float_norm(), tol)
-        d, a, b = self._exact()._scaled()
+        if self._fl is not None:
+            return ApproxReal._fast(self._float_norm(), self._fl[0])
+        d, a, b = self._scaled()
         x, y = kernel.zdot((a, b), (a, b))
         return kernel.unscale(d * d, [x], [y] if y else None)[0]
 
     def is_unit(self) -> bool:
-        """norm_sq() == 1, without building the scalar: within the tolerance,
-        or on the form as the integer identity |a + b sqrt 3|^2 = d^2."""
-        tol = self._tolerance()
-        if tol:
-            return abs(self._float_norm() - 1.0) <= tol
-        d, a, b = self._exact()._scaled()
+        """norm_sq() == 1, without building the scalar: within the form's
+        tolerance, or on the kernel form as the integer identity
+        |a + b sqrt 3|^2 = d^2.  The zero vector is no unit at any tolerance."""
+        if self._fl is not None:
+            return any(self._fl[1]) and abs(self._float_norm() - 1.0) <= self._fl[0]
+        d, a, b = self._scaled()
         x, y = kernel.zdot((a, b), (a, b))
         return y == 0 and x == d * d
 
@@ -391,17 +375,16 @@ def _translation(x: Octonion, layout) -> Matrix:
     """L(x) or R(x): signed copies of the coefficients of x placed by the
     layout, so no scalar products are needed.
 
-    A zero coefficient places 0 and carries no tolerance.  With a nonzero
-    float coefficient the matrix is built on its float form, at the tolerance
-    of ``_tolerance`` and with +0.0 for the zeros; otherwise on the kernel
-    form, whose signed and permuted entries stay reduced.
+    A float octonion gives a float matrix at its form's tolerance, with +0.0
+    for every zero; an exact one gives the kernel form, whose signed and
+    permuted entries stay reduced.
     """
-    tol = x._tolerance()
-    if tol:
-        f = [v if v else 0.0 for v in x._fl[1]]
+    if x._fl is not None:
+        eps, fl = x._fl
+        f = [v if v else 0.0 for v in fl]
         signed = f + [-v if v else 0.0 for v in f]
-        return Matrix._of_floats(tol, tuple([get(signed) for get in layout]))
-    d, a, b = x._exact()._scaled()
+        return Matrix._of_floats(eps, tuple([get(signed) for get in layout]))
+    d, a, b = x._scaled()
     return Matrix._of_form((d, _placed(a, layout), _placed(b, layout)))
 
 
@@ -487,9 +470,9 @@ def parse_octonion(text: str, backend) -> Octonion:
 # Exact-backend points on spheres come from inverse stereographic projection
 # of small random rational vectors, so they are exactly unit-norm rationals.
 
-def _draw(rng, lim: int = 4):
+def _draw(rng):
     """Numerator and denominator of a small random rational."""
-    return rng.randint(-lim, lim), rng.randint(1, lim)
+    return rng.randint(-4, 4), rng.randint(1, 4)
 
 
 def _random_rational(rng):

@@ -159,6 +159,25 @@ def test_out_probe_leaves_no_trace(tmp_path, capsys):
     assert out.read_text() == "old"  # and an existing one is not truncated
 
 
+@pytest.mark.parametrize("args", [["table"], ["verify-all", "--trials", "1"]])
+def test_out_fifo_without_reader_is_a_usage_error(tmp_path, args):
+    # opening a FIFO for writing waits for a reader; the probe must not, so
+    # a reader-less FIFO is an unwritable --out: exit 2, at once
+    import subprocess
+
+    import spin8
+
+    fifo = tmp_path / "rep.fifo"
+    os.mkfifo(fifo)
+    src = os.path.dirname(os.path.dirname(spin8.__file__))
+    done = subprocess.run([sys.executable, "-m", "spin8.cli", *args, "--out", str(fifo)],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: cannot write report")
+
+
 # SHA-256 of reports taken before the octonions computed on kernel forms.
 # The float cases pin the exact 0 that cube_root_of_unity (and conj) leave
 # in a zero coordinate, printed "0", against the "0.0" and "-0.0" of parsed
@@ -410,6 +429,53 @@ def test_antipodal_hostile_eps_fails_cleanly(capsys):
     assert out == ""
     assert err.startswith("error:") and "NotOrthogonal" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fixset", "antipodal"])
+@pytest.mark.parametrize("literal", ["[0,0,0,0,0,0,0,0]", "[0,-0.0,0,0,0,0,0,0]"])
+@pytest.mark.parametrize("eps", ["0.5", "2", "1e308"])
+def test_the_zero_vector_is_no_unit_at_any_eps(capsys, command, literal, eps):
+    # |0|^2 = 0 is within eps of 1 once eps >= 1, yet the zero vector is no
+    # unit imaginary octonion: a usage error, not a vacuous pass
+    code, out, err = run(capsys, command, literal, "--backend", "float", "--eps", eps)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_a_float_run_has_one_tolerance(tmp_path, capsys, monkeypatch):
+    # every float form and float scalar a run builds carries the run's --eps:
+    # the tolerance a float octonion's norms and translations read off its
+    # form is the only one there is
+    from spin8.linalg import Matrix
+    from spin8.octonion import Octonion
+    from spin8.scalars import ApproxReal
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    seen = []
+
+    def record(cls, name, at):  # eps is argument `at` of cls.name
+        real = getattr(cls, name).__func__
+
+        def build(cls, *args):
+            seen.append(args[at])
+            return real(cls, *args)
+        monkeypatch.setattr(cls, name, classmethod(build))
+
+    def init(self, value, eps=1e-9, real=ApproxReal.__init__):
+        seen.append(eps)
+        real(self, value, eps)
+
+    record(Octonion, "_of_floats", 0)
+    record(Matrix, "_of_floats", 0)
+    record(ApproxReal, "_fast", 1)
+    monkeypatch.setattr(ApproxReal, "__init__", init)
+    out = str(tmp_path / "rep.json")
+    for args in (["verify-all", "--trials", "5"],
+                 ["antipodal", "[0,3/5,4/5,0,0,0,0,0]"],
+                 ["fixset", "[0,0.6,0,0.8,0,0,0,0]"]):
+        seen.clear()
+        assert run(capsys, *args, "--backend", "float", "--eps", "1e-7", "--out", out)[0] == 0
+        assert seen and set(seen) == {1e-7}, args
 
 
 def assert_no_children():
