@@ -162,10 +162,11 @@ class Judge:
 
 
 # --- the individual checks --------------------------------------------------
+# Each compares through the Judge j that run_check gives it and returns its
+# sample count.
 
-def _check_octonion_axioms(backend, rng, trials):
+def _check_octonion_axioms(j, backend, rng, trials):
     n = 2 * trials if backend.exact else 10 * trials
-    j = Judge(backend.exact)
     for _ in range(n):
         x = random_octonion(rng, backend)
         y = random_octonion(rng, backend)
@@ -175,12 +176,11 @@ def _check_octonion_axioms(backend, rng, trials):
         j.eq((x * y).conj(), y.conj() * x.conj())
         j.eq((x * y) * x, x * (y * x))
         j.eq(x.conj() * (x * y), (x.conj() * x) * y)
-    return j, n
+    return n
 
 
-def _check_sandwich(backend, rng, trials):
+def _check_sandwich(j, backend, rng, trials):
     n = max(1, trials // 2)
-    j = Judge(backend.exact)
     ell = to_backend(Octonion.basis(5), backend)
     lell = left_translation(ell)
     for _ in range(n):
@@ -196,12 +196,11 @@ def _check_sandwich(backend, rng, trials):
         y = random_octonion(rng, backend)
         j.eq((x * y.conj()).conj(), y * x.conj())
         j.eq(transform(right_translation(x.conj()), y), y * x.conj())
-    return j, n
+    return n
 
 
-def _check_clifford(backend, rng, trials):
+def _check_clifford(j, backend, rng, trials):
     n = max(1, trials // 2)
-    j = Judge(backend.exact)
     i16 = Matrix.identity(16)
     for _ in range(n):
         x = random_octonion(rng, backend)
@@ -230,11 +229,10 @@ def _check_clifford(backend, rng, trials):
             j.expect(False)  # a generic rotation pair must be rejected
         except NotVectorShaped:
             pass
-    return j, n
+    return n
 
 
-def _check_closure(backend, rng, trials):
-    j = Judge(backend.exact)
+def _check_closure(j, backend, rng, trials):
     for _ in range(trials):
         g = random_triple(rng, backend, max_len=3)
         h = random_triple(rng, backend, max_len=3)
@@ -248,14 +246,13 @@ def _check_closure(backend, rng, trials):
         inv = gh.inverse()
         j.eq(gh * inv, TrialityTriple.identity())
         j.eq(inv, h.inverse() * g.inverse())
-    return j, trials
+    return trials
 
 
-def _check_outer(apply, order, backend, rng, trials):
+def _check_outer(apply, order, j, backend, rng, trials):
     # apply (apply_tau or apply_sigma) has the given order and is a
     # homomorphism.  The checks below pass it in when they run, not bound at
     # import, so a wrapper installed on this module's names sees its calls.
-    j = Judge(backend.exact)
     for k in range(trials):
         g = x = random_triple(rng, backend, max_len=2)
         for _ in range(order):
@@ -264,19 +261,18 @@ def _check_outer(apply, order, backend, rng, trials):
         if k % 4 == 0:
             h = random_triple(rng, backend, max_len=1)
             j.eq(apply(g * h), apply(g) * apply(h))
-    return j, trials
+    return trials
 
 
-def _check_tau(backend, rng, trials):
-    return _check_outer(apply_tau, 3, backend, rng, trials)
+def _check_tau(j, backend, rng, trials):
+    return _check_outer(apply_tau, 3, j, backend, rng, trials)
 
 
-def _check_sigma(backend, rng, trials):
-    return _check_outer(apply_sigma, 2, backend, rng, trials)
+def _check_sigma(j, backend, rng, trials):
+    return _check_outer(apply_sigma, 2, j, backend, rng, trials)
 
 
-def _check_s3(backend, rng, trials):
-    j = Judge(backend.exact)
+def _check_s3(j, backend, rng, trials):
     words = GammaElement.all_elements()
     j.expect(len({(w.s, w.t) for w in words}) == 6)
     for w1 in words:
@@ -292,12 +288,11 @@ def _check_s3(backend, rng, trials):
             tau_sphere(tau_sphere(pt)),
         )
         j.eq(tau_sphere(tau_sphere(tau_sphere(pt))), pt)
-    return j, trials
+    return trials
 
 
-def _check_g2(backend, rng, trials):
+def _check_g2(j, backend, rng, trials):
     n = max(1, trials // 2)
-    j = Judge(backend.exact)
     for _ in range(n):
         g = random_g2(rng, backend)
         j.expect(is_g2(g))
@@ -311,12 +306,11 @@ def _check_g2(backend, rng, trials):
             j.expect(apply_tau(g) != g)
         else:
             j.expect(is_g2(g))
-    return j, n
+    return n
 
 
-def _check_isotropy(backend, rng, trials):
+def _check_isotropy(j, backend, rng, trials):
     n = max(1, trials // 2)
-    j = Judge(backend.exact)
     o = base_point()
     for _ in range(n):
         g = random_g2(rng, backend)
@@ -328,11 +322,10 @@ def _check_isotropy(backend, rng, trials):
             j.expect(is_g2(g))
         else:
             j.expect(not (g.A == g.B and g.A == g.C))
-    return j, n
+    return n
 
 
-def _check_descent(backend, rng, trials):
-    j = Judge(backend.exact)
+def _check_descent(j, backend, rng, trials):
     o = base_point()
     tau_w = GammaElement.tau()
     for k in range(trials):
@@ -345,12 +338,11 @@ def _check_descent(backend, rng, trials):
                 gamma_sphere(w, act(g, pt)),
                 act(apply_gamma(w, g), gamma_sphere(w, pt)),
             )
-    return j, trials
+    return trials
 
 
-def _check_fixed_sets(backend, rng, trials):
+def _check_fixed_sets(j, backend, rng, trials):
     n = max(1, trials // 2)
-    j = Judge(backend.exact)
     o = base_point()
     for _ in range(n):
         v = random_imaginary_unit(rng, backend)
@@ -367,11 +359,10 @@ def _check_fixed_sets(backend, rng, trials):
             j.expect(False)
     j.expect(is_fixed_by_tau(o) and tau_fixed_characterization(o))
     j.eq(sigma_sphere(o), o)
-    return j, n
+    return n
 
 
-def _check_kai(backend, rng, trials):
-    j = Judge(backend.exact)
+def _check_kai(j, backend, rng, trials):
     grid = [random_sphere_point(rng, backend) for _ in range(10)]
     for k in range(trials):
         gx = random_triple(rng, backend, max_len=2)
@@ -389,11 +380,10 @@ def _check_kai(backend, rng, trials):
             el2 = phi_x(other, w)
             for pt in grid[:3]:
                 j.eq(act_semidirect(el1, pt), act_semidirect(el2, pt))
-    return j, trials
+    return trials
 
 
-def _check_antipodal(backend, rng, trials):
-    j = Judge(backend.exact)
+def _check_antipodal(j, backend, rng, trials):
     o = base_point()
     vs = [to_backend(Octonion.basis(2), backend)]
     vs += [random_imaginary_unit(rng, backend) for _ in range(max(1, trials // 5))]
@@ -406,7 +396,7 @@ def _check_antipodal(backend, rng, trials):
         j.expect(aset.polar_intersections)
         scan_trials = 10 * trials if i == 0 else 3
         j.expect(maximality_scan(v, scan_trials, rng).closes_on((o, p, q)))
-    return j, len(vs)
+    return len(vs)
 
 
 CheckDef = namedtuple("CheckDef", "name claim run")
@@ -516,8 +506,9 @@ _CHECK_FAILURES = (
 def run_check(check: CheckDef, cfg: RunConfig, backend) -> CheckResult:
     seed = derive_seed(cfg.seed, check.name, backend.name)
     rng = random.Random(seed)
+    judge = Judge(backend.exact)
     try:
-        judge, samples = check.run(backend, rng, cfg.trials)
+        samples = check.run(judge, backend, rng, cfg.trials)
         status = "pass" if judge.ok else "fail"
         max_residual = judge.max_residual
     except _CHECK_FAILURES as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import stat
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _string
@@ -132,28 +133,41 @@ def _scalar(obj) -> str:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
 
 
-def _emit(report: dict, out: str | None) -> None:
+def _emit(report: dict, out) -> None:
+    """Write the report to `out`: a path, the FIFO file that ``_probe``
+    kept open (closed once written), or stdout when empty."""
     text = _render(report) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    if isinstance(out, str):
+        out = open(out, "w", encoding="utf-8")
+    with out:
+        out.write(text)
 
 
-def _probe(out: str | None) -> None:
+def _probe(out: str | None):
     """Raise OSError now, before any work, if the report cannot be written
     to `out`.  A missing file is created and removed again, an existing one
     opened for appending, so the probe leaves no trace.  That open does not
-    block: a FIFO with no reader raises ENXIO instead of waiting for one."""
+    block: a FIFO with no reader raises ENXIO instead of waiting for one.
+
+    A FIFO's write end is kept, blocking again, and returned as a text file
+    for the report: closed here, it would give the reader an end of file
+    before any work.  Anything else returns None."""
     if not out:
-        return
+        return None
     try:
         open(out, "x").close()
     except FileExistsError:
-        os.close(os.open(out, os.O_WRONLY | os.O_APPEND | getattr(os, "O_NONBLOCK", 0)))
+        fd = os.open(out, os.O_WRONLY | os.O_APPEND | getattr(os, "O_NONBLOCK", 0))
+        if stat.S_ISFIFO(os.fstat(fd).st_mode):
+            os.set_blocking(fd, True)
+            return open(fd, "w", encoding="utf-8")
+        os.close(fd)
     else:
         os.remove(out)
+    return None
 
 
 def _summarize(results) -> None:
@@ -328,8 +342,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    fifo = None
     try:
-        _probe(cfg.out)
+        fifo = _probe(cfg.out)
+        if fifo is not None:  # the report goes through the probed write end
+            cfg.out = fifo
         if args.command == "verify-all":
             return cmd_checks(cfg, "verify-all")
         if args.command == "fixset":
@@ -355,6 +372,9 @@ def main(argv=None) -> int:
         # hostile tolerance: a failed check, not a crash
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if fifo is not None:  # unwritten if the run stopped early
+            fifo.close()
 
 
 if __name__ == "__main__":

@@ -42,7 +42,8 @@ def scale(values):
     """(d, a, b) with values[i] == (a[i] + b[i]*sqrt 3)/d, a reduced form.
 
     Entries are read through ``numerator`` and ``denominator``, so ints and
-    Fractions take the same path.
+    Fractions take the same path.  The ``Octonion`` and ``Matrix``
+    constructors, where exact scalars become forms, are its only callers.
     """
     if not any(type(v) is QuadExt for v in values):
         d = lcm(*[v.denominator for v in values])

@@ -4,19 +4,19 @@ Sized for the 8x8 rotation and 16x16 block work here, but generic in n.
 Matrices are immutable; rows are tuples of scalars.  Each matrix computes
 through one form of its backend, and the form decides the backend:
 
-* exact: the scaled-integer form (d, a, b) of ``kernel``, built once per
-  matrix on first use and kept beside the rows;
-* float: (eps, rows of Python floats), set when the matrix is built from
-  rows holding an ``ApproxReal``, eps being the largest tolerance among
-  them, or directly when a float operation computes the matrix.
+* exact: the reduced scaled-integer form (d, a, b) of ``kernel``;
+* float: (eps, rows of Python floats), eps being the largest tolerance
+  among the ``ApproxReal`` entries.
 
-Products, transposes, negation, equality, the trace form, blocks
-(``Matrix.blocks``, ``join``) and the plane rotations of ``random_rotation``
-run on the forms alone, and a matrix computed on either form builds its
-scalar rows only when ``rows`` is read.  Float results are bit-identical to
-entrywise ``ApproxReal`` arithmetic: the same float operations run in the
-same order (dot products are ``sum`` over the terms in index order), and a
-run's tolerances are uniform and combine as the max.
+``Matrix(rows)`` builds its form at construction and keeps the rows as a
+read-only view; an operation computes its result's form directly, and that
+result builds ``rows`` only when they are read.  Products, transposes,
+negation, equality, the trace form, blocks (``Matrix.blocks``, ``join``) and
+the plane rotations of ``random_rotation`` run on the forms alone.  Float
+results are bit-identical to entrywise ``ApproxReal`` arithmetic: the same
+float operations run in the same order (dot products are ``sum`` over the
+terms in index order), and a run's tolerances are uniform and combine as
+the max.
 
 The one determinant is ``_det_float``, partial-pivot LU on floats.  It gives
 the sign of every SO(n) verdict, exact ones included: an exactly orthogonal
@@ -44,12 +44,12 @@ class NotOrthogonal(ValueError):
 
 
 class Matrix:
-    """Square matrix; rows is a tuple of row tuples of scalars.
+    """Square matrix; rows is a view, a tuple of row tuples of scalars.
 
-    An exact matrix also keeps its kernel form (d, a, b) in ``_form``, a
-    float matrix its float form (eps, float rows) in ``_fl``; a matrix
-    computed on a form starts from the form alone.  ``_so8`` holds the
-    verdict of ``is_special_orthogonal`` once it is known (None before).
+    Every matrix holds exactly one form from birth: an exact one its reduced
+    kernel form (d, a, b) in ``_form``, a float one (eps, float rows) in
+    ``_fl``; one computed on a form starts from the form alone.  ``_so8``
+    holds the verdict of ``is_special_orthogonal`` once known (None before).
     """
 
     __slots__ = ("_rows", "_form", "_fl", "_so8")
@@ -60,10 +60,11 @@ class Matrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square and non-empty")
         self._rows = rows
-        self._form = None
         self._so8 = None
-        eps = approx_eps(chain.from_iterable(rows))
+        flat = list(chain.from_iterable(rows))
+        eps = approx_eps(flat)
         self._fl = (eps, tuple(tuple(map(float, r)) for r in rows)) if eps else None
+        self._form = None if eps else kernel.shaped(*kernel.scale(flat), n)
 
     @classmethod
     def _of_form(cls, form) -> "Matrix":
@@ -103,22 +104,11 @@ class Matrix:
         as floats, see ``kernel.to_floats``) for an exact matrix."""
         if self._fl is not None:
             return self._fl
-        d, a, b = self._scaled()
+        d, a, b = self._form
         return 0.0, tuple(kernel.rows_of(kernel.to_floats(d, _flat(a), _flat(b)), len(a)))
-
-    def _scaled(self):
-        """Kernel form (d, a, b) of an exact matrix, a and b as lists of row
-        tuples, as in every form a matrix computes; reduced forms are unique
-        per value (see ``kernel``), so equal matrices have equal forms."""
-        if self._form is None:
-            d, a, b = kernel.scale([e for row in self._rows for e in row])
-            self._form = kernel.shaped(d, a, b, self.n)
-        return self._form
 
     @property
     def n(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
         return len((self._fl or self._form)[1])
 
     @classmethod
@@ -129,7 +119,7 @@ class Matrix:
         if self._fl is not None:
             eps, rows = self._fl
             return Matrix._of_floats(eps, tuple(zip(*rows)))
-        d, a, b = self._scaled()
+        d, a, b = self._form
         return Matrix._of_form((d, columns(a), columns(b)))
 
     def __mul__(self, other):
@@ -144,8 +134,8 @@ class Matrix:
             bcols = tuple(zip(*b))
             return Matrix._of_floats(max(ea, eb), tuple(
                 tuple([sum(map(mul, r, c)) for c in bcols]) for r in a))
-        da, a, ab = self._scaled()
-        db, b, bb = other._scaled()
+        da, a, ab = self._form
+        db, b, bb = other._form
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
         return _reduced(da * db, pa, pb, n)
 
@@ -155,16 +145,16 @@ class Matrix:
         meps, rows = self._floats()
         return max(eps, meps), tuple([sum(map(mul, r, vec)) for r in rows])
 
-    def apply_scaled(self, d, a, b):
+    def apply_form(self, d, a, b):
         """Reduced kernel form of M v for exact M and v = (a + b sqrt 3)/d."""
-        md, ma, mb = self._scaled()
+        md, ma, mb = self._form
         pa, pb = kernel.zmul(kernel.matmul, (ma, mb), ([a], b and [b]))
         return kernel.reduce(md * d, pa, pb)
 
     def __neg__(self):
         if self._fl is not None:
             return Matrix._of_floats(self._fl[0], tuple(_times(self._fl[1], -1)))
-        d, a, b = self._scaled()
+        d, a, b = self._form
         return Matrix._of_form((d, _times(a, -1), _times(b, -1)))
 
     def scale(self, s) -> "Matrix":
@@ -177,7 +167,7 @@ class Matrix:
             return False
         if self._fl is None and other._fl is None:
             # reduced kernel forms are unique, see kernel
-            return self._scaled() == other._scaled()
+            return self._form == other._form
         ea, a = self._floats()
         eb, b = other._floats()
         # eps >= |x - y|, like ApproxReal.__eq__, and False on a nan
@@ -192,7 +182,7 @@ class Matrix:
             raise DimensionMismatch("blocks need an even size")
         if self._fl is not None:
             return tuple(Matrix._of_floats(self._fl[0], q) for q in _quarters(self._fl[1], h))
-        d, a, b = self._scaled()
+        d, a, b = self._form
         return tuple(_reduced(d, _flat(x), _flat(y), h)
                      for x, y in zip(_quarters(a, h), _quarters(b, h) if b else [None] * 4))
 
@@ -240,7 +230,7 @@ def join(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
     if any(m._fl is not None for m in parts):
         eps, rows = zip(*[m._floats() for m in parts])
         return Matrix._of_floats(max(eps), tuple(_side_by_side(*rows)))
-    forms = [m._scaled() for m in parts]
+    forms = [m._form for m in parts]
     # Over d = lcm(d_i) reduced blocks join reduced: a prime p | d divides some
     # d_i as often as d, so p divides neither d / d_i nor (that block being
     # reduced) all of its numerators, nor hence all of the joined ones.
@@ -288,7 +278,7 @@ def is_orthogonal(m: Matrix) -> bool:
                 if abs(dot - (1.0 if i == j else 0.0)) > eps:
                     return False
         return True
-    return kernel.is_orthogonal(*m._scaled())
+    return kernel.is_orthogonal(*m._form)
 
 
 def is_special_orthogonal(m: Matrix) -> bool:
@@ -358,7 +348,7 @@ def trace_inner_product(a: Matrix, b: Matrix):
     if a.n != b.n:
         raise DimensionMismatch("size mismatch")
     if a._fl is None and b._fl is None:
-        (da, aa, ab), (db, ba, bb) = a._scaled(), b._scaled()
+        (da, aa, ab), (db, ba, bb) = a._form, b._form
         x, y = kernel.zdot((_flat(aa), _flat(ab)), (_flat(ba), _flat(bb)))
         return kernel.unscale(da * db * a.n, [x], [y] if y else None)[0]
     (ea, fa), (eb, fb) = a._floats(), b._floats()

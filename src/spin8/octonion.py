@@ -22,11 +22,11 @@ the form decides the backend:
   acts as +0.0 in every float operation, but it negates to 0 and formats as
   "0", as the exact zero it stands for did; -0.0 stays -0.0.
 
-An octonion built from coefficients keeps them and builds its exact form on
-first use; one computed on a form builds scalar ``coeffs`` only when they
-are read.  Products run on one straight-line kernel written out from the
-table, ``mul_lines``: on floats, and on the integer parts of exact forms,
-combined over Z[sqrt 3] by ``kernel.zmul``.
+``Octonion(coeffs)`` builds its form at construction and keeps the
+coefficients as the read-only view ``coeffs``, which an octonion computed on
+a form builds only when read.  Products run on one straight-line kernel
+written out from the table, ``mul_lines``: on floats, and on the integer
+parts of exact forms, combined over Z[sqrt 3] by ``kernel.zmul``.
 """
 
 from __future__ import annotations
@@ -176,9 +176,9 @@ def mul_coeffs(x, y):
 class Octonion:
     """8-vector of scalars with the Cayley-Dickson product.
 
-    ``_coeffs`` holds the scalars once known, ``_form`` the exact kernel form
-    once built and ``_fl`` the float form of a float octonion (None for an
-    exact one).  An octonion computed on a form starts from the form alone.
+    Every octonion holds exactly one form from birth: ``_form``, the exact
+    kernel form, or ``_fl``, the float form; ``_coeffs`` holds the scalar
+    view once known.  One computed on a form starts from the form alone.
     A float octonion has one tolerance, its form's eps: its norms and
     translations carry that eps, and a product or comparison of two
     octonions the larger of theirs.
@@ -191,10 +191,10 @@ class Octonion:
         if len(coeffs) != 8:
             raise ValueError("octonion needs exactly 8 coefficients")
         self._coeffs = coeffs
-        self._form = None
         eps = approx_eps(coeffs)
         self._fl = (eps, tuple([float(v) if v or type(v) is ApproxReal else 0
                                 for v in coeffs])) if eps else None
+        self._form = None if eps else kernel.scale(coeffs)
 
     @classmethod
     def _of_form(cls, form) -> "Octonion":
@@ -225,18 +225,12 @@ class Octonion:
                 self._coeffs = tuple(kernel.unscale(*self._form))
         return self._coeffs
 
-    def _scaled(self):
-        """Kernel form (d, a, b) of an exact octonion."""
-        if self._form is None:
-            self._form = kernel.scale(self._coeffs)
-        return self._form
-
     def _floats(self):
         """(eps, floats): the float form, or (0.0, the coefficients as floats)
         for an exact octonion."""
         if self._fl is not None:
             return self._fl
-        return 0.0, kernel.to_floats(*self._scaled())
+        return 0.0, kernel.to_floats(*self._form)
 
     @classmethod
     def basis(cls, i: int) -> "Octonion":
@@ -251,7 +245,7 @@ class Octonion:
         if self._fl is not None:
             eps, f = self._fl
             return Octonion._of_floats(eps, tuple([-v for v in f]))
-        d, a, b = self._scaled()
+        d, a, b = self._form
         return Octonion._of_form((d, [-v for v in a], b and [-v for v in b]))
 
     def __mul__(self, other):
@@ -261,8 +255,8 @@ class Octonion:
             ex, x = self._floats()
             ey, y = other._floats()
             return Octonion._of_floats(max(ex, ey), mul_lines(x, y, 0.0))
-        dx, xa, xb = self._scaled()
-        dy, ya, yb = other._scaled()
+        dx, xa, xb = self._form
+        dy, ya, yb = other._form
         pa, pb = kernel.zmul(mul_lines, (xa, xb), (ya, yb))
         return Octonion._of_form(kernel.reduce(dx * dy, pa, pb))
 
@@ -270,7 +264,7 @@ class Octonion:
         if self._fl is not None:
             eps, f = self._fl
             return Octonion._of_floats(eps, (f[0],) + tuple([-v for v in f[1:]]))
-        d, a, b = self._scaled()
+        d, a, b = self._form
         return Octonion._of_form(
             (d, a[:1] + [-v for v in a[1:]], b and b[:1] + [-v for v in b[1:]]))
 
@@ -292,7 +286,7 @@ class Octonion:
         """
         if self._fl is not None:
             return ApproxReal._fast(self._float_norm(), self._fl[0])
-        d, a, b = self._scaled()
+        d, a, b = self._form
         x, y = kernel.zdot((a, b), (a, b))
         return kernel.unscale(d * d, [x], [y] if y else None)[0]
 
@@ -302,7 +296,7 @@ class Octonion:
         |a + b sqrt 3|^2 = d^2.  The zero vector is no unit at any tolerance."""
         if self._fl is not None:
             return any(self._fl[1]) and abs(self._float_norm() - 1.0) <= self._fl[0]
-        d, a, b = self._scaled()
+        d, a, b = self._form
         x, y = kernel.zdot((a, b), (a, b))
         return y == 0 and x == d * d
 
@@ -311,7 +305,7 @@ class Octonion:
             eps, f = self._fl
             first_zero = abs(f[0]) <= eps
         else:
-            _, a, b = self._scaled()
+            _, a, b = self._form
             first_zero = not a[0] and (b is None or not b[0])
         return first_zero and self.is_unit()
 
@@ -320,7 +314,7 @@ class Octonion:
             return NotImplemented
         if self._fl is None and other._fl is None:
             # reduced kernel forms are unique, see kernel
-            return self._scaled() == other._scaled()
+            return self._form == other._form
         ex, x = self._floats()
         ey, y = other._floats()
         # eps >= |x - y| at the larger tolerance, like ApproxReal.__eq__, and
@@ -368,7 +362,7 @@ def transform(m: Matrix, x: Octonion) -> Octonion:
     """The octonion m x for an 8x8 matrix m, computed on the forms of both."""
     if m._fl is not None or x._fl is not None:
         return Octonion._of_floats(*m.apply_floats(*x._floats()))
-    return Octonion._of_form(m.apply_scaled(*x._scaled()))
+    return Octonion._of_form(m.apply_form(*x._form))
 
 
 def _translation(x: Octonion, layout) -> Matrix:
@@ -384,7 +378,7 @@ def _translation(x: Octonion, layout) -> Matrix:
         f = [v if v else 0.0 for v in fl]
         signed = f + [-v if v else 0.0 for v in f]
         return Matrix._of_floats(eps, tuple([get(signed) for get in layout]))
-    d, a, b = x._scaled()
+    d, a, b = x._form
     return Matrix._of_form((d, _placed(a, layout), _placed(b, layout)))
 
 
@@ -436,7 +430,7 @@ def cube_root_of_unity(v: Octonion) -> Octonion:
         eps, f = v._fl
         h = SQRT3 * 0.5
         return Octonion._of_floats(eps, (-0.5,) + tuple([h * c if c else 0 for c in f[1:]]))
-    d, a, b = v._scaled()
+    d, a, b = v._form
     ra = [-d] + ([3 * y for y in b[1:]] if b else [0] * 7)
     return Octonion._of_form(kernel.reduce(2 * d, ra, [0] + a[1:]))
 
@@ -450,7 +444,7 @@ def format_octonion(x: Octonion) -> str:
     if x._fl is not None:
         parts = map(repr, x._fl[1])
     else:
-        parts = kernel.literals(*x._scaled())
+        parts = kernel.literals(*x._form)
     return "[" + ", ".join(parts) + "]"
 
 

@@ -182,7 +182,7 @@ class PolarSphere:
         return True
 
 
-AntipodalSet = namedtuple("AntipodalSet", "points v polar_intersections")
+AntipodalSet = namedtuple("AntipodalSet", "points polar_intersections")
 
 
 def antipodal_set(v: Octonion) -> AntipodalSet:
@@ -227,13 +227,13 @@ def antipodal_set(v: Octonion) -> AntipodalSet:
         for target in points:
             if not polar.point_group_fixes(target):
                 raise AntipodalityViolated(f"symmetry at {base!r} moves {target!r}")
-    return AntipodalSet(points, v, q == fix_tau_point(-v))
+    return AntipodalSet(points, q == fix_tau_point(-v))
 
 
 ScanRow = namedtuple("ScanRow", "t candidate accepted residual")
 
 
-class ScanReport(namedtuple("ScanReport", "v rows")):
+class ScanReport(namedtuple("ScanReport", "rows")):
     __slots__ = ()
 
     def accepted_candidates(self) -> list:
@@ -282,4 +282,4 @@ def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
         want = st.conj()
         rows.append(ScanRow(t=t, candidate=SpherePoint(st, pair),
                             accepted=(pair == want), residual=deviation(pair, want)))
-    return ScanReport(v, rows)
+    return ScanReport(rows)

@@ -81,9 +81,9 @@ def _triality_holds(a: Matrix, b: Matrix, c: Matrix) -> bool:
     if a._fl is not None or b._fl is not None or c._fl is not None:
         eps, cols = _float_cols(a, b, c)
         return _triality_defect(*cols)[1] <= eps
-    da, aa, ab = a._scaled()
-    db, ba, bb = b._scaled()
-    dc, ca, cb = c._scaled()
+    da, aa, ab = a._form
+    db, ba, bb = b._form
+    dc, ca, cb = c._form
     f = dc * da
     g = gcd(f, db)
     fa, fb = db // g, f // g
@@ -268,7 +268,7 @@ def _kconj(m: Matrix) -> Matrix:
         eps, rows = m._fl
         out = Matrix._of_floats(eps, _kconj_rows(rows))
     else:
-        d, a, b = m._scaled()
+        d, a, b = m._form
         out = Matrix._of_form((d, _kconj_rows(a), b and _kconj_rows(b)))
     out._so8 = m._so8
     return out

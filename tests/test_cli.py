@@ -178,6 +178,48 @@ def test_out_fifo_without_reader_is_a_usage_error(tmp_path, args):
     assert done.stderr.startswith("error: cannot write report")
 
 
+# Holds a read end of the FIFO open without waiting, says so, then opens it
+# again to block until a writer comes and copies what it writes to stdout.
+_FIFO_READER = """
+import os, sys
+held = os.open(sys.argv[1], os.O_RDONLY | os.O_NONBLOCK)
+print("ready", file=sys.stderr, flush=True)
+with open(sys.argv[1], "rb") as fh:
+    sys.stdout.buffer.write(fh.read())
+"""
+
+
+def test_out_fifo_reader_gets_the_report(tmp_path):
+    # the probe keeps the FIFO's write end and the report goes through it,
+    # so the reader sees one writer from the probe to the end of the report
+    # and no end of file before it.  Both sides are subprocesses with a
+    # timeout, so a hang fails the test instead of stalling the suite.
+    import subprocess
+
+    import spin8
+
+    fifo = tmp_path / "rep.fifo"
+    os.mkfifo(fifo)
+    src = os.path.dirname(os.path.dirname(spin8.__file__))
+    reader = subprocess.Popen([sys.executable, "-c", _FIFO_READER, str(fifo)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert reader.stderr.readline() == b"ready\n"
+        done = subprocess.run(
+            [sys.executable, "-m", "spin8.cli", "verify-all", "--trials", "1",
+             "--out", str(fifo)],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+        got, _ = reader.communicate(timeout=30)
+    finally:
+        reader.kill()
+        reader.wait()
+    assert done.returncode == 0, done.stderr
+    assert reader.returncode == 0
+    report = json.loads(got)
+    assert report["config"]["command"] == "verify-all"
+    assert len(report["checks"]) == 2 * len(checks.CHECKS)
+
+
 # SHA-256 of reports taken before the octonions computed on kernel forms.
 # The float cases pin the exact 0 that cube_root_of_unity (and conj) leave
 # in a zero coordinate, printed "0", against the "0.0" and "-0.0" of parsed
@@ -244,7 +286,8 @@ def test_antipodal_points_must_stay_distinct(capsys):
 
 def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
     # Matrices and octonions compute on their forms: in a whole run, exact
-    # scalars are made from a form only where a scalar is the result
+    # scalars become a form only in the Octonion and Matrix constructors,
+    # they are made from a form only where a scalar is the result
     # (Octonion.norm_sq, trace_inner_product), and a matrix is built from
     # scalar rows only by Matrix.identity and Matrix.scale.  No run builds
     # a scalar view of a form (Matrix.rows read while _rows is None,
@@ -256,10 +299,14 @@ def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
     from spin8.octonion import Octonion
 
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
-    unscaled, built, viewed = Counter(), Counter(), Counter()
+    scaled, unscaled, built, viewed = Counter(), Counter(), Counter(), Counter()
 
     def caller():
         return sys._getframe(2).f_code.co_name  # the program function that called
+
+    def scale(values, real=kernel.scale):
+        scaled[caller()] += 1
+        return real(values)
 
     def unscale(*args, real=kernel.unscale):
         unscaled[caller()] += 1
@@ -278,6 +325,7 @@ def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
             return real(self)
         monkeypatch.setattr(cls, name, property(get))
 
+    monkeypatch.setattr(kernel, "scale", scale)
     monkeypatch.setattr(kernel, "unscale", unscale)
     monkeypatch.setattr(Matrix, "__init__", init)
     lazy_view(Matrix, "rows")
@@ -285,8 +333,11 @@ def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "rep.json")
     for args in (["verify-all", "--trials", "2", "--backend", "both"],
                  ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"],
-                 ["fixset", "[0,1,0,0,0,0,0,0]"]):
+                 ["fixset", "[0,1,0,0,0,0,0,0]"],
+                 ["kai", "--trials", "2"],
+                 ["table"]):
         assert run(capsys, *args, "--out", out)[0] == 0
+    assert scaled and set(scaled) <= {"__init__"}
     assert unscaled and set(unscaled) <= {"norm_sq", "trace_inner_product"}
     assert built and set(built) <= {"identity", "scale"}
     assert not viewed, viewed

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spin8.linalg as linalg
+from spin8 import kernel
 from spin8.linalg import (
     DimensionMismatch,
     Matrix,
@@ -219,6 +220,56 @@ def test_matrix_json_round_trip():
         [[Rational(1, 2), 0], [0, 2]])
 
 
+def _exact(kind, a, b):
+    # the value a + b sqrt 3 as a scalar of type `kind`, where that type holds it
+    if b or kind == "quadext":
+        return QuadExt(a, b)
+    return int(a) if kind == "int" and a.denominator == 1 else a
+
+
+# (p, q, r, kinds): the value (p + r sqrt 3)/q and two scalar types to write it in
+_KINDS = st.sampled_from(["int", "fraction", "quadext"])
+_ENTRY = st.tuples(st.integers(-9, 9), st.integers(1, 12), st.sampled_from([0, 0, 1, -2]),
+                   st.tuples(_KINDS, _KINDS))
+
+
+def _twice(entries):
+    # the entries' values, once in each of their two scalar types
+    return [[_exact(kinds[k], Rational(p, q), Rational(r, q)) for p, q, r, kinds in entries]
+            for k in (0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ENTRY, min_size=8, max_size=8), st.lists(_ENTRY, min_size=1, max_size=16))
+def test_exact_values_are_built_on_their_reduced_forms(octo, entries):
+    # Octonion(coeffs) and Matrix(rows) of exact scalars hold their reduced
+    # kernel form from construction, the form a product computes, and the
+    # form depends on the values alone: ints, Fractions and QuadExt (with a
+    # zero sqrt-3 part or not) of one value give one form.
+    x, y = [Octonion(c) for c in _twice(octo)]
+    assert x._fl is None and y._fl is None
+    assert x._form == y._form == kernel.reduce(*x._form)
+    assert (x * Octonion.one())._form == x._form
+    n = math.isqrt(len(entries))
+    m, m2 = [Matrix(kernel.rows_of(flat, n)) for flat in _twice(entries[:n * n])]
+    assert m._fl is None and m2._fl is None and m.n == n
+    d, a, b = m._form
+    flat = (d, [v for r in a for v in r], b and [v for r in b for v in r])
+    assert m._form == m2._form and flat == kernel.reduce(*flat)
+    assert (m * Matrix.identity(n))._form == m._form
+
+
+def test_plain_float_entries_fail_at_construction():
+    # a float value is an ApproxReal at its tolerance; a bare Python float
+    # has no exact form, so the constructors reject it at once
+    with pytest.raises(AttributeError, match="denominator"):
+        Octonion((0.5,) + (0,) * 7)
+    with pytest.raises(AttributeError, match="denominator"):
+        Matrix([[0.5, 0], [0, 1]])
+    fb = FloatBackend(1e-9)
+    assert Matrix([[fb.scalar(0.5), 0], [0, 1]])._fl == (1e-9, ((0.5, 0.0), (0.0, 1.0)))
+
+
 def test_float_matrix_ops_fast_path():
     fb = FloatBackend(1e-9)
     rng = random.Random(7)
@@ -226,9 +277,9 @@ def test_float_matrix_ops_fast_path():
     b = random_rotation(rng, fb)
     ab = a * b
     assert all(isinstance(x, ApproxReal) for row in ab.rows for x in row)
-    assert ab == Matrix([[sum(float(a.rows[i][k]) * float(b.rows[k][j])
-                              for k in range(8)) for j in range(8)]
-                         for i in range(8)]).scale(fb.scalar(1))
+    assert ab == Matrix([[fb.scalar(sum(float(a.rows[i][k]) * float(b.rows[k][j])
+                                        for k in range(8))) for j in range(8)]
+                         for i in range(8)])
     v = Octonion(tuple(fb.scalar(c) for c in Octonion.basis(3).coeffs))
     av = transform(a, v).coeffs
     assert all(isinstance(x, ApproxReal) for x in av)

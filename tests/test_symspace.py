@@ -355,7 +355,8 @@ def test_antipodal_callers_build_two_witnesses_per_v(monkeypatch, capsys):
                         lambda s: calls.append(s) or real(s))
     for backend in (EXACT, FloatBackend(1e-9)):
         calls.clear()
-        _, n_v = checks._check_antipodal(backend, random.Random(17), 5)
+        n_v = checks._check_antipodal(checks.Judge(backend.exact), backend,
+                                      random.Random(17), 5)
         assert len(calls) == 2 * n_v
     calls.clear()
     # calls are counted in this process, so no section may run in a worker

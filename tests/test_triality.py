@@ -309,7 +309,7 @@ def test_json_round_trip_properties(seed, kind, backend):
         assert back.to_json() == m.to_json()
         for got in (n, back):
             if backend.exact:
-                assert got._scaled() == m._scaled()
+                assert got._form == m._form
             else:
                 assert [[repr(float(e)) for e in row] for row in got.rows] == \
                     [[repr(float(e)) for e in row] for row in m.rows]
@@ -368,7 +368,7 @@ def _fresh(m):
     # the same matrix on its form, with no SO(8) verdict yet
     if m._fl is not None:
         return Matrix._of_floats(*m._fl)
-    return Matrix._of_form(m._scaled())
+    return Matrix._of_form(m._form)
 
 
 def test_exact_verdicts_equal_a_fresh_verdict():
