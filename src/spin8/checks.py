@@ -304,6 +304,10 @@ def _check_g2(j, backend, rng, trials):
         if not diagonal:
             # contrapositive of "tau-fixed implies diagonal"
             j.expect(apply_tau(g) != g)
+            # negative control: is_g2 first tests the same A == B and A == C
+            # that was just found false, so on correct code it cannot fire at
+            # any eps
+            j.expect(not is_g2(g))
         else:
             j.expect(is_g2(g))
     return n
@@ -395,7 +399,11 @@ def _check_antipodal(j, backend, rng, trials):
         j.eq(sigma_sphere(o), o)
         j.expect(aset.polar_intersections)
         scan_trials = 10 * trials if i == 0 else 3
-        j.expect(maximality_scan(v, scan_trials, rng).closes_on((o, p, q)))
+        scan = maximality_scan(v, scan_trials, rng)
+        j.expect(scan.closes_on((o, p, q)))
+        # one row per random candidate plus the three fixed ones, t = 1, s
+        # and conj s
+        j.expect(len(scan.rows) == scan_trials + 3)
     return len(vs)
 
 

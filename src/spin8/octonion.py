@@ -90,15 +90,10 @@ def _unit_mul(i: int, j: int) -> tuple[int, int]:
     return (-s if lo_j == 0 else s, k)
 
 
+# TABLE[i][j] = (sign, k) with e_{i+1} * e_{j+1} = sign * e_{k+1} (0-based i, j, k)
 TABLE: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     tuple(_unit_mul(i, j) for j in range(8)) for i in range(8)
 )
-
-
-def unit_product(i: int, j: int) -> tuple[int, int]:
-    """(sign, k) with e_i * e_j = sign * e_k, all indices 1-based."""
-    s, k = TABLE[i - 1][j - 1]
-    return (s, k + 1)
 
 
 def table_rows() -> list[list[str]]:
@@ -323,9 +318,6 @@ class Octonion:
 
     def __repr__(self):
         return f"Octonion({format_octonion(self)})"
-
-    def __str__(self):
-        return format_octonion(self)
 
 
 _BASIS = tuple(

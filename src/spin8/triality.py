@@ -313,16 +313,8 @@ class GammaElement:
         self.t = t % 3
 
     @classmethod
-    def identity(cls) -> "GammaElement":
-        return cls(0, 0)
-
-    @classmethod
     def tau(cls) -> "GammaElement":
         return cls(0, 1)
-
-    @classmethod
-    def sigma(cls) -> "GammaElement":
-        return cls(1, 0)
 
     @classmethod
     def all_elements(cls) -> list["GammaElement"]:
@@ -342,9 +334,6 @@ class GammaElement:
     def inverse(self) -> "GammaElement":
         # reflections are involutions; rotations invert the tau power
         return GammaElement(self.s, self.t if self.s else -self.t)
-
-    def is_identity(self) -> bool:
-        return self.s == 0 and self.t == 0
 
     def __eq__(self, other):
         if not isinstance(other, GammaElement):
@@ -378,10 +367,6 @@ class SemidirectElement:
     def __init__(self, spin: TrialityTriple, gamma: GammaElement):
         self.spin = spin
         self.gamma = gamma
-
-    @classmethod
-    def identity(cls) -> "SemidirectElement":
-        return cls(TrialityTriple.identity(), GammaElement.identity())
 
     def __mul__(self, other):
         if not isinstance(other, SemidirectElement):

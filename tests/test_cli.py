@@ -731,3 +731,36 @@ def test_no_run_reaches_the_stdlib_encoder(tmp_path, capsys, monkeypatch):
                  ["table"]):
         assert run(capsys, *args, "--out", out)[0] == 0
     assert not calls
+
+
+# What perfbench reads of the package: child.py's set-up sample imports spin8
+# and calls spin8.TrialityTriple.identity(), micro.py imports its operands'
+# names, and tracer.install wraps every layer boundary by name.  A missing
+# wrap target makes a traced run report correct: false.
+_PERFBENCH_CONTRACT = """
+import sys
+import spin8
+spin8.TrialityTriple.identity()
+sys.path.insert(0, sys.argv[1])
+import micro
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer)
+print(tracer.missing)
+"""
+
+
+def test_perfbench_finds_every_name_it_reads():
+    # a subprocess, since install patches the spin8 modules for good
+    import subprocess
+
+    import spin8
+
+    src = os.path.dirname(os.path.dirname(spin8.__file__))
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    done = subprocess.run([sys.executable, "-c", _PERFBENCH_CONTRACT, perfbench],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

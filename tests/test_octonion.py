@@ -8,6 +8,7 @@ from spin8.octonion import (
     NotImaginaryUnit,
     NotUnit,
     Octonion,
+    TABLE,
     cube_root_of_unity,
     ensure_imaginary_unit,
     ensure_unit,
@@ -22,7 +23,6 @@ from spin8.octonion import (
     table_rows,
     to_backend,
     transform,
-    unit_product,
 )
 from spin8.scalars import (
     EXACT,
@@ -53,10 +53,11 @@ HAND_TABLE = [
 
 
 def test_table_matches_hand_oracle():
-    for i in range(1, 9):
-        for j in range(1, 9):
-            s, k = unit_product(i, j)
-            assert s * k == HAND_TABLE[i - 1][j - 1], (i, j)
+    # TABLE is 0-based, HAND_TABLE holds 1-based signed indices
+    for i in range(8):
+        for j in range(8):
+            s, k = TABLE[i][j]
+            assert s * (k + 1) == HAND_TABLE[i][j], (i, j)
 
 
 def test_table_rows_strings():

@@ -77,10 +77,10 @@ def test_gamma_sphere():
     o = base_point()
     rng = random.Random(3)
     pt = random_sphere_point(rng, EXACT)
-    assert gamma_sphere(GammaElement.identity(), pt) == pt
+    assert gamma_sphere(GammaElement(0, 0), pt) == pt
     assert gamma_sphere(GammaElement(1, 2), o) == o
     # sphere-level sigma tau sigma = tau^2
-    sigma, tau = GammaElement.sigma(), GammaElement.tau()
+    sigma, tau = GammaElement(1, 0), GammaElement.tau()
     st = gamma_sphere(sigma, gamma_sphere(tau, gamma_sphere(sigma, pt)))
     assert st == gamma_sphere(GammaElement(0, 2), pt)
 
@@ -124,6 +124,23 @@ def test_is_fixed_by_tau_negative_cases():
     rng = random.Random(6)
     pt = random_sphere_point(rng, EXACT)
     assert is_fixed_by_tau(pt) == tau_fixed_characterization(pt)
+
+
+def test_tau_fixed_characterization_does_not_evaluate_tau(monkeypatch):
+    # the characterization is the independent test of is_fixed_by_tau, so it
+    # must decide without tau_sphere
+    import spin8.symspace as symspace
+
+    def no_tau(pt):
+        raise AssertionError("tau_fixed_characterization evaluated tau_sphere")
+
+    monkeypatch.setattr(symspace, "tau_sphere", no_tau)
+    rng = random.Random(16)
+    for backend in (EXACT, FloatBackend(1e-9)):
+        v = random_imaginary_unit(rng, backend)
+        assert tau_fixed_characterization(fix_tau_point(v))
+        assert not tau_fixed_characterization(random_sphere_point(rng, backend))
+    assert tau_fixed_characterization(base_point())
 
 
 def test_diagonal_meets_fixed_set_only_at_base():
