@@ -345,6 +345,9 @@ def _check_descent(j, backend, rng, trials):
     return trials
 
 
+_TWO = Octonion((2, 0, 0, 0, 0, 0, 0, 0))
+
+
 def _check_fixed_sets(j, backend, rng, trials):
     n = max(1, trials // 2)
     o = base_point()
@@ -358,6 +361,14 @@ def _check_fixed_sets(j, backend, rng, trials):
         j.eq(fix_tau_point(-v), sigma_sphere(p))
         x = random_unit_octonion(rng, backend)
         j.eq(sigma_sphere(SpherePoint(x, x)), SpherePoint(x, x))
+        if backend.exact:
+            # negative control: |2x|^2 = |2|^2 |x|^2 = 4 != 1, so a sphere
+            # point, whose coordinates are units, cannot have 2x as one
+            try:
+                SpherePoint(x * _TWO, x)
+                j.expect(False)
+            except NotUnit:
+                pass
         pt = random_sphere_point(rng, backend)
         if is_fixed_by_tau(pt) != tau_fixed_characterization(pt):
             j.expect(False)
@@ -549,13 +560,15 @@ def run_checks(cfg: RunConfig, names=None) -> list[CheckResult]:
     return _run_jobs(jobs, _dispatch_order(pairs))
 
 
-# The two largest jobs of every measured run: kai-property and
-# triality-closure take 29% and 17% of verify-all --backend exact --trials 6,
-# 26% and 22% of the float battery, and 20% + 13% (kai, exact + float) and
-# 12% + 8% (closure) of the default run.  Started last, as in report order,
-# kai outlasts the rest of the battery on the other CPU: on 2 CPUs the float
-# battery (seed 7, median of 3 runs) took 3.55 s serially, 2.72 s dispatched
-# in report order and 2.04 s with these two first.
+# The two largest jobs of the float battery and of the default run: by the
+# CPU of each job run in one process at seed 0, kai-property and
+# triality-closure take 34% and 20% of the float battery, and 14% + 19%
+# (kai, exact + float) and 7% + 12% (closure) of the default run.  On
+# verify-all --backend exact --trials 6 they take 26% and 13%, and
+# s3-relations (20%) has passed closure there.  Started last, as in report
+# order, kai outlasts the rest of the battery on the other CPU: on 2 CPUs
+# the float battery (seed 7, median of 3 runs) took 3.55 s serially, 2.72 s
+# dispatched in report order and 2.04 s with these two first.
 _HEAVIEST_FIRST = ("kai-property", "triality-closure")
 
 

@@ -120,7 +120,11 @@ class Matrix:
             eps, rows = self._fl
             return Matrix._of_floats(eps, tuple(zip(*rows)))
         d, a, b = self._form
-        return Matrix._of_form((d, columns(a), columns(b)))
+        out = Matrix._of_form((d, columns(a), columns(b)))
+        # the exact verdict carries: for square M, M^t M = I iff M M^t = I
+        # (a one-sided inverse is two-sided), and det M^t = det M
+        out._so8 = self._so8
+        return out
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -137,7 +141,12 @@ class Matrix:
         da, a, ab = self._form
         db, b, bb = other._form
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
-        return _reduced(da * db, pa, pb, n)
+        out = _reduced(da * db, pa, pb, n)
+        # SO(n) is a group: (AB)^t AB = B^t (A^t A) B = I and det AB =
+        # det A det B = 1; any other pair of verdicts leaves AB's unknown
+        if self._so8 and other._so8:
+            out._so8 = True
+        return out
 
     def apply_floats(self, eps: float, vec):
         """(tolerance, floats) of M v for v given as floats at tolerance eps
@@ -287,10 +296,16 @@ def is_special_orthogonal(m: Matrix) -> bool:
     matrix, see ``_so8_verdict``).
 
     The verdict is computed once per matrix object and kept in ``m._so8``;
-    matrices are immutable, so it cannot go stale.  Two places set it
-    without this test: ``triality._kconj`` copies it to kmk, and the exact
-    ``TrialityTriple`` constructor sets True on all three components, which
-    its Gram tests and the 64-pair identity prove special orthogonal.
+    matrices are immutable, so it cannot go stale.  Five places set it
+    without this test, each with its proof beside it: an exact L(x) or R(x)
+    gets ``x.is_unit()`` (``octonion._translation``); an exact product of
+    two True factors is True (``Matrix.__mul__``); an exact transpose copies
+    it (``Matrix.transpose``); ``triality._kconj`` copies it to kmk, on both
+    backends; and the exact ``TrialityTriple`` constructor sets True on all
+    three components, which its Gram tests and the 64-pair identity prove
+    special orthogonal.  Float translations, products and transposes carry
+    none: a tolerance verdict on m says nothing bit-exact about the floats
+    of a rounded product or of m^t.
     """
     if m._so8 is None:
         m._so8 = _so8_verdict(m)

@@ -363,7 +363,12 @@ def _translation(x: Octonion, layout) -> Matrix:
 
     A float octonion gives a float matrix at its form's tolerance, with +0.0
     for every zero; an exact one gives the kernel form, whose signed and
-    permuted entries stay reduced.
+    permuted entries stay reduced, and which carries its SO(8) verdict:
+    x.is_unit().  Proof: |xy| = |x||y| gives L(x)^t L(x) = R(x)^t R(x) =
+    |x|^2 I, so |det L(x)| = |det R(x)| = |x|^8; the determinant is
+    continuous and nonzero on the nonzero octonions, a connected set, and 1
+    at x = 1, so det L(x) = det R(x) = |x|^8, and the matrix is in SO(8) iff
+    |x|^2 = 1.
     """
     if x._fl is not None:
         eps, fl = x._fl
@@ -371,7 +376,9 @@ def _translation(x: Octonion, layout) -> Matrix:
         signed = f + [-v if v else 0.0 for v in f]
         return Matrix._of_floats(eps, tuple([get(signed) for get in layout]))
     d, a, b = x._form
-    return Matrix._of_form((d, _placed(a, layout), _placed(b, layout)))
+    m = Matrix._of_form((d, _placed(a, layout), _placed(b, layout)))
+    m._so8 = x.is_unit()
+    return m
 
 
 def left_translation(x: Octonion) -> Matrix:

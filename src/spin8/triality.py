@@ -150,6 +150,11 @@ def _exact_triple(a: Matrix, b: Matrix, c: Matrix) -> bool:
        gives c'(w conj c') = w, so w conj c' = conj c' w for every w, c' =
        +-1 and wu = uw, false on e2e3 = e4 = -e3e2.
 
+    A and B may arrive decided: an exact translation, product, transpose or
+    kmk carries its verdict (``linalg.is_special_orthogonal``), so the Gram
+    test runs only on a matrix whose verdict is unknown, and a False one
+    fails at once.  The 64-pair identity runs on every triple.
+
     Float matrices give False: a tolerance test does not carry the proof.
     """
     if a._fl is not None or b._fl is not None or c._fl is not None or not (
@@ -172,10 +177,11 @@ def triality_residual(a: Matrix, b: Matrix, c: Matrix) -> float:
 class TrialityTriple:
     """A verified triple (A, B, C); the concrete model of a group element.
 
-    On exact matrices the constructor tests A^t A = B^t B = I and the 64-pair
-    identity, and on success sets the SO(8) verdict of A, B and C to True
-    (proof in ``_exact_triple``).  When that fails, and on floats, it tests
-    SO(8) of A, B, then C, then the identity, and raises the first failure.
+    On exact matrices the constructor tests A^t A = B^t B = I, where A or B
+    carries no verdict yet, and the 64-pair identity, and on success sets
+    the SO(8) verdict of A, B and C to True (proof in ``_exact_triple``).
+    When that fails, and on floats, it tests SO(8) of A, B, then C, then the
+    identity, and raises the first failure.
     """
 
     # _inv/_tau/_sigma memoize *freshly verified* images, forward only: a

@@ -348,15 +348,29 @@ def test_exact_triples_take_no_determinant(tmp_path, capsys, monkeypatch):
     # identity (triality._exact_triple): no determinant is computed while a
     # triple is constructed, in the battery or in the antipodal sections.
     # (_det_float is the one determinant; float triples do take it.)
-    from spin8 import linalg
+    # Every exact triple still runs the 64-pair identity, but its A and B
+    # arrive with their SO(8) verdicts carried by exact algebra (translations,
+    # products, transposes, kmk), so the only Gram tests left inside a
+    # constructor are the identity triple's two: Matrix.identity(8) is built
+    # from rows and carries no verdict, and it is tested as A and as B.
+    from spin8 import kernel, linalg, triality
     from spin8.triality import TrialityTriple
 
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
-    exact, inside, built = [], [], [0]
+    monkeypatch.setattr(TrialityTriple, "_cached_identity", None)
+    exact, inside, built, grams, holds = [], [], [0], [0], [0]
 
     def det(*args, real=linalg._det_float):
         if exact and exact[-1]:
             inside.append(args)
+        return real(*args)
+
+    def gram(*args, real=kernel.is_orthogonal):
+        grams[0] += bool(exact and exact[-1])
+        return real(*args)
+
+    def identity(*args, real=triality._triality_holds):
+        holds[0] += bool(exact and exact[-1])
         return real(*args)
 
     def init(self, a, b, c, real=TrialityTriple.__init__):
@@ -368,12 +382,16 @@ def test_exact_triples_take_no_determinant(tmp_path, capsys, monkeypatch):
             exact.pop()
 
     monkeypatch.setattr(linalg, "_det_float", det)
+    monkeypatch.setattr(kernel, "is_orthogonal", gram)
+    monkeypatch.setattr(triality, "_triality_holds", identity)
     monkeypatch.setattr(TrialityTriple, "__init__", init)
     out = str(tmp_path / "rep.json")
     for args in (["verify-all", "--backend", "exact", "--trials", "2"],
                  ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"]):
         assert run(capsys, *args, "--out", out)[0] == 0
     assert built[0] and not inside
+    assert grams[0] == 2
+    assert holds[0] == built[0]
 
 
 def test_antipodal(capsys):

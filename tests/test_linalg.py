@@ -168,6 +168,75 @@ def test_so8_verdict_refuses_exact_matrices_beyond_its_proof():
     assert is_special_orthogonal(Matrix.identity(32))
 
 
+def _fresh(m):
+    # the same matrix on its form, with no SO(n) verdict yet
+    return Matrix._of_form(m._form)
+
+
+_TRANSLATED = {
+    "unit": lambda rng: random_unit_octonion(rng, EXACT),
+    "non-unit": lambda rng: Octonion((Rational(3, 5), Rational(4, 5), 1, 0, 0, 0, 0, 0)),
+    "zero": lambda rng: Octonion((0,) * 8),
+    "rational-unit": lambda rng: Octonion((0, 0, Rational(5, 13), 0, 0, 0, Rational(-12, 13), 0)),
+    "cube-root": lambda rng: cube_root_of_unity(random_imaginary_unit(rng, EXACT)),
+    "sqrt3-non-unit": lambda rng: Octonion((QuadExt(Rational(1, 2), Rational(1, 2)),) + (0,) * 7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TRANSLATED))
+def test_exact_translation_carries_the_fresh_verdict(kind):
+    # octonion._translation sets L(x) and R(x) in SO(8) iff x is a unit
+    # (|xy| = |x||y| and det L(x) = |x|^8); each carried verdict is the one
+    # linalg computes afresh, Gram and determinant
+    x = _TRANSLATED[kind](random.Random(31))
+    unit = kind in ("unit", "rational-unit", "cube-root")
+    assert x.is_unit() is unit
+    for make in (left_translation, right_translation):
+        m = make(x)
+        assert m._so8 is unit
+        assert linalg._so8_verdict(_fresh(m)) is unit
+
+
+def test_exact_products_and_transposes_carry_the_fresh_verdict():
+    rng = random.Random(32)
+    s = random_unit_octonion(rng, EXACT)
+    u = cube_root_of_unity(random_imaginary_unit(rng, EXACT))
+    rot = left_translation(s) * right_translation(u)  # True times True
+    assert rot._so8 is True and linalg._so8_verdict(_fresh(rot)) is True
+    reflect = Matrix([[(-1 if i == j == 0 else int(i == j)) for j in range(8)]
+                      for i in range(8)])
+    assert is_special_orthogonal(reflect) is False
+    non_unit = left_translation(Octonion((1, 1, 0, 0, 0, 0, 0, 0)))
+    undecided = random_rotation(rng, EXACT)
+    assert non_unit._so8 is False and undecided._so8 is None
+    # a False or unknown factor decides nothing: the product is unknown,
+    # whatever its fresh verdict (a reflection times a rotation is False,
+    # a rotation times a rotation True)
+    for a, b, fresh in ((rot, reflect, False), (reflect, rot, False),
+                        (non_unit, rot, False), (rot, undecided, True),
+                        (undecided, rot, True), (reflect, reflect, True)):
+        p = a * b
+        assert p._so8 is None and linalg._so8_verdict(_fresh(p)) is fresh
+    # a transpose carries True, False and None unchanged
+    for m in (rot, reflect, non_unit, rot * reflect):
+        t = m.transpose()
+        assert t._so8 is m._so8
+        if m._so8 is not None:
+            assert linalg._so8_verdict(_fresh(t)) is m._so8
+
+
+def test_float_translations_products_and_transposes_carry_no_verdict():
+    # a tolerance verdict says nothing bit-exact about other floats
+    fb = FloatBackend(1e-9)
+    rng = random.Random(33)
+    a = left_translation(random_unit_octonion(rng, fb))
+    b = right_translation(random_unit_octonion(rng, fb))
+    assert a._so8 is None and b._so8 is None
+    assert is_special_orthogonal(a) and is_special_orthogonal(b)
+    assert (a * b)._so8 is None and a.transpose()._so8 is None
+    assert (a * left_translation(random_unit_octonion(rng, EXACT)))._so8 is None
+
+
 def test_special_orthogonal_predicate():
     assert is_special_orthogonal(Matrix.identity(8))
     reflect = [[(-1 if i == j == 0 else (1 if i == j else 0)) for j in range(8)]

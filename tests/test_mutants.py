@@ -1,0 +1,69 @@
+"""Model mutants that the battery itself must kill.
+
+Each test applies one fault to the model in process, runs
+``verify-all --backend exact --trials 3`` with every job in this process, and
+asserts exit 1 with the named rows failing.  No mutant touches ``checks``.
+"""
+
+import json
+
+import pytest
+
+from spin8 import checks, kernel, octonion, symspace
+from spin8.cli import main
+from spin8.triality import TrialityTriple
+
+# every exact row but octonion-axioms and fixed-sets, which compute on
+# octonion products, not on L(x) or matrix products, and so pass under both
+# matrix mutants
+_TRIPLE_ROWS = {
+    "left-translation-sandwich", "clifford-embedding", "triality-closure",
+    "tau-order-three", "sigma-involution", "s3-relations", "g2-fixed-group",
+    "isotropy-at-base", "sphere-descent", "kai-property", "antipodal-triple",
+}
+
+
+def _matmul_off_by_one(monkeypatch):
+    # every exact product gains 1 in its first entry; A and B of a product
+    # triple arrive with a carried SO(8) verdict, so no Gram test sees it,
+    # and the 64-pair identity must
+    real = kernel.matmul
+
+    def matmul(rows, cols):
+        out = real(rows, cols)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(kernel, "matmul", matmul)
+
+
+def _left_rows_swapped(monkeypatch):
+    # rows 3 and 4 of every L(x) swapped: still a signed permutation of the
+    # coefficients, so orthogonal, and only the 64-pair identity can see it
+    layout = list(octonion._LEFT)
+    layout[2], layout[3] = layout[3], layout[2]
+    monkeypatch.setattr(octonion, "_LEFT", layout)
+
+
+def _sphere_point_takes_any_pair(monkeypatch):
+    # M8: SpherePoint drops its two unit checks
+    monkeypatch.setattr(symspace, "ensure_unit", lambda x: x)
+
+
+@pytest.mark.parametrize("mutate, rows", [
+    (_matmul_off_by_one, _TRIPLE_ROWS),
+    (_left_rows_swapped, _TRIPLE_ROWS),
+    (_sphere_point_takes_any_pair, {"fixed-sets"}),
+], ids=["matmul-off-by-one", "left-rows-swapped", "sphere-point-takes-any-pair"])
+def test_battery_kills_mutant(tmp_path, capsys, monkeypatch, mutate, rows):
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # the mutant is in this process
+    # an identity triple built under the mutant must not outlive the test
+    monkeypatch.setattr(TrialityTriple, "_cached_identity", None)
+    mutate(monkeypatch)
+    out = tmp_path / "rep.json"
+    code = main(["verify-all", "--backend", "exact", "--trials", "3", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    failing = {r["name"] for r in json.loads(out.read_text())["checks"]
+               if r["status"] != "pass"}
+    assert rows <= failing
