@@ -229,6 +229,16 @@ def _check_clifford(j, backend, rng, trials):
             j.expect(False)  # a generic rotation pair must be rejected
         except NotVectorShaped:
             pass
+        # and the triple constructor must refuse the same pair by its
+        # identity: C = R(conj(a e1)) b is in SO(8), a e1 being a unit, so
+        # NotOrthogonal cannot fire; were the triple built, (a, b) would be in
+        # the group and ad_conjugate would send embed(x) to embed(Cx),
+        # against the control above
+        try:
+            triple_from_pair(a, b)
+            j.expect(False)
+        except TrialityViolated:
+            pass
     return n
 
 

@@ -255,6 +255,9 @@ def _antipodal_section(cfg: RunConfig, v, backend):
     report_scan = maximality_scan(v, cfg.trials, rng)
     accepted = report_scan.accepted_candidates()
     scan_ok = report_scan.closes_on(aset.points)
+    # a failing scan counts the accepted candidates that are none of o, p, q
+    extra = 0 if scan_ok else sum(
+        not any(c == x for x in aset.points) for c in accepted)
     section = {
         "backend": backend.name,
         "v": format_octonion(v),
@@ -264,7 +267,7 @@ def _antipodal_section(cfg: RunConfig, v, backend):
         "maximality": {
             "trials": cfg.trials,
             "accepted": len(accepted),
-            "extra_acceptances": 0 if scan_ok else len(accepted),
+            "extra_acceptances": extra,
             "candidates": _candidates(report_scan.rows, _SECTION + "    "),
         },
     }

@@ -296,14 +296,12 @@ def is_special_orthogonal(m: Matrix) -> bool:
     matrix, see ``_so8_verdict``).
 
     The verdict is computed once per matrix object and kept in ``m._so8``;
-    matrices are immutable, so it cannot go stale.  Five places set it
+    matrices are immutable, so it cannot go stale.  Four places set it
     without this test, each with its proof beside it: an exact L(x) or R(x)
     gets ``x.is_unit()`` (``octonion._translation``); an exact product of
     two True factors is True (``Matrix.__mul__``); an exact transpose copies
-    it (``Matrix.transpose``); ``triality._kconj`` copies it to kmk, on both
-    backends; and the exact ``TrialityTriple`` constructor sets True on all
-    three components, which its Gram tests and the 64-pair identity prove
-    special orthogonal.  Float translations, products and transposes carry
+    it (``Matrix.transpose``); and ``triality._kconj`` copies it to kmk, on
+    both backends.  Float translations, products and transposes carry
     none: a tolerance verdict on m says nothing bit-exact about the floats
     of a rounded product or of m^t.
     """

@@ -27,7 +27,7 @@ from math import gcd
 from operator import add, sub
 
 from .kernel import columns, max_abs, pack, zdot
-from .linalg import Matrix, NotOrthogonal, is_orthogonal, is_special_orthogonal
+from .linalg import Matrix, NotOrthogonal, is_special_orthogonal
 from .octonion import (
     Octonion,
     TABLE,
@@ -133,55 +133,14 @@ def _triality_defect(acols, bcols, ccols):
     return at, worst
 
 
-def _exact_triple(a: Matrix, b: Matrix, c: Matrix) -> bool:
-    """Whether exact 8x8 A, B, C pass A^t A = B^t B = I and the 64-pair identity.
-
-    True sets the SO(8) verdict of all three, since the three facts imply it
-    (the principle of triality: J. Baez, "The Octonions", Bull. AMS 39, 2002):
-
-    1. x = 1 gives B = L(c)A, c = Ce1, so L(c) = BA^t is orthogonal: |c| = 1.
-    2. y = 1 gives C = R(conj a)B, a = Ae1 a unit: C is orthogonal.
-    3. det L(u) = det R(u) = 1 for a unit u (S^7 is connected, L(1) = I), so
-       det A = det B = det C.
-    4. Were det A = -1, Ak (k: conjugation) would be in SO(8) and so have a
-       triple T.  Products and inverses of triples are triples, so T^-1 (A,
-       B, C) = (k, B', C') is one: B'(xy) = (C'x) conj y.  Then B' = C' =
-       L(c')k with c' a unit, and c'(wu) = (c'u)w for all u, w; u = conj c'
-       gives c'(w conj c') = w, so w conj c' = conj c' w for every w, c' =
-       +-1 and wu = uw, false on e2e3 = e4 = -e3e2.
-
-    A and B may arrive decided: an exact translation, product, transpose or
-    kmk carries its verdict (``linalg.is_special_orthogonal``), so the Gram
-    test runs only on a matrix whose verdict is unknown, and a False one
-    fails at once.  The 64-pair identity runs on every triple.
-
-    Float matrices give False: a tolerance test does not carry the proof.
-    """
-    if a._fl is not None or b._fl is not None or c._fl is not None or not (
-            a.n == b.n == c.n == 8):
-        return False
-    for m in (a, b):
-        if not (m._so8 if m._so8 is not None else is_orthogonal(m)):
-            return False
-    if not _triality_holds(a, b, c):
-        return False
-    a._so8 = b._so8 = c._so8 = True
-    return True
-
-
-def triality_residual(a: Matrix, b: Matrix, c: Matrix) -> float:
-    """Largest float deviation of B(xy) - (Cx)(Ay) over the 64 basis pairs."""
-    return _triality_defect(*_float_cols(a, b, c)[1])[1]
-
-
 class TrialityTriple:
     """A verified triple (A, B, C); the concrete model of a group element.
 
-    On exact matrices the constructor tests A^t A = B^t B = I, where A or B
-    carries no verdict yet, and the 64-pair identity, and on success sets
-    the SO(8) verdict of A, B and C to True (proof in ``_exact_triple``).
-    When that fails, and on floats, it tests SO(8) of A, B, then C, then the
-    identity, and raises the first failure.
+    The constructor runs one sequence on both backends: SO(8) of A, B, then
+    C, then the 64-pair identity, and raises the first failure.  An exact
+    translation, product, transpose or kmk carries its SO(8) verdict
+    (``linalg.is_special_orthogonal``), so on an exact triple built from
+    those the three SO(8) tests are reads of that verdict.
     """
 
     # _inv/_tau/_sigma memoize *freshly verified* images, forward only: a
@@ -191,12 +150,11 @@ class TrialityTriple:
     _cached_identity = None
 
     def __init__(self, a: Matrix, b: Matrix, c: Matrix):
-        if not _exact_triple(a, b, c):
-            for name, m in (("A", a), ("B", b), ("C", c)):
-                if m.n != 8 or not is_special_orthogonal(m):
-                    raise NotOrthogonal(f"component {name} is not in SO(8)")
-            if not _triality_holds(a, b, c):
-                raise TrialityViolated(*_triality_defect(*_float_cols(a, b, c)[1]))
+        for name, m in (("A", a), ("B", b), ("C", c)):
+            if m.n != 8 or not is_special_orthogonal(m):
+                raise NotOrthogonal(f"component {name} is not in SO(8)")
+        if not _triality_holds(a, b, c):
+            raise TrialityViolated(*_triality_defect(*_float_cols(a, b, c)[1]))
         self.A = a
         self.B = b
         self.C = c
@@ -229,7 +187,8 @@ class TrialityTriple:
         return self.A == other.A and self.B == other.B and self.C == other.C
 
     def triality_residual(self) -> float:
-        return triality_residual(self.A, self.B, self.C)
+        """Largest float deviation of B(xy) - (Cx)(Ay) over the 64 basis pairs."""
+        return _triality_defect(*_float_cols(self.A, self.B, self.C)[1])[1]
 
     def to_json(self) -> dict:
         return {"A": self.A.to_json(), "B": self.B.to_json(), "C": self.C.to_json()}

@@ -343,31 +343,27 @@ def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
     assert not viewed, viewed
 
 
-def test_exact_triples_take_no_determinant(tmp_path, capsys, monkeypatch):
-    # An exact triple is decided by the Gram tests of A and B and the 64-pair
-    # identity (triality._exact_triple): no determinant is computed while a
-    # triple is constructed, in the battery or in the antipodal sections.
-    # (_det_float is the one determinant; float triples do take it.)
-    # Every exact triple still runs the 64-pair identity, but its A and B
-    # arrive with their SO(8) verdicts carried by exact algebra (translations,
-    # products, transposes, kmk), so the only Gram tests left inside a
-    # constructor are the identity triple's two: Matrix.identity(8) is built
-    # from rows and carries no verdict, and it is tested as A and as B.
-    from spin8 import kernel, linalg, triality
-    from spin8.triality import TrialityTriple
+def test_exact_triples_arrive_decided(tmp_path, capsys, monkeypatch):
+    # Every triple runs one sequence: SO(8) of A, B and C, then the 64-pair
+    # identity.  An exact triple of the battery or of an antipodal section
+    # is built from translations by products, transposes and kmk, which
+    # carry their SO(8) verdicts, so the only verdict computed inside an
+    # exact constructor is the identity triple's: Matrix.identity(8) is built
+    # from rows, and A, B and C are that one matrix.  The 64-pair identity
+    # runs once in every exact constructor, failures included (the clifford
+    # control's rotation pairs are refused by it).
+    from spin8 import linalg, triality
+    from spin8.linalg import Matrix
+    from spin8.triality import TrialityTriple, TrialityViolated
 
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
     monkeypatch.setattr(TrialityTriple, "_cached_identity", None)
-    exact, inside, built, grams, holds = [], [], [0], [0], [0]
+    exact, verdicts, built, refused, holds = [], [], [0], [0], [0]
 
-    def det(*args, real=linalg._det_float):
+    def verdict(m, real=linalg._so8_verdict):
         if exact and exact[-1]:
-            inside.append(args)
-        return real(*args)
-
-    def gram(*args, real=kernel.is_orthogonal):
-        grams[0] += bool(exact and exact[-1])
-        return real(*args)
+            verdicts.append(m)
+        return real(m)
 
     def identity(*args, real=triality._triality_holds):
         holds[0] += bool(exact and exact[-1])
@@ -378,19 +374,22 @@ def test_exact_triples_take_no_determinant(tmp_path, capsys, monkeypatch):
         built[0] += exact[-1]
         try:
             real(self, a, b, c)
+        except TrialityViolated:
+            refused[0] += exact[-1]
+            raise
         finally:
             exact.pop()
 
-    monkeypatch.setattr(linalg, "_det_float", det)
-    monkeypatch.setattr(kernel, "is_orthogonal", gram)
+    monkeypatch.setattr(linalg, "_so8_verdict", verdict)
     monkeypatch.setattr(triality, "_triality_holds", identity)
     monkeypatch.setattr(TrialityTriple, "__init__", init)
     out = str(tmp_path / "rep.json")
     for args in (["verify-all", "--backend", "exact", "--trials", "2"],
-                 ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"]):
+                 ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--backend", "exact",
+                  "--trials", "20"]):
         assert run(capsys, *args, "--out", out)[0] == 0
-    assert built[0] and not inside
-    assert grams[0] == 2
+    assert built[0] and refused[0]
+    assert verdicts == [Matrix.identity(8)]
     assert holds[0] == built[0]
 
 
@@ -498,6 +497,30 @@ def test_antipodal_hostile_eps_fails_cleanly(capsys):
     assert out == ""
     assert err.startswith("error:") and "NotOrthogonal" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row, accepted, total, extra", [(5, True, 4, 1), (0, False, 2, 0)],
+                         ids=["random-row-accepted", "closed-form-row-rejected"])
+def test_failing_scan_counts_only_extra_acceptances(tmp_path, capsys, monkeypatch,
+                                                   row, accepted, total, extra):
+    # a failing scan counts the accepted candidates that are none of o, p
+    # and q: a random row forced to accepted is one extra, and a closed-form
+    # row forced to rejected leaves two accepted points and no extra
+    def scan(*args, real=cli.maximality_scan):
+        report = real(*args)
+        rows = list(report.rows)
+        rows[row] = rows[row]._replace(accepted=accepted)
+        return type(report)(rows)
+
+    monkeypatch.setattr(cli, "maximality_scan", scan)
+    out = tmp_path / "rep.json"
+    for backend in ("exact", "float"):
+        code, _, err = run(capsys, "antipodal", "[0,3/5,4/5,0,0,0,0,0]",
+                           "--backend", backend, "--trials", "5", "--out", str(out))
+        assert code == 1 and err.startswith(f"FAIL antipodal [{backend}] ")
+        scan_report = json.loads(out.read_text())["antipodal"][0]["maximality"]
+        assert scan_report["accepted"] == total
+        assert scan_report["extra_acceptances"] == extra
 
 
 @pytest.mark.parametrize("command", ["fixset", "antipodal"])

@@ -12,6 +12,7 @@ kappa conjugation carries is compared with a fresh one.
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +41,6 @@ from spin8.triality import (
     apply_sigma,
     apply_tau,
     spin_from_unit,
-    triality_residual,
 )
 
 EPS = 1e-9
@@ -226,7 +226,9 @@ def test_triality_defect_matches_loop(seed):
         assert repr(t.triality_residual()) == repr(worst)
     for a, b, c in tampered(rng, g):
         pair, worst = loop_defect(floats_of(a), floats_of(b), floats_of(c))
-        assert repr(triality_residual(a, b, c)) == repr(worst)
+        # the method on an unverified (A, B, C): the constructor would refuse it
+        unverified = SimpleNamespace(A=a, B=b, C=c)
+        assert repr(TrialityTriple.triality_residual(unverified)) == repr(worst)
         if worst > EPS and all(map(is_special_orthogonal, (a, b, c))):
             with pytest.raises(TrialityViolated) as exc:
                 TrialityTriple(a, b, c)

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +237,48 @@ def test_float_translations_products_and_transposes_carry_no_verdict():
     assert is_special_orthogonal(a) and is_special_orthogonal(b)
     assert (a * b)._so8 is None and a.transpose()._so8 is None
     assert (a * left_translation(random_unit_octonion(rng, EXACT)))._so8 is None
+
+
+# Every site that writes an SO(n) verdict, with the value it writes.  Each
+# one but the constructors' None and the memo of is_special_orthogonal
+# carries its proof beside it; a new site fails the test below until its
+# proof is written and it is listed here.
+_VERDICT_SITES = {
+    ("linalg", "Matrix.__init__", "None"),
+    ("linalg", "Matrix._of_form", "None"),
+    ("linalg", "Matrix._of_floats", "None"),
+    ("linalg", "Matrix.transpose", "self._so8"),
+    ("linalg", "Matrix.__mul__", "True"),
+    ("linalg", "is_special_orthogonal", "_so8_verdict(m)"),
+    ("octonion", "_translation", "x.is_unit()"),
+    ("triality", "_kconj", "m._so8"),
+}
+
+
+def _verdict_writes(tree, module):
+    """(module, qualified name, value) of each assignment to an ._so8."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        for target in node.targets if isinstance(node, ast.Assign) else ():
+            for t in ast.walk(target):
+                if isinstance(t, ast.Attribute) and t.attr == "_so8":
+                    found.append((module, ".".join(scope), ast.unparse(node.value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_every_verdict_site_is_listed():
+    src = Path(linalg.__file__).parent
+    writes = []
+    for path in sorted(src.glob("*.py")):
+        writes += _verdict_writes(ast.parse(path.read_text()), path.stem)
+    assert len(writes) == len(set(writes)) and set(writes) == _VERDICT_SITES
 
 
 def test_special_orthogonal_predicate():

@@ -1,15 +1,16 @@
 """Model mutants that the battery itself must kill.
 
 Each test applies one fault to the model in process, runs
-``verify-all --backend exact --trials 3`` with every job in this process, and
-asserts exit 1 with the named rows failing.  No mutant touches ``checks``.
+``verify-all --trials 3`` on the exact backend, or on both, with every job in
+this process, and asserts exit 1 with the named rows failing on each backend
+run.  No mutant touches ``checks``.
 """
 
 import json
 
 import pytest
 
-from spin8 import checks, kernel, octonion, symspace
+from spin8 import checks, kernel, octonion, symspace, triality
 from spin8.cli import main
 from spin8.triality import TrialityTriple
 
@@ -50,20 +51,30 @@ def _sphere_point_takes_any_pair(monkeypatch):
     monkeypatch.setattr(symspace, "ensure_unit", lambda x: x)
 
 
-@pytest.mark.parametrize("mutate, rows", [
-    (_matmul_off_by_one, _TRIPLE_ROWS),
-    (_left_rows_swapped, _TRIPLE_ROWS),
-    (_sphere_point_takes_any_pair, {"fixed-sets"}),
-], ids=["matmul-off-by-one", "left-rows-swapped", "sphere-point-takes-any-pair"])
-def test_battery_kills_mutant(tmp_path, capsys, monkeypatch, mutate, rows):
+def _identity_always_holds(monkeypatch):
+    # the triple constructor stops testing B(xy) = (Cx)(Ay); every triple
+    # the battery builds is genuine but for the rotation pairs of the
+    # clifford control, which only the identity refuses
+    monkeypatch.setattr(triality, "_triality_holds", lambda a, b, c: True)
+
+
+@pytest.mark.parametrize("mutate, rows, backends", [
+    (_matmul_off_by_one, _TRIPLE_ROWS, ["exact"]),
+    (_left_rows_swapped, _TRIPLE_ROWS, ["exact"]),
+    (_sphere_point_takes_any_pair, {"fixed-sets"}, ["exact"]),
+    (_identity_always_holds, {"clifford-embedding"}, ["exact", "float"]),
+], ids=["matmul-off-by-one", "left-rows-swapped", "sphere-point-takes-any-pair",
+        "identity-always-holds"])
+def test_battery_kills_mutant(tmp_path, capsys, monkeypatch, mutate, rows, backends):
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # the mutant is in this process
     # an identity triple built under the mutant must not outlive the test
     monkeypatch.setattr(TrialityTriple, "_cached_identity", None)
     mutate(monkeypatch)
     out = tmp_path / "rep.json"
-    code = main(["verify-all", "--backend", "exact", "--trials", "3", "--out", str(out)])
+    backend = "both" if len(backends) > 1 else backends[0]
+    code = main(["verify-all", "--backend", backend, "--trials", "3", "--out", str(out)])
     capsys.readouterr()
     assert code == 1
-    failing = {r["name"] for r in json.loads(out.read_text())["checks"]
+    failing = {(r["name"], r["backend"]) for r in json.loads(out.read_text())["checks"]
                if r["status"] != "pass"}
-    assert rows <= failing
+    assert {(name, b) for name in rows for b in backends} <= failing

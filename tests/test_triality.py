@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spin8.linalg as linalg
+import spin8.triality as triality
 from spin8.linalg import Matrix, NotOrthogonal, is_special_orthogonal, random_rotation
 from spin8.octonion import (
     NotUnit,
@@ -373,9 +374,9 @@ def _fresh(m):
 
 
 def test_exact_verdicts_equal_a_fresh_verdict():
-    # The exact constructor sets SO(8) of A, B and C from the Gram tests of
-    # A and B and the 64-pair identity (triality._exact_triple); each verdict
-    # must be the one linalg computes from scratch, Gram and determinant.
+    # Every component of an exact triple holds its SO(8) verdict, carried by
+    # exact algebra or computed by the constructor; each must be the one
+    # linalg computes from scratch, Gram and determinant.
     rng = random.Random(19)
     samples = []
     for _ in range(3):
@@ -392,23 +393,35 @@ def test_exact_verdicts_equal_a_fresh_verdict():
 
 
 def test_verdicts_counted(monkeypatch):
-    # exact triples of fresh matrices compute no SO(8) verdict; float
-    # triples compute all three, as before
+    # One sequence on both backends: a triple of fresh matrices computes the
+    # verdicts of A, B and C, an exact triple of carried verdicts computes
+    # none, and every constructor, refused or not, runs the identity once.
     rng = random.Random(20)
     g = random_triple(rng, EXACT, max_len=2)
     f = random_triple(rng, FloatBackend(1e-9), max_len=2)
-    calls = []
+    calls, holds = [], [0]
 
     def verdict(m, real=linalg._so8_verdict):
         calls.append(m)
         return real(m)
 
+    def identity(*args, real=triality._triality_holds):
+        holds[0] += 1
+        return real(*args)
+
     monkeypatch.setattr(linalg, "_so8_verdict", verdict)
-    TrialityTriple(*map(_fresh, (g.A, g.B, g.C)))
-    assert calls == []
-    parts = list(map(_fresh, (f.A, f.B, f.C)))
-    TrialityTriple(*parts)
-    assert calls == parts and all(m._so8 is True for m in parts)
+    monkeypatch.setattr(triality, "_triality_holds", identity)
+    TrialityTriple(g.A, g.B, g.C)
+    assert calls == [] and holds == [1]
+    for t in (g, f):
+        parts = list(map(_fresh, (t.A, t.B, t.C)))
+        TrialityTriple(*parts)
+        assert calls == parts and all(m._so8 is True for m in parts)
+        calls.clear()
+    assert holds == [3]
+    with pytest.raises(TrialityViolated):
+        TrialityTriple(g.A, g.B * _R68, g.C)
+    assert holds == [4]
 
 
 def _failure(a, b, c):
@@ -424,33 +437,49 @@ _R68[5][7], _R68[7][5] = Fraction(-4, 5), Fraction(4, 5)
 _R68 = Matrix(_R68)
 
 
+def _float_copy(m):
+    return Matrix._of_floats(1e-9, m._floats()[1])
+
+
 @pytest.mark.parametrize("kind, residual", [("word", 0.8), ("cube", 0.8928203230275509)])
 def test_exact_failures_match_the_full_test(kind, residual):
-    # When the fast exact test fails, the constructor falls back to SO(8) of
-    # A, B, C and then the identity, so the error is the one that sequence
-    # raises: type, message, pair and residual (the pinned values are those
-    # of the sequence alone).
+    # Every triple, exact or float, runs one sequence: SO(8) of A, B, C and
+    # then the identity, raising the first failure.  The pinned values are
+    # those of that sequence: type, message, pair and residual.  A float
+    # copy of each input fails the same way, with the same type, message
+    # and pair.
     if kind == "word":
         g = random_triple(random.Random(18), EXACT, max_len=2)
     else:
         g = spin_from_unit(cube_root_of_unity(e(3)))
     one = Octonion.one()
     # improper: A = g.A k with B = L(c)A and C = R(conj a1)B is orthogonal
-    # throughout with det -1, and step 4 of the proof says the identity fails
+    # throughout with det -1, and the identity fails: were it to hold, A, B
+    # and C would be in SO(8) (the principle of triality)
     a = g.A * KAPPA
     b = left_translation(transform(g.C, one)) * a
     c = right_translation(transform(a, one).conj()) * b
     assert all(map(linalg.is_orthogonal, (a, b, c))) and not _triality_holds(a, b, c)
-    assert str(_failure(a, b, c)) == "component A is not in SO(8)"
-    assert str(_failure(g.A, g.B, g.C.scale(2))) == "component C is not in SO(8)"
-    # the identity holds on these, so each Gram test is needed
     half = Fraction(1, 2)
-    assert str(_failure(g.A.scale(half), g.B, g.C.scale(2))) == "component A is not in SO(8)"
-    assert str(_failure(g.A, g.B.scale(2), g.C.scale(2))) == "component B is not in SO(8)"
     # one corrupted entry leaves B unorthogonal, so the SO(8) test names B
     rows = [list(r) for r in g.B.rows]
     rows[2][5] += Fraction(1, 7)
-    assert str(_failure(g.A, Matrix(rows), g.C)) == "component B is not in SO(8)"
-    exc = _failure(g.A, g.B * _R68, g.C)
-    assert type(exc) is TrialityViolated
-    assert exc.pair == (0, 5) and exc.residual == residual
+    cases = [
+        ((a, b, c), "component A is not in SO(8)"),
+        ((g.A, g.B, g.C.scale(2)), "component C is not in SO(8)"),
+        # the identity holds on these two, so each SO(8) test is needed
+        ((g.A.scale(half), g.B, g.C.scale(2)), "component A is not in SO(8)"),
+        ((g.A, g.B.scale(2), g.C.scale(2)), "component B is not in SO(8)"),
+        ((g.A, Matrix(rows), g.C), "component B is not in SO(8)"),
+        ((g.A, g.B * _R68, g.C), None),
+    ]
+    for parts, message in cases:
+        exc = _failure(*parts)
+        if message is None:
+            assert type(exc) is TrialityViolated
+            assert exc.pair == (0, 5) and exc.residual == residual
+        else:
+            assert type(exc) is NotOrthogonal and str(exc) == message
+        fl = _failure(*map(_float_copy, parts))
+        assert type(fl) is type(exc) and str(fl) == str(exc)
+        assert getattr(fl, "pair", None) == getattr(exc, "pair", None)
