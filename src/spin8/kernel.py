@@ -24,9 +24,9 @@ integer has at most one expansion sum(u_t X^t) with every |u_t| < X/2 (the
 lowest digit is its residue mod X taken in (-X/2, X/2), and the rest is the
 expansion of (N - u_0)/X), so the two packed integers are equal iff every
 u_t = v_t, provided each side's digits lie below X/2 in absolute value.  The
-callers derive w from bounds on the entries, so the test is exact for every
-input, and the packing turns many short dot products into a few long
-multiplications carried out in C.
+one caller, ``triality._triality_holds``, derives w from bounds on the
+entries, so the test is exact for every input, and the packing turns many
+short dot products into a few long multiplications carried out in C.
 """
 
 from __future__ import annotations
@@ -185,27 +185,3 @@ def pack(values, width):
 def max_abs(a, b=None):
     """Largest absolute entry of the integer row lists a and b (b may be None)."""
     return max(map(abs, chain.from_iterable(a if b is None else a + b)))
-
-
-def is_orthogonal(d, a, b) -> bool:
-    """M^T M = d^2 I for the n x n matrix M = (a + b sqrt 3)/d (row lists).
-
-    Packed: with X = 2^w, sum_r (sum_i M[r][i] X^(n i)) (sum_j M[r][j] X^j)
-    has digit n i + j equal to (M^T M)[i][j].  Over Z[sqrt 3] each of its
-    two integer parts is a sum of n terms of at most 4 m^2, m the largest
-    entry of a and b; w covers that and the target digit d^2.
-    """
-    n = len(a)
-    m = max_abs(a, b)
-    w = max(4 * n * m * m, d * d).bit_length() + 1
-    wide = [pack(r, n * w) for r in a]
-    narrow = [pack(r, w) for r in a]
-    ga = sum(map(mul, wide, narrow))
-    gb = 0
-    if b is not None:
-        bwide = [pack(r, n * w) for r in b]
-        bnarrow = [pack(r, w) for r in b]
-        ga += 3 * sum(map(mul, bwide, bnarrow))
-        gb = sum(map(mul, wide, bnarrow)) + sum(map(mul, bwide, narrow))
-    return gb == 0 and ga == d * d * sum(1 << (n + 1) * w * i for i in range(n))
-

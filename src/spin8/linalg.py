@@ -8,9 +8,9 @@ through one form of its backend, and the form decides the backend:
 * float: (eps, rows of Python floats), eps being the largest tolerance
   among the ``ApproxReal`` entries.
 
-``Matrix(rows)`` builds its form at construction and keeps the rows as a
-read-only view; an operation computes its result's form directly, and that
-result builds ``rows`` only when they are read.  Products, transposes,
+``Matrix(rows)`` builds its form at construction, and an operation computes
+its result's form directly; the form is all a matrix holds, and ``rows``
+reads scalars off it on every access.  Products, transposes,
 negation, equality, the trace form, blocks (``Matrix.blocks``, ``join``) and
 the plane rotations of ``random_rotation`` run on the forms alone.  Float
 results are bit-identical to entrywise ``ApproxReal`` arithmetic: the same
@@ -44,7 +44,8 @@ class NotOrthogonal(ValueError):
 
 
 class Matrix:
-    """Square matrix; rows is a view, a tuple of row tuples of scalars.
+    """Square matrix; rows, read off the form, is a tuple of row tuples of
+    scalars.
 
     Every matrix holds exactly one form from birth: an exact one its reduced
     kernel form (d, a, b) in ``_form``, a float one (eps, float rows) in
@@ -52,14 +53,13 @@ class Matrix:
     holds the verdict of ``is_special_orthogonal`` once known (None before).
     """
 
-    __slots__ = ("_rows", "_form", "_fl", "_so8")
+    __slots__ = ("_form", "_fl", "_so8")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square and non-empty")
-        self._rows = rows
         self._so8 = None
         flat = list(chain.from_iterable(rows))
         eps = approx_eps(flat)
@@ -69,7 +69,6 @@ class Matrix:
     @classmethod
     def _of_form(cls, form) -> "Matrix":
         m = object.__new__(cls)
-        m._rows = None
         m._form = form
         m._fl = None
         m._so8 = None
@@ -79,7 +78,6 @@ class Matrix:
     def _of_floats(cls, eps: float, rows) -> "Matrix":
         """A float matrix from its tolerance and rows of floats (tuples)."""
         m = object.__new__(cls)
-        m._rows = None
         m._form = None
         m._fl = (eps, rows)
         m._so8 = None
@@ -87,17 +85,13 @@ class Matrix:
 
     @property
     def rows(self) -> tuple:
-        if self._rows is None:
-            if self._fl is not None:
-                eps, fl = self._fl
-                self._rows = tuple(
-                    tuple(ApproxReal._fast(v, eps) for v in r) for r in fl)
-            else:
-                d, a, b = self._form
-                flat = kernel.unscale(d, [x for r in a for x in r],
-                                      b and [x for r in b for x in r])
-                self._rows = tuple(kernel.rows_of(tuple(flat), len(a)))
-        return self._rows
+        """The entries as scalars, read off the form: ``ApproxReal`` at the
+        form's tolerance, or exact scalars."""
+        if self._fl is not None:
+            eps, fl = self._fl
+            return tuple(tuple(ApproxReal._fast(v, eps) for v in r) for r in fl)
+        d, a, b = self._form
+        return tuple(kernel.rows_of(tuple(kernel.unscale(d, _flat(a), _flat(b))), len(a)))
 
     def _floats(self):
         """(eps, rows as float tuples): the float form, or (0.0, the entries
@@ -201,8 +195,8 @@ class Matrix:
 
     @classmethod
     def from_json(cls, rows, backend) -> "Matrix":
-        return cls([[backend.parse(e) if isinstance(e, str) else backend.scalar(e)
-                     for e in row] for row in rows])
+        """The matrix of ``to_json``'s nested arrays of scalar literals."""
+        return cls([[backend.parse(e) for e in row] for row in rows])
 
     def __repr__(self):
         return f"<Matrix {self.n}x{self.n}>"
@@ -274,9 +268,11 @@ def _det_float(rows):
 def is_orthogonal(m: Matrix) -> bool:
     """m^t m = I, exactly or within tolerance.
 
-    Exact matrices test M^t M = d^2 I on their kernel form M/d.  Floats check
-    column dot products pairwise for j <= i only; the Gram matrix is
-    symmetric term by term, so this is the same test at half the work.
+    Exact matrices test M^t M = d^2 I on their kernel form M/d: the Gram
+    matrix of the columns, as the kernel's plain product over Z[sqrt 3].
+    Floats check column dot products pairwise for j <= i only; the Gram
+    matrix is symmetric term by term, so this is the same test at half the
+    work.
     """
     if m._fl is not None:
         eps, rows = m._fl
@@ -287,7 +283,12 @@ def is_orthogonal(m: Matrix) -> bool:
                 if abs(dot - (1.0 if i == j else 0.0)) > eps:
                     return False
         return True
-    return kernel.is_orthogonal(*m._form)
+    d, a, b = m._form
+    n = len(a)
+    cols = (columns(a), columns(b))
+    ga, gb = kernel.zmul(kernel.matmul, cols, cols)
+    return not (gb and any(gb)) and ga == [d * d if i == j else 0
+                                           for i in range(n) for j in range(n)]
 
 
 def is_special_orthogonal(m: Matrix) -> bool:
@@ -314,7 +315,7 @@ def _so8_verdict(m: Matrix) -> bool:
     """m^t m = I, then the sign of the float LU determinant of m's floats.
 
     A float matrix reads its own float rows.  An exact matrix is first tested
-    exactly (``kernel.is_orthogonal``); only an orthogonal one is read as
+    exactly (``is_orthogonal``); only an orthogonal one is read as
     floats (``kernel.to_floats``), and for it the float sign is the sign of
     det M.  Proof, u = 2^-53 the unit roundoff, gamma_k = k u / (1 - k u)
     (N. Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.):

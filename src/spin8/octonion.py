@@ -22,11 +22,11 @@ the form decides the backend:
   acts as +0.0 in every float operation, but it negates to 0 and formats as
   "0", as the exact zero it stands for did; -0.0 stays -0.0.
 
-``Octonion(coeffs)`` builds its form at construction and keeps the
-coefficients as the read-only view ``coeffs``, which an octonion computed on
-a form builds only when read.  Products run on one straight-line kernel
-written out from the table, ``mul_lines``: on floats, and on the integer
-parts of exact forms, combined over Z[sqrt 3] by ``kernel.zmul``.
+``Octonion(coeffs)`` builds its form at construction, and the form is all an
+octonion holds: ``coeffs`` reads scalars off it on every access.  Products
+run on one straight-line kernel written out from the table, ``mul_lines``:
+on floats, and on the integer parts of exact forms, combined over Z[sqrt 3]
+by ``kernel.zmul``.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from operator import itemgetter, sub
 
 from . import kernel
 from .linalg import Matrix
-from .scalars import (
-    SQRT3,
-    ApproxReal,
-    Rational,
-    approx_eps,
-    ParseError,
-)
+from .scalars import SQRT3, ApproxReal, ParseError, approx_eps
 
 
 class NotUnit(ValueError):
@@ -172,20 +166,19 @@ class Octonion:
     """8-vector of scalars with the Cayley-Dickson product.
 
     Every octonion holds exactly one form from birth: ``_form``, the exact
-    kernel form, or ``_fl``, the float form; ``_coeffs`` holds the scalar
-    view once known.  One computed on a form starts from the form alone.
+    kernel form, or ``_fl``, the float form.  One computed on a form starts
+    from the form alone.
     A float octonion has one tolerance, its form's eps: its norms and
     translations carry that eps, and a product or comparison of two
     octonions the larger of theirs.
     """
 
-    __slots__ = ("_coeffs", "_form", "_fl")
+    __slots__ = ("_form", "_fl")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != 8:
             raise ValueError("octonion needs exactly 8 coefficients")
-        self._coeffs = coeffs
         eps = approx_eps(coeffs)
         self._fl = (eps, tuple([float(v) if v or type(v) is ApproxReal else 0
                                 for v in coeffs])) if eps else None
@@ -194,7 +187,6 @@ class Octonion:
     @classmethod
     def _of_form(cls, form) -> "Octonion":
         x = object.__new__(cls)
-        x._coeffs = None
         x._form = form
         x._fl = None
         return x
@@ -204,21 +196,18 @@ class Octonion:
         """A float octonion from its tolerance and its 8 floats (the int 0 for
         an exact zero)."""
         x = object.__new__(cls)
-        x._coeffs = None
         x._form = None
         x._fl = (eps, floats)
         return x
 
     @property
     def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            if self._fl is not None:
-                eps, fl = self._fl
-                self._coeffs = tuple([ApproxReal._fast(v, eps) if type(v) is float else v
-                                      for v in fl])
-            else:
-                self._coeffs = tuple(kernel.unscale(*self._form))
-        return self._coeffs
+        """The coefficients as scalars, read off the form: ``ApproxReal`` at
+        the form's tolerance (an int 0 stays 0), or exact scalars."""
+        if self._fl is not None:
+            eps, fl = self._fl
+            return tuple([ApproxReal._fast(v, eps) if type(v) is float else v for v in fl])
+        return tuple(kernel.unscale(*self._form))
 
     def _floats(self):
         """(eps, floats): the float form, or (0.0, the coefficients as floats)
@@ -409,8 +398,13 @@ def sandwich_matrix(l: Octonion, r: Octonion) -> Matrix:
 
 
 def to_backend(x: Octonion, backend) -> Octonion:
-    """Re-code the coefficients of x in the given backend."""
-    return Octonion(tuple(backend.scalar(c) for c in x.coeffs))
+    """An exact octonion x re-coded in the given backend: x itself on the
+    exact backend, and on floats its coefficients as floats
+    (``kernel.to_floats``, ``float()`` of each scalar bit for bit) at the
+    backend's tolerance."""
+    if backend.exact:
+        return x
+    return Octonion._of_floats(backend.eps, kernel.to_floats(*x._form))
 
 
 def cube_root_of_unity(v: Octonion) -> Octonion:
@@ -468,21 +462,23 @@ def _draw(rng):
     return rng.randint(-4, 4), rng.randint(1, 4)
 
 
-def _random_rational(rng):
-    return Rational(*_draw(rng))
+def _draws(rng, k: int):
+    """k random rationals from ``_draw`` over their common denominator L:
+    (L, numerators)."""
+    draws = [_draw(rng) for _ in range(k)]
+    den = lcm(*[q for _, q in draws])
+    return den, [n * (den // q) for n, q in draws]
 
 
 def _rational_unit_form(rng, dim: int):
     """Kernel form of the inverse stereographic image of a random rational
-    u in Q^(dim-1), its entries drawn as ``_random_rational`` draws them.
+    u in Q^(dim-1), its entries drawn by ``_draws``.
 
     The image of u is (n - 1, 2 u_1, ..., 2 u_(dim-1)) / (n + 1), n = |u|^2.
     With u_i = p_i / L over the common denominator L and S = sum p_i^2 that
     is (S - L^2, 2 L p_1, ...) / (S + L^2).
     """
-    draws = [_draw(rng) for _ in range(dim - 1)]
-    den = lcm(*[q for _, q in draws])
-    p = [n * (den // q) for n, q in draws]
+    den, p = _draws(rng, dim - 1)
     s = sum([x * x for x in p])
     return kernel.reduce(s + den * den, [s - den * den] + [2 * den * x for x in p], None)
 
@@ -508,17 +504,21 @@ def random_imaginary_unit(rng, backend) -> Octonion:
     return Octonion._of_floats(backend.eps, (0,) + _float_unit_vector(rng, 7))
 
 
+def _random_head(rng, backend, k: int) -> Octonion:
+    """Small random coefficients 1..k, the rest exact zeros (the int 0 on
+    floats)."""
+    if backend.exact:
+        den, p = _draws(rng, k)
+        return Octonion._of_form(kernel.reduce(den, p + [0] * (8 - k), None))
+    return Octonion._of_floats(
+        backend.eps, tuple([rng.uniform(-1, 1) for _ in range(k)]) + (0,) * (8 - k))
+
+
 def random_octonion(rng, backend) -> Octonion:
     """A generic (not necessarily unit) octonion with small coefficients."""
-    if backend.exact:
-        return Octonion(tuple(_random_rational(rng) for _ in range(8)))
-    return Octonion(tuple(backend.scalar(rng.uniform(-1, 1)) for _ in range(8)))
+    return _random_head(rng, backend, 8)
 
 
 def random_quaternion(rng, backend) -> Octonion:
     """A random element of the quaternion subalgebra span(e1..e4)."""
-    if backend.exact:
-        head = tuple(_random_rational(rng) for _ in range(4))
-    else:
-        head = tuple(backend.scalar(rng.uniform(-1, 1)) for _ in range(4))
-    return Octonion(head + (0, 0, 0, 0))
+    return _random_head(rng, backend, 4)

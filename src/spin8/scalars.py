@@ -242,18 +242,11 @@ def _parse_exact(text: str):
 
 
 class ExactBackend:
-    """Produces exact scalars: Rational values, or QuadExt once sqrt 3 enters."""
+    """Reads literals as exact scalars: Rational values, or QuadExt once sqrt 3 enters."""
 
     name = "exact"
     exact = True
     eps = 0.0
-
-    def scalar(self, x):
-        if isinstance(x, QuadExt):
-            return x
-        if isinstance(x, str):
-            return self.parse(x)
-        return Rational(x)
 
     def parse(self, text: str):
         return _parse_exact(text)
@@ -263,7 +256,7 @@ class ExactBackend:
 
 
 class FloatBackend:
-    """Produces ApproxReal scalars sharing one comparison tolerance."""
+    """Reads literals as ApproxReal scalars sharing one comparison tolerance."""
 
     name = "float"
     exact = False
@@ -272,13 +265,6 @@ class FloatBackend:
         if not 0 < eps < math.inf:
             raise ValueError("tolerance must be positive and finite")
         self.eps = float(eps)
-
-    def scalar(self, x):
-        if isinstance(x, ApproxReal):
-            return x
-        if isinstance(x, str):
-            return self.parse(x)
-        return ApproxReal(float(x), self.eps)
 
     def parse(self, text: str):
         """A literal of the exact grammar read to the nearest double; it must

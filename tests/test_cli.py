@@ -285,51 +285,39 @@ def test_antipodal_points_must_stay_distinct(capsys):
 
 
 def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
-    # Matrices and octonions compute on their forms: in a whole run, exact
-    # scalars become a form only in the Octonion and Matrix constructors,
-    # they are made from a form only where a scalar is the result
-    # (Octonion.norm_sq, trace_inner_product), and a matrix is built from
-    # scalar rows only by Matrix.identity and Matrix.scale.  No run builds
-    # a scalar view of a form (Matrix.rows read while _rows is None,
-    # Octonion.coeffs while _coeffs is None): only tests and benchmarks do.
+    # Matrices and octonions hold their forms alone.  In a whole run, exact
+    # scalars become a form only in a constructor called by Matrix.identity,
+    # Matrix.scale or parse_octonion, and an ApproxReal is built only by
+    # parsing, so no sampler (random_octonion, random_quaternion, ...) builds
+    # a value from scalars.  Scalars are made from a form only where a scalar
+    # is the result (Octonion.norm_sq, trace_inner_product) or a scalar view
+    # is read (Octonion.coeffs, Matrix.rows).
     from collections import Counter
 
     from spin8 import kernel
-    from spin8.linalg import Matrix
-    from spin8.octonion import Octonion
+    from spin8.scalars import ApproxReal
 
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
-    scaled, unscaled, built, viewed = Counter(), Counter(), Counter(), Counter()
+    scaled, approx, unscaled = Counter(), Counter(), Counter()
 
-    def caller():
-        return sys._getframe(2).f_code.co_name  # the program function that called
+    def caller(depth):
+        return sys._getframe(depth + 1).f_code.co_name  # a program function
 
     def scale(values, real=kernel.scale):
-        scaled[caller()] += 1
+        scaled[caller(2)] += 1  # the constructor's caller
         return real(values)
 
+    def init(self, *args, real=ApproxReal.__init__):
+        approx[caller(1)] += 1
+        real(self, *args)
+
     def unscale(*args, real=kernel.unscale):
-        unscaled[caller()] += 1
+        unscaled[caller(1)] += 1
         return real(*args)
 
-    def init(self, rows, real=Matrix.__init__):
-        built[caller()] += 1
-        real(self, rows)
-
-    def lazy_view(cls, name):
-        real = getattr(cls, name).fget
-
-        def get(self):
-            if getattr(self, "_" + name) is None:
-                viewed[f"{cls.__name__}.{name} in {caller()}"] += 1
-            return real(self)
-        monkeypatch.setattr(cls, name, property(get))
-
     monkeypatch.setattr(kernel, "scale", scale)
+    monkeypatch.setattr(ApproxReal, "__init__", init)
     monkeypatch.setattr(kernel, "unscale", unscale)
-    monkeypatch.setattr(Matrix, "__init__", init)
-    lazy_view(Matrix, "rows")
-    lazy_view(Octonion, "coeffs")
     out = str(tmp_path / "rep.json")
     for args in (["verify-all", "--trials", "2", "--backend", "both"],
                  ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"],
@@ -337,10 +325,10 @@ def test_forms_are_not_rebuilt_from_scalar_rows(tmp_path, capsys, monkeypatch):
                  ["kai", "--trials", "2"],
                  ["table"]):
         assert run(capsys, *args, "--out", out)[0] == 0
-    assert scaled and set(scaled) <= {"__init__"}
-    assert unscaled and set(unscaled) <= {"norm_sq", "trace_inner_product"}
-    assert built and set(built) <= {"identity", "scale"}
-    assert not viewed, viewed
+    assert scaled and set(scaled) <= {"identity", "scale", "parse_octonion"}, scaled
+    assert approx and set(approx) <= {"parse"}, approx
+    assert unscaled and set(unscaled) <= {"norm_sq", "trace_inner_product", "coeffs",
+                                          "rows"}, unscaled
 
 
 def test_exact_triples_arrive_decided(tmp_path, capsys, monkeypatch):

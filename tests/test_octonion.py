@@ -1,4 +1,6 @@
+import copy
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from spin8.octonion import (
     NotUnit,
     Octonion,
     TABLE,
+    _draw,
     cube_root_of_unity,
     ensure_imaginary_unit,
     ensure_unit,
@@ -222,6 +225,40 @@ def test_exact_sampling_is_exactly_unit():
         assert random_unit_octonion(rng, EXACT).norm_sq() == 1
         w = random_imaginary_unit(rng, EXACT)
         assert w.norm_sq() == 1 and w.coeffs[0] == 0
+
+
+def _scalar_oracle(rng, backend, k):
+    """A random octonion built from scalars, as the samplers once built
+    them: k draws, then exact zeros."""
+    if backend.exact:
+        head = [Fraction(*_draw(rng)) for _ in range(k)]
+    else:
+        head = [ApproxReal(rng.uniform(-1, 1), backend.eps) for _ in range(k)]
+    return Octonion(head + [0] * (8 - k))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FloatBackend(1e-6)], ids=["exact", "float"])
+@pytest.mark.parametrize("sampler, k", [(random_octonion, 8), (random_quaternion, 4)],
+                         ids=["octonion", "quaternion"])
+def test_samplers_build_the_scalar_oracle_form(backend, sampler, k):
+    # the same draws in the same order, and the same form: exact forms equal,
+    # float forms equal by repr, which tells an int 0 from 0.0 and -0.0
+    for seed in range(50):
+        rng = random.Random(seed)
+        twin = copy.deepcopy(rng)
+        x, y = sampler(rng, backend), _scalar_oracle(twin, backend, k)
+        assert rng.getstate() == twin.getstate()
+        assert x._form == y._form and repr(x._fl) == repr(y._fl)
+
+
+@pytest.mark.parametrize("x", [e(i) for i in range(1, 9)]
+                         + [cube_root_of_unity(e(2)), Octonion([Rational(-2, 3)] + [0] * 7)])
+def test_to_backend_matches_the_scalar_oracle(x):
+    assert to_backend(x, EXACT) is x
+    for eps in (1e-9, 0.5):
+        y = to_backend(x, FloatBackend(eps))
+        oracle = Octonion(tuple(ApproxReal(float(c), eps) for c in x.coeffs))
+        assert y._form is None and repr(y._fl) == repr(oracle._fl)
 
 
 def test_float_backend_products():

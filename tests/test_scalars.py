@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -149,7 +148,6 @@ def test_float_backend_parsing():
     assert fb.parse("0.5").value == 0.5
     assert fb.parse("1e-3").value == 1e-3
     assert abs(fb.parse("-1/2+1/2*r3").value - 0.3660254037844386) < 1e-15
-    assert fb.scalar(Fraction(1, 4)).value == 0.25
     # float reports print repr, so every finite repr parses back
     for x in (1.5e-300, -2.5e+300, 5e-324, 0.1):
         assert fb.parse(repr(x)).value == x
@@ -169,7 +167,6 @@ def test_backends():
     fb = FloatBackend(1e-6)
     assert fb.eps == 1e-6
     assert EXACT.exact and not fb.exact
-    assert fb.scalar(Rational(1, 2)).eps == 1e-6
 
 
 def test_quadext_hash_agrees_with_eq():
