@@ -18,9 +18,9 @@ import os
 import random
 import zlib
 from collections import namedtuple
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
-from operator import sub
+from operator import add, mul, sub
 
 from .clifford import (
     NotVectorShaped,
@@ -210,7 +210,7 @@ def _check_clifford(j, backend, rng, trials):
         j.expect(classify_parity(ex) == "odd")
         j.eq(
             trace_inner_product(ex, ey),
-            sum(a * b for a, b in zip(x.coeffs, y.coeffs)),
+            reduce(add, map(mul, x.coeffs, y.coeffs), 0),
         )
         j.expect(classify_parity(ex * ey) == "even")
         j.eq(ex * ex, i16.scale(-x.norm_sq()))
@@ -571,14 +571,14 @@ def run_checks(cfg: RunConfig, names=None) -> list[CheckResult]:
 
 
 # The two largest jobs of the float battery and of the default run: by the
-# CPU of each job run in one process at seed 0, kai-property and
-# triality-closure take 34% and 20% of the float battery, and 14% + 19%
-# (kai, exact + float) and 7% + 12% (closure) of the default run.  On
-# verify-all --backend exact --trials 6 they take 26% and 13%, and
-# s3-relations (20%) has passed closure there.  Started last, as in report
+# CPU of each job run in one process at seed 0 (least of 5 runs),
+# kai-property and triality-closure take 31% and 20% of the float battery,
+# and 16% + 16% (kai, exact + float) and 8% + 10% (closure) of the default
+# run.  On verify-all --backend exact --trials 6 they take 26% and 12%, and
+# s3-relations (21%) has passed closure there.  Started last, as in report
 # order, kai outlasts the rest of the battery on the other CPU: on 2 CPUs
-# the float battery (seed 7, median of 3 runs) took 3.55 s serially, 2.72 s
-# dispatched in report order and 2.04 s with these two first.
+# the float battery (seed 7, median of 3 runs) once took 3.55 s serially,
+# 2.72 s dispatched in report order and 2.04 s with these two first.
 _HEAVIEST_FIRST = ("kai-property", "triality-closure")
 
 

@@ -14,9 +14,10 @@ reads scalars off it on every access.  Products, transposes,
 negation, equality, the trace form, blocks (``Matrix.blocks``, ``join``) and
 the plane rotations of ``random_rotation`` run on the forms alone.  Float
 results are bit-identical to entrywise ``ApproxReal`` arithmetic: the same
-float operations run in the same order (dot products are ``sum`` over the
-terms in index order), and a run's tolerances are uniform and combine as
-the max.
+float operations run in the same order, and a run's tolerances are uniform
+and combine as the max.  Every float dot product is ``_dots``: the products
+added one by one in index order onto +0.0, written out, never the builtin
+``sum``, whose float algorithm depends on the Python version.
 
 The one determinant is ``_det_float``, partial-pivot LU on floats.  It gives
 the sign of every SO(n) verdict, exact ones included: an exactly orthogonal
@@ -26,9 +27,10 @@ matrix is far enough from singular that the float sign is exact (see
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
 from math import lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 from . import kernel
 from .kernel import columns
@@ -129,9 +131,8 @@ class Matrix:
         if self._fl is not None or other._fl is not None:
             ea, a = self._floats()
             eb, b = other._floats()
-            bcols = tuple(zip(*b))
-            return Matrix._of_floats(max(ea, eb), tuple(
-                tuple([sum(map(mul, r, c)) for c in bcols]) for r in a))
+            # column j of the product: a_i . b_col_j over the rows a_i
+            return Matrix._of_floats(max(ea, eb), tuple(zip(*[_dots(a, c) for c in zip(*b)])))
         da, a, ab = self._form
         db, b, bb = other._form
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
@@ -146,7 +147,7 @@ class Matrix:
         """(tolerance, floats) of M v for v given as floats at tolerance eps
         (0.0 for exact v); M is read as floats when exact."""
         meps, rows = self._floats()
-        return max(eps, meps), tuple([sum(map(mul, r, vec)) for r in rows])
+        return max(eps, meps), tuple(_dots(rows, vec))
 
     def apply_form(self, d, a, b):
         """Reduced kernel form of M v for exact M and v = (a + b sqrt 3)/d."""
@@ -243,25 +244,64 @@ def join(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
     return Matrix._of_form((d, a, b if any(f[2] for f in forms) else None))
 
 
+def _dots(vs, w):
+    """[v . w for v in vs] on floats: each dot adds the products v[k] * w[k],
+    v the left factor, one by one in index order onto +0.0.
+
+    These are the bits of ``sum(map(mul, v, w))`` on CPython 3.11 and
+    before, which this replaces.  That ``sum`` starts from the int 0, and
+    0 + p for the float p = v[0] * w[0] is float addition 0.0 + p (int
+    addition declines a float, and float addition reads the int 0 as 0.0);
+    it then adds each further product into a C double, uncompensated, in
+    order.  Each v is a row or column of a float matrix (w may hold the
+    int 0 of an octonion's float form), so every product is a float, as it
+    was there.  Written out, the bits do
+    not depend on the Python version (3.12 made ``sum`` of floats
+    compensated).  n = 8, every rotation and octonion here, runs
+    straight-line; any other n (the 16 x 16 Clifford matrices) folds the
+    same adds with ``reduce``.
+    """
+    if len(w) == 8:
+        w0, w1, w2, w3, w4, w5, w6, w7 = w
+        return [0.0 + v0 * w0 + v1 * w1 + v2 * w2 + v3 * w3
+                + v4 * w4 + v5 * w5 + v6 * w6 + v7 * w7
+                for v0, v1, v2, v3, v4, v5, v6, v7 in vs]
+    return [reduce(add, map(mul, v, w), 0.0) for v in vs]
+
+
 def _det_float(rows):
-    """The determinant of float rows by partial-pivot LU, a plain float."""
+    """The determinant of float rows by partial-pivot LU, a plain float.
+
+    The pivot of column k is the first row i >= k of largest |m[i][k]|: a
+    later row replaces the one held only if strictly larger, so a tie keeps
+    the earlier row, and a nan neither replaces the one held nor, held, is
+    replaced (every comparison with nan is False).  That is the rule of
+    ``max(range(k, n), key=...)``, which compares each key to the largest so
+    far by ``>``.
+    """
     n = len(rows)
     m = [list(row) for row in rows]
     det = 1.0
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(m[i][k]))
-        if m[p][k] == 0.0:
+        p, big = k, abs(m[k][k])
+        for i in range(k + 1, n):
+            v = abs(m[i][k])
+            if v > big:
+                p, big = i, v
+        top = m[p]
+        if top[k] == 0.0:
             return 0.0
         if p != k:
-            m[k], m[p] = m[p], m[k]
+            m[k], m[p] = top, m[k]
             det = -det
-        det *= m[k][k]
-        inv = 1.0 / m[k][k]
+        det *= top[k]
+        inv = 1.0 / top[k]
         for i in range(k + 1, n):
-            f = m[i][k] * inv
+            row = m[i]
+            f = row[k] * inv
             if f:
                 for j in range(k + 1, n):
-                    m[i][j] -= f * m[k][j]
+                    row[j] -= f * top[j]
     return det
 
 
@@ -270,17 +310,21 @@ def is_orthogonal(m: Matrix) -> bool:
 
     Exact matrices test M^t M = d^2 I on their kernel form M/d: the Gram
     matrix of the columns, as the kernel's plain product over Z[sqrt 3].
-    Floats check column dot products pairwise for j <= i only; the Gram
-    matrix is symmetric term by term, so this is the same test at half the
-    work.
+    Floats check the column dot products c_i . c_j for i >= j only, c_i the
+    left factor; the Gram matrix is symmetric term by term, so this is the
+    same test at half the work.  Off the diagonal |dot| stands for
+    |dot - 0.0|, the same float: x - 0.0 is x for every float x, -0.0 and
+    nan included.
     """
     if m._fl is not None:
         eps, rows = m._fl
         cols = tuple(zip(*rows))
-        for i, ci in enumerate(cols):
-            for j in range(i + 1):
-                dot = sum(map(mul, ci, cols[j]))
-                if abs(dot - (1.0 if i == j else 0.0)) > eps:
+        for j, cj in enumerate(cols):
+            dots = _dots(cols[j:], cj)  # i = j, j + 1, ..., n - 1
+            if abs(dots[0] - 1.0) > eps:
+                return False
+            for dot in dots[1:]:
+                if abs(dot) > eps:
                     return False
         return True
     d, a, b = m._form
@@ -356,9 +400,10 @@ def _so8_verdict(m: Matrix) -> bool:
 def trace_inner_product(a: Matrix, b: Matrix):
     """<a, b> = trace(a^t b) / n, the trace form normalized so <I, I> = 1.
 
-    On floats the nonzero products add in row-major order onto +0.0, times
-    1/n, as in ``ApproxReal`` arithmetic, at the larger tolerance of a and b;
-    with no nonzero product that is +0.0 at that tolerance."""
+    On floats the nonzero products add one by one in row-major order onto
+    +0.0, times 1/n, as in ``ApproxReal`` arithmetic, at the larger
+    tolerance of a and b; with no nonzero product that is +0.0 at that
+    tolerance."""
     if a.n != b.n:
         raise DimensionMismatch("size mismatch")
     if a._fl is None and b._fl is None:
@@ -368,7 +413,7 @@ def trace_inner_product(a: Matrix, b: Matrix):
     (ea, fa), (eb, fb) = a._floats(), b._floats()
     terms = [x * y for x, y in zip(chain.from_iterable(fa), chain.from_iterable(fb))
              if x and y]
-    return ApproxReal._fast(sum(terms, 0.0) * (1 / a.n), max(ea, eb))
+    return ApproxReal._fast(reduce(add, terms, 0.0) * (1 / a.n), max(ea, eb))
 
 
 def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:

@@ -31,8 +31,9 @@ by ``kernel.zmul``.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 
 from . import kernel
 from .linalg import Matrix
@@ -134,6 +135,8 @@ def mul_lines(x, y, zero=0):
     coordinate has the loop's bits.  A zero term, which such a loop may skip,
     leaves a nonzero sum unchanged and a zero sum at +0.0; starting floats
     from +0.0 keeps -0.0, which formats as "-0.0", out of the result.
+    ``triality._triality_defect`` writes these lines out once more, fused
+    with its comparison, and a test pins that copy to the table as well.
     """
     x0, x1, x2, x3, x4, x5, x6, x7 = x
     y0, y1, y2, y3, y4, y5, y6, y7 = y
@@ -486,7 +489,8 @@ def _rational_unit_form(rng, dim: int):
 def _float_unit_vector(rng, dim: int):
     while True:
         u = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-        n = sum(c * c for c in u) ** 0.5
+        # the squares added one by one in index order onto +0.0
+        n = reduce(add, [c * c for c in u], 0.0) ** 0.5
         if n > 1e-6:
             return tuple([c / n for c in u])
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd
-from operator import add, sub
 
 from .kernel import columns, max_abs, pack, zdot
 from .linalg import Matrix, NotOrthogonal, is_special_orthogonal
@@ -33,7 +32,6 @@ from .octonion import (
     TABLE,
     ensure_unit,
     left_translation,
-    mul_lines,
     right_translation,
     sandwich_matrix,
     transform,
@@ -119,15 +117,34 @@ def _packed_columns(rows, w):
 
 
 def _triality_defect(acols, bcols, ccols):
-    """Worst float deviation over the 64 basis pairs, with its argmax pair."""
+    """Worst float deviation over the 64 basis pairs, with its argmax pair.
+
+    Pair (i, j), e_i e_j = s e_k, deviates by max_r |t_r - p_r|: t = s B e_k
+    and p = (C e_i)(A e_j), whose coordinates are the lines of ``mul_lines``
+    for x = C e_i, y = A e_j and zero = 0.0, written out again here (a test
+    pins this copy to TABLE too).  The signed column t is -b for s = -1, and
+    |-b - p| is |b + p| bit for bit: IEEE rounding is symmetric, so
+    (-b) - p = -(b + p) exactly, a nan operand passes through either way,
+    and abs drops the sign.  The first pair of the largest deviation wins,
+    and a nan deviation never does (``>`` is False on it); ``max`` keeps the
+    first of equal or nan coordinates, as over any sequence.
+    """
+    neg = [tuple([-v for v in col]) for col in bcols]
     worst, at = 0.0, (0, 0)
-    for i in range(8):
-        ci = ccols[i]
-        row = TABLE[i]
-        for j in range(8):
-            prod = mul_lines(ci, acols[j], 0.0)
-            s, k = row[j]
-            r = max(map(abs, map(sub if s > 0 else add, bcols[k], prod)))
+    for i, row in enumerate(TABLE):
+        x0, x1, x2, x3, x4, x5, x6, x7 = ccols[i]
+        targets = [bcols[k] if s > 0 else neg[k] for s, k in row]
+        pairs = enumerate(zip(acols, targets))
+        for j, ((y0, y1, y2, y3, y4, y5, y6, y7), (t0, t1, t2, t3, t4, t5, t6, t7)) in pairs:
+            r = max(
+                abs(t0 - (0.0 + x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7)),
+                abs(t1 - (0.0 + x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6)),
+                abs(t2 - (0.0 + x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5)),
+                abs(t3 - (0.0 + x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4)),
+                abs(t4 - (0.0 + x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3)),
+                abs(t5 - (0.0 + x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2)),
+                abs(t6 - (0.0 + x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1)),
+                abs(t7 - (0.0 + x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0)))
             if r > worst:
                 worst, at = r, (i, j)
     return at, worst

@@ -2,22 +2,32 @@
 
 The oracles below are the float-backend loops from before the kernel: the
 octonion product accumulated over TABLE (zero terms skipped, accumulator
-starting at 0.0), generator-sum dot products, the worst-pair triality defect
-built on that product, entrywise ApproxReal comparison, and the ApproxReal
-constructions of translations, sandwich matrices and norms.  Floats are
-compared by repr, which tells -0.0 from 0.0.  The SO(n) verdict that
-kappa conjugation carries is compared with a fresh one.
+starting at 0.0), dot products added in order (``dot``, the bits ``sum``
+gave before Python 3.12), the worst-pair triality defect built on that
+product, entrywise ApproxReal comparison, and the ApproxReal constructions of
+translations, sandwich matrices and norms.  The straight-line triality
+defect, partial-pivot LU and Gram test are also held to the code they
+replaced on non-finite input: ``_det_float`` with a ``max(key=...)`` pivot,
+the defect over ``mul_lines`` and the Gram test over ``dot``.  Floats are
+compared by repr, which tells -0.0 from 0.0.  The SO(n) verdict that kappa
+conjugation carries is compared with a fresh one.
 """
 
+import ast
+import inspect
 import math
+import pathlib
 import random
 from fractions import Fraction
+from operator import add, sub
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spin8
 import spin8.linalg as linalg
+import spin8.triality as triality
 from spin8.checks import residual
 from spin8.linalg import Matrix, NotOrthogonal, is_special_orthogonal, random_rotation
 from spin8.octonion import (
@@ -47,16 +57,6 @@ EPS = 1e-9
 FB = FloatBackend(EPS)
 
 
-def test_sum_adds_floats_left_to_right():
-    # the float kernel (Matrix.__mul__, apply_floats, is_orthogonal,
-    # trace_inner_product, _float_unit_vector) and every pinned float digest
-    # rely on sum() adding in order, as CPython before 3.12 does; 3.12 made
-    # sum() of floats compensated, which gives 1.0 here
-    assert sum([0.1] * 10) == 0.9999999999999999, (
-        "sum() of floats is not left to right on this Python: the float "
-        "kernel's bits and the pinned report digests need Python < 3.12")
-
-
 def loop_product(x, y):
     out = [0.0] * 8
     for xi, row in zip(x, TABLE):
@@ -67,12 +67,21 @@ def loop_product(x, y):
     return out
 
 
+def dot(xs, ys):
+    """The products added one by one onto the int 0, as ``sum`` did before
+    Python 3.12 (0 + p is 0.0 + p for a float p)."""
+    total = 0
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
 def loop_matmul(a, b):
-    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+    return [[dot(r, c) for c in zip(*b)] for r in a]
 
 
 def loop_apply(a, v):
-    return [sum(x * y for x, y in zip(r, v)) for r in a]
+    return [dot(r, v) for r in a]
 
 
 def loop_defect(a, b, c):
@@ -150,18 +159,74 @@ class Sym:
         return Sym(f"({other!r}-{self.text})")
 
 
+SYMBOLS = {f"{v}{i}": Sym(f"{v}{i}") for v in "xy" for i in range(8)}
+
+
+def table_lines(zero):
+    """Line k adds +-x[p]*y[q], e_p e_q = +-e_k, in ascending p onto zero."""
+    lines = []
+    for k in range(8):
+        want = repr(zero)
+        for p, row in enumerate(TABLE):
+            (q, s), = [(q, s) for q, (s, kk) in enumerate(row) if kk == k]
+            want = f"({want}{'+' if s > 0 else '-'}x{p}*y{q})"
+        lines.append(want)
+    return lines
+
+
 def test_product_lines_follow_table():
-    # line k adds +-x[p]*y[q], e_p e_q = +-e_k, in ascending p onto the start
-    # value: +0.0 for floats, 0 for the integer parts of exact forms
+    # start value: +0.0 for floats, 0 for the integer parts of exact forms
     for zero in (0.0, 0):
-        got = mul_lines([Sym(f"x{p}") for p in range(8)],
-                        [Sym(f"y{q}") for q in range(8)], zero)
-        for k in range(8):
-            want = repr(zero)
-            for p, row in enumerate(TABLE):
-                (q, s), = [(q, s) for q, (s, kk) in enumerate(row) if kk == k]
-                want = f"({want}{'+' if s > 0 else '-'}x{p}*y{q})"
-            assert got[k].text == want
+        got = mul_lines([SYMBOLS[f"x{p}"] for p in range(8)],
+                        [SYMBOLS[f"y{q}"] for q in range(8)], zero)
+        assert [line.text for line in got] == table_lines(zero)
+
+
+def test_defect_lines_follow_table():
+    # _triality_defect writes the product lines out again, as
+    # max(abs(t0 - <line 0>), ..., abs(t7 - <line 7>)) with x = C e_i and
+    # y = A e_j: each line, run on symbols, must be TABLE's
+    tree = ast.parse(inspect.getsource(triality._triality_defect))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "max"]
+    assert len(calls) == 1 and len(calls[0].args) == 8
+    got = []
+    for k, arg in enumerate(calls[0].args):
+        assert ast.unparse(arg).startswith(f"abs(t{k} - ")
+        line = arg.args[0].right
+        got.append(eval(compile(ast.Expression(line), "<line>", "eval"), {}, SYMBOLS).text)
+    assert got == table_lines(0.0)
+
+
+def test_no_float_path_calls_builtin_sum():
+    # CPython 3.12 made sum() of floats compensated, so a float sum would give
+    # other bits on other versions; every float dot and norm adds in index
+    # order itself (linalg._dots, functools.reduce).  The sums left are exact
+    # on every version: integer parts of kernel forms, or a count of bools.
+    allowed = {
+        ("kernel", "matmul"),  # integer numerators
+        ("kernel", "zdot"),  # integer numerators
+        ("octonion", "_rational_unit_form"),  # integer draws
+        ("triality", "_triality_holds"),  # packed integers
+        ("triality", "_packed_products"),  # packed integers
+        ("cli", "_antipodal_section"),  # a count of bools
+    }
+    found = set()
+
+    def visit(module, node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(module, child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "sum"):
+                found.add((module, function))
+            visit(module, child, function)
+
+    for path in pathlib.Path(spin8.__file__).parent.glob("*.py"):
+        visit(path.stem, ast.parse(path.read_text()), None)
+    assert found <= allowed, sorted(found - allowed)
+    assert ("kernel", "matmul") in found  # the walk sees the package
 
 
 @settings(max_examples=300, deadline=None)
@@ -202,6 +267,31 @@ def test_matrix_kernel_matches_entrywise_loops(seed, kind):
             for x, y in zip(rx, ry)))
 
 
+def list_defect(acols, bcols, ccols):
+    """The defect as computed before it was written out straight-line: the
+    product by mul_lines, compared per pair by map."""
+    worst, at = 0.0, (0, 0)
+    for i in range(8):
+        for j in range(8):
+            prod = mul_lines(ccols[i], acols[j], 0.0)
+            s, k = TABLE[i][j]
+            r = max(map(abs, map(sub if s > 0 else add, bcols[k], prod)))
+            if r > worst:
+                worst, at = r, (i, j)
+    return at, worst
+
+
+def overflowed(m):
+    """m's floats times 1e300, squared by the float kernel: entries that
+    overflow to +-inf, and nan where +inf and -inf terms meet."""
+    big = Matrix._of_floats(EPS, tuple(tuple(x * 1e300 for x in r) for r in m._floats()[1]))
+    return big * big
+
+
+def float_columns(*mats):
+    return [tuple(zip(*m._floats()[1])) for m in mats]
+
+
 def tampered(rng, g):
     """Triples near g that fail the identity, and one of signed permutations."""
     c1, c2 = rng.sample(range(8), 2)
@@ -234,6 +324,88 @@ def test_triality_defect_matches_loop(seed):
                 TrialityTriple(a, b, c)
             assert exc.value.pair == pair
             assert repr(exc.value.residual) == repr(worst)
+    # inf and nan entries, where the loop oracle (zero terms skipped) parts
+    # from IEEE products: the straight-line defect against the per-pair map
+    for k in range(3):
+        mats = [g.A, g.B, g.C]
+        mats[k] = overflowed(mats[k])
+        assert any(math.isnan(x) for r in mats[k]._fl[1] for x in r)
+        cols = float_columns(*mats)
+        assert repr(triality._triality_defect(*cols)) == repr(list_defect(*cols))
+    cols = float_columns(*map(overflowed, (g.A, g.B, g.C)))
+    assert repr(triality._triality_defect(*cols)) == repr(list_defect(*cols))
+
+
+# --- the partial-pivot LU and the Gram test against the loops they replaced --
+
+def pivot_max_det(rows):
+    """_det_float as written before its pivot scan: max(key=...) per column."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    det = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if m[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        inv = 1.0 / m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] * inv
+            if f:
+                for j in range(k + 1, n):
+                    m[i][j] -= f * m[k][j]
+    return det
+
+
+def loop_gram_test(eps, rows):
+    """is_orthogonal on floats as written before: row-major over j <= i."""
+    cols = tuple(zip(*rows))
+    for i, ci in enumerate(cols):
+        for j in range(i + 1):
+            if abs(dot(ci, cols[j]) - (1.0 if i == j else 0.0)) > eps:
+                return False
+    return True
+
+
+def lu_cases(rng, n):
+    """Float rows that stress the pivot scan and the update."""
+    dense = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+    yield dense
+    # ties: entries +-1 and +-0.5 only, so most columns tie on |entry|
+    yield [[rng.choice((1.0, -1.0, 0.5, -0.5)) for _ in range(n)] for _ in range(n)]
+    yield [[1.0] * n for _ in range(n)]
+    zero_col = [list(r) for r in dense]
+    c = rng.randrange(n)
+    for r in zero_col:
+        r[c] = rng.choice((0.0, -0.0))
+    yield zero_col
+    yield [[rng.choice((0.0, -0.0, x)) for x in r] for r in dense]
+    # pivots whose product underflows to +-0 (and subnormal updates)
+    yield [[x * 1e-170 for x in r] for r in dense]
+    yield [[x * 1e-300 if i == j else x * 1e-160 for j, x in enumerate(r)]
+           for i, r in enumerate(dense)]
+    # huge finite entries: the product and the updates overflow to inf and nan
+    yield [[x * 1e300 for x in r] for r in dense]
+    yield [[x * 1.7e308 if rng.random() < 0.5 else x for x in r] for r in dense]
+    # non-finite entries, a nan pivot among them
+    yield [[rng.choice((math.inf, -math.inf, math.nan, x)) for x in r] for r in dense]
+    yield [[math.nan if j == 0 else x for j, x in enumerate(r)] for r in dense]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([8, 16, 3]))
+def test_lu_and_gram_match_the_loops_they_replaced(seed, n):
+    rng = random.Random(seed)
+    rotation = [list(r) for r in random_rotation(rng, FB, n)._fl[1]]
+    big = [list(r) for r in overflowed(random_rotation(rng, FB, n))._fl[1]]
+    for rows in [rotation, big, *lu_cases(rng, n)]:
+        assert repr(linalg._det_float(rows)) == repr(pivot_max_det(rows))
+        for eps in (EPS, 1e308):
+            m = Matrix._of_floats(eps, tuple(map(tuple, rows)))
+            assert linalg.is_orthogonal(m) is loop_gram_test(eps, rows)
 
 
 # --- the SO(n) verdict carried through kappa conjugation -------------------
@@ -241,7 +413,7 @@ def test_triality_defect_matches_loop(seed):
 def gram_floats(m):
     """|(m^t m)[i][j] - delta_ij| for j <= i, as is_orthogonal computes them."""
     cols = list(zip(*m._fl[1]))
-    return [abs(sum(x * y for x, y in zip(cols[i], cols[j])) - (i == j))
+    return [abs(dot(cols[i], cols[j]) - (i == j))
             for i in range(len(cols)) for j in range(i + 1)]
 
 
