@@ -18,8 +18,9 @@ import os
 import random
 import zlib
 from collections import namedtuple
+from contextlib import suppress
 from functools import partial, reduce
-from itertools import chain
+from itertools import chain, combinations
 from operator import add, mul, sub
 
 from .clifford import (
@@ -137,7 +138,9 @@ class Judge:
     """Accumulates pass/fail and the worst residual across comparisons.
 
     On the exact backend equal values have equal floats, so a passing
-    comparison has residual 0 and only failing ones are measured.
+    comparison has residual 0 and only failing ones are measured.  A control,
+    that two values differ or that a call is refused, is ``differ`` or
+    ``refuses``; neither records a residual.
     """
 
     def __init__(self, exact: bool = False):
@@ -159,6 +162,19 @@ class Judge:
         if not condition:
             self.ok = False
         return condition
+
+    def differ(self, a, b) -> bool:
+        """Passes when a != b at the backend's equality."""
+        return self.expect(a != b)
+
+    def refuses(self, exc, fn, *args) -> bool:
+        """Passes when fn(*args) raises exc; any other error propagates."""
+        try:
+            fn(*args)
+        except exc:
+            return True
+        self.ok = False
+        return False
 
 
 # --- the individual checks --------------------------------------------------
@@ -224,21 +240,14 @@ def _check_clifford(j, backend, rng, trials):
         j.eq(triple_from_pair(g.A, g.B), g)
         a = random_rotation(rng, backend)
         b = random_rotation(rng, backend)
-        try:
-            recover_vector(ad_conjugate(a, b, x))
-            j.expect(False)  # a generic rotation pair must be rejected
-        except NotVectorShaped:
-            pass
+        # a generic rotation pair must be rejected
+        j.refuses(NotVectorShaped, recover_vector, ad_conjugate(a, b, x))
         # and the triple constructor must refuse the same pair by its
         # identity: C = R(conj(a e1)) b is in SO(8), a e1 being a unit, so
         # NotOrthogonal cannot fire; were the triple built, (a, b) would be in
         # the group and ad_conjugate would send embed(x) to embed(Cx),
         # against the control above
-        try:
-            triple_from_pair(a, b)
-            j.expect(False)
-        except TrialityViolated:
-            pass
+        j.refuses(TrialityViolated, triple_from_pair, a, b)
     return n
 
 
@@ -246,11 +255,7 @@ def _check_closure(j, backend, rng, trials):
     for _ in range(trials):
         g = random_triple(rng, backend, max_len=3)
         h = random_triple(rng, backend, max_len=3)
-        try:
-            gh = g * h
-        except TrialityViolated:
-            j.expect(False)
-            continue
+        gh = g * h  # a product that fails raises to run_check
         if not backend.exact:
             j.max_residual = max(j.max_residual, gh.triality_residual())
         inv = gh.inverse()
@@ -284,7 +289,9 @@ def _check_sigma(j, backend, rng, trials):
 
 def _check_s3(j, backend, rng, trials):
     words = GammaElement.all_elements()
-    j.expect(len({(w.s, w.t) for w in words}) == 6)
+    j.expect(len(words) == 6)
+    for w1, w2 in combinations(words, 2):  # six distinct words
+        j.differ(w1, w2)
     for w1 in words:
         for w2 in words:
             g = random_triple(rng, backend, max_len=1)
@@ -313,13 +320,10 @@ def _check_g2(j, backend, rng, trials):
         diagonal = g.A == g.B and g.A == g.C
         if not diagonal:
             # contrapositive of "tau-fixed implies diagonal"
-            j.expect(apply_tau(g) != g)
-            # negative control: is_g2 first tests the same A == B and A == C
-            # that was just found false, so on correct code it cannot fire at
-            # any eps
-            j.expect(not is_g2(g))
-        else:
-            j.expect(is_g2(g))
+            j.differ(apply_tau(g), g)
+        # is_g2 first tests the same A == B and A == C, so on correct code
+        # it agrees with `diagonal` at any eps
+        j.expect(is_g2(g) == diagonal)
     return n
 
 
@@ -334,8 +338,8 @@ def _check_isotropy(j, backend, rng, trials):
         g = random_triple(rng, backend, max_len=2)
         if act(g, o) == o:
             j.expect(is_g2(g))
-        else:
-            j.expect(not (g.A == g.B and g.A == g.C))
+        else:  # g moves o, so it is not diagonal
+            j.differ((g.A, g.A), (g.B, g.C))
     return n
 
 
@@ -364,24 +368,18 @@ def _check_fixed_sets(j, backend, rng, trials):
     for _ in range(n):
         v = random_imaginary_unit(rng, backend)
         p = fix_tau_point(v)
-        j.eq(tau_sphere(p), p)
-        j.expect(is_fixed_by_tau(p))
+        j.eq(tau_sphere(p), p)                 # is_fixed_by_tau(p)
         j.expect(tau_fixed_characterization(p))
-        j.expect(not p.is_diagonal())          # Y misses the diagonal
+        j.differ(p.x, p.y)                     # Y misses the diagonal
         j.eq(fix_tau_point(-v), sigma_sphere(p))
         x = random_unit_octonion(rng, backend)
         j.eq(sigma_sphere(SpherePoint(x, x)), SpherePoint(x, x))
         if backend.exact:
             # negative control: |2x|^2 = |2|^2 |x|^2 = 4 != 1, so a sphere
             # point, whose coordinates are units, cannot have 2x as one
-            try:
-                SpherePoint(x * _TWO, x)
-                j.expect(False)
-            except NotUnit:
-                pass
+            j.refuses(NotUnit, SpherePoint, x * _TWO, x)
         pt = random_sphere_point(rng, backend)
-        if is_fixed_by_tau(pt) != tau_fixed_characterization(pt):
-            j.expect(False)
+        j.expect(is_fixed_by_tau(pt) == tau_fixed_characterization(pt))
     j.expect(is_fixed_by_tau(o) and tau_fixed_characterization(o))
     j.eq(sigma_sphere(o), o)
     return n
@@ -409,19 +407,15 @@ def _check_kai(j, backend, rng, trials):
 
 
 def _check_antipodal(j, backend, rng, trials):
-    o = base_point()
     vs = [to_backend(Octonion.basis(2), backend)]
     vs += [random_imaginary_unit(rng, backend) for _ in range(max(1, trials // 5))]
     for i, v in enumerate(vs):
         aset = antipodal_set(v)
-        _, p, q = aset.points
-        j.eq(sigma_sphere(p), q)
-        j.eq(sigma_sphere(q), p)
-        j.eq(sigma_sphere(o), o)
+        j.expect(aset.sigma_swaps)
         j.expect(aset.polar_intersections)
         scan_trials = 10 * trials if i == 0 else 3
         scan = maximality_scan(v, scan_trials, rng)
-        j.expect(scan.closes_on((o, p, q)))
+        j.expect(scan.closes_on(aset.points))
         # one row per random candidate plus the three fixed ones, t = 1, s
         # and conj s
         j.expect(len(scan.rows) == scan_trials + 3)
@@ -672,11 +666,9 @@ def _run_jobs(jobs, order=None, workers=None) -> list:
     finally:
         for pid, fd in running.items():
             os.close(fd)
-            try:
+            with suppress(ProcessLookupError, ChildProcessError):  # already reaped
                 os.kill(pid, _SIGKILL)
                 os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # already reaped
-                pass
         os.close(queue_r)
     missing = [i for i, r in enumerate(results) if r is pending]
     if missing:

@@ -248,9 +248,6 @@ def _candidates(rows, ind) -> list:
 
 def _antipodal_section(cfg: RunConfig, v, backend):
     aset = antipodal_set(v)          # raises if a certificate fails
-    o, p, q = aset.points
-    swap = sigma_sphere(p) == q and sigma_sphere(q) == p
-    polar = aset.polar_intersections
     rng = random.Random(derive_seed(cfg.seed, "antipodal-cmd", backend.name))
     report_scan = maximality_scan(v, cfg.trials, rng)
     accepted = report_scan.accepted_candidates()
@@ -262,8 +259,8 @@ def _antipodal_section(cfg: RunConfig, v, backend):
         "backend": backend.name,
         "v": format_octonion(v),
         "points": [x.to_json() for x in aset.points],
-        "sigma_swaps_pair": swap,
-        "polar_intersections": polar,
+        "sigma_swaps_pair": aset.sigma_swaps,
+        "polar_intersections": aset.polar_intersections,
         "maximality": {
             "trials": cfg.trials,
             "accepted": len(accepted),
@@ -271,7 +268,7 @@ def _antipodal_section(cfg: RunConfig, v, backend):
             "candidates": _candidates(report_scan.rows, _SECTION + "    "),
         },
     }
-    ok = swap and polar and scan_ok
+    ok = aset.sigma_swaps and aset.polar_intersections and scan_ok
     line = (f"{'PASS' if ok else 'FAIL'} antipodal [{backend.name}] "
             f"accepted={len(accepted)} of {len(report_scan.rows)} candidates")
     return section, line, ok

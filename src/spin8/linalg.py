@@ -15,9 +15,11 @@ negation, equality, the trace form, blocks (``Matrix.blocks``, ``join``) and
 the plane rotations of ``random_rotation`` run on the forms alone.  Float
 results are bit-identical to entrywise ``ApproxReal`` arithmetic: the same
 float operations run in the same order, and a run's tolerances are uniform
-and combine as the max.  Every float dot product is ``_dots``: the products
-added one by one in index order onto +0.0, written out, never the builtin
-``sum``, whose float algorithm depends on the Python version.
+and combine as the max.  Every float dot product is ``_dots`` (octonion
+norms too): the products added one by one in index order onto +0.0, written
+out, never the builtin ``sum``, whose float algorithm depends on the Python
+version.  The one exception is the trace form, which folds its nonzero
+products only, in row-major order onto +0.0.
 
 The one determinant is ``_det_float``, partial-pivot LU on floats.  It gives
 the sign of every SO(n) verdict, exact ones included: an exactly orthogonal
@@ -253,13 +255,12 @@ def _dots(vs, w):
     0 + p for the float p = v[0] * w[0] is float addition 0.0 + p (int
     addition declines a float, and float addition reads the int 0 as 0.0);
     it then adds each further product into a C double, uncompensated, in
-    order.  Each v is a row or column of a float matrix (w may hold the
-    int 0 of an octonion's float form), so every product is a float, as it
-    was there.  Written out, the bits do
-    not depend on the Python version (3.12 made ``sum`` of floats
-    compensated).  n = 8, every rotation and octonion here, runs
-    straight-line; any other n (the 16 x 16 Clifford matrices) folds the
-    same adds with ``reduce``.
+    order.  v and w are float rows, columns or octonion float forms; a
+    form's int 0 makes a product the int 0 or a zero float, which adds to
+    the running float as 0.0 does.  Written out, the bits do not depend on
+    the Python version (3.12 made ``sum`` of floats compensated).  n = 8,
+    every rotation and octonion here, runs straight-line; any other n
+    (16 x 16 Clifford matrices, 7-dim unit draws) folds them with ``reduce``.
     """
     if len(w) == 8:
         w0, w1, w2, w3, w4, w5, w6, w7 = w

@@ -31,12 +31,11 @@ by ``kernel.zmul``.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import lcm
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 
 from . import kernel
-from .linalg import Matrix
+from .linalg import Matrix, _dots
 from .scalars import SQRT3, ApproxReal, ParseError, approx_eps
 
 
@@ -255,24 +254,18 @@ class Octonion:
         return Octonion._of_form(
             (d, a[:1] + [-v for v in a[1:]], b and b[:1] + [-v for v in b[1:]]))
 
-    def _float_norm(self) -> float:
-        # the squares added in index order onto +0.0; a zero square adds +0.0
-        # to a sum >= +0.0, so this is the sum over the nonzero terms
-        n = 0.0
-        for v in self._fl[1]:
-            n += v * v
-        return n
-
     def norm_sq(self):
         """|x|^2, the sum of the squared coefficients.
 
         A float octonion adds the squares of its float form in index order
-        onto +0.0, at the form's tolerance: ``ApproxReal`` arithmetic over the
-        nonzero terms bit for bit.  An exact one sums exactly on the kernel
-        form.
+        onto +0.0 (``linalg._dots``), at the form's tolerance: a zero square
+        adds +0.0 to a sum >= +0.0, so this is ``ApproxReal`` arithmetic over
+        the nonzero terms bit for bit.  An exact one sums exactly on the
+        kernel form.
         """
         if self._fl is not None:
-            return ApproxReal._fast(self._float_norm(), self._fl[0])
+            f = self._fl[1]
+            return ApproxReal._fast(_dots((f,), f)[0], self._fl[0])
         d, a, b = self._form
         x, y = kernel.zdot((a, b), (a, b))
         return kernel.unscale(d * d, [x], [y] if y else None)[0]
@@ -282,7 +275,8 @@ class Octonion:
         tolerance, or on the kernel form as the integer identity
         |a + b sqrt 3|^2 = d^2.  The zero vector is no unit at any tolerance."""
         if self._fl is not None:
-            return any(self._fl[1]) and abs(self._float_norm() - 1.0) <= self._fl[0]
+            eps, f = self._fl
+            return any(f) and abs(_dots((f,), f)[0] - 1.0) <= eps
         d, a, b = self._form
         x, y = kernel.zdot((a, b), (a, b))
         return y == 0 and x == d * d
@@ -489,8 +483,7 @@ def _rational_unit_form(rng, dim: int):
 def _float_unit_vector(rng, dim: int):
     while True:
         u = [rng.gauss(0.0, 1.0) for _ in range(dim)]
-        # the squares added one by one in index order onto +0.0
-        n = reduce(add, [c * c for c in u], 0.0) ** 0.5
+        n = _dots((u,), u)[0] ** 0.5
         if n > 1e-6:
             return tuple([c / n for c in u])
 

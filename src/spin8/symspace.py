@@ -65,9 +65,6 @@ class SpherePoint:
             return NotImplemented
         return self.x == other.x and self.y == other.y
 
-    def is_diagonal(self) -> bool:
-        return self.x == self.y
-
     def to_json(self) -> dict:
         return {"x": format_octonion(self.x), "y": format_octonion(self.y)}
 
@@ -182,7 +179,7 @@ class PolarSphere:
         return True
 
 
-AntipodalSet = namedtuple("AntipodalSet", "points polar_intersections")
+AntipodalSet = namedtuple("AntipodalSet", "points sigma_swaps polar_intersections")
 
 
 def antipodal_set(v: Octonion) -> AntipodalSet:
@@ -193,6 +190,9 @@ def antipodal_set(v: Octonion) -> AntipodalSet:
     L(s)-type and L(conj s)-type triples) transports o to it; the certificate
     is that the symmetry group at each point fixes every point of the set.
     A failed certificate raises; it must never fire.
+
+    `sigma_swaps` records that sigma(p) = q and sigma(q) = p, decided here
+    for every caller.
 
     `polar_intersections` records that the pairwise intersections of the
     three polars land in the set: the group at p fixes o and q, the group at
@@ -215,11 +215,7 @@ def antipodal_set(v: Octonion) -> AntipodalSet:
     if o == p or o == q or p == q:
         raise AntipodalityViolated(f"o, p and q are not three points at {v!r}")
     points = [o, p, q]
-    witnesses = [
-        TrialityTriple.identity(),
-        spin_from_unit(s),
-        spin_from_unit(s.conj()),
-    ]
+    witnesses = [TrialityTriple.identity(), spin_from_unit(s), spin_from_unit(s.conj())]
     for base, witness in zip(points, witnesses):
         polar = PolarSphere(witness)
         if polar.basepoint != base:
@@ -227,7 +223,8 @@ def antipodal_set(v: Octonion) -> AntipodalSet:
         for target in points:
             if not polar.point_group_fixes(target):
                 raise AntipodalityViolated(f"symmetry at {base!r} moves {target!r}")
-    return AntipodalSet(points, q == fix_tau_point(-v))
+    return AntipodalSet(points, sigma_sphere(p) == q and sigma_sphere(q) == p,
+                        q == fix_tau_point(-v))
 
 
 ScanRow = namedtuple("ScanRow", "t candidate accepted residual")
@@ -253,9 +250,17 @@ def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
 
     Candidates are (s*t, conj(s)*conj(t)) for cube roots of unity t: the three
     closed-form ones (t = 1, s, conj s from w = v, -v) plus cube roots built
-    from `trials` random unit imaginaries.  A candidate extends the set iff
-    conj(s)*conj(t) = conj(s*t), i.e. iff s and t commute, which forces the
-    candidate back into {p, q, o}; the report records every decision.
+    from `trials` random unit imaginaries.  A candidate is accepted iff
+    conj(s)*conj(t) = conj(s*t), and that holds only for p, q and o; the
+    report records every decision.
+
+    Proof.  conj is a bijective anti-automorphism, so conj(s)*conj(t) =
+    conj(t*s) equals conj(s*t) iff s*t = t*s.  t = 1 gives p.  Otherwise
+    t = (-1 + sqrt 3 w)/2 for a unit imaginary w, s*t - t*s = 3(vw - wv)/4,
+    and |vw - wv|^2 = 4(|v|^2 |w|^2 - <v,w>^2) for imaginary v, w (vw - wv
+    is twice their cross product).  Equality in Cauchy-Schwarz forces
+    w = +-v, i.e. t = s, whose candidate (s^2, conj s^2) = (conj s, s) is q,
+    or t = conj s, whose candidate (s conj s, conj s s) is o.
 
     Each candidate runs on the octonion forms with every test in place: the
     imaginary-unit test of w in ``cube_root_of_unity``, the unit tests of

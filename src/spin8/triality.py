@@ -395,8 +395,8 @@ def triple_from_pair(a: Matrix, b: Matrix) -> TrialityTriple:
 def is_g2(g: TrialityTriple) -> bool:
     """True iff the triple is diagonal, i.e. an octonion automorphism.
 
-    Checks A = B = C and then A(xy) = A(x)A(y) on all 64 basis pairs; for a
-    verified triple the second condition is implied by the first, so it acts
-    as a consistency cross-check.
+    Checks A = B = C and then A(xy) = A(x)A(y) on all 64 basis pairs.  For a
+    verified exact triple the first implies the second, a cross-check; on
+    floats A == B == C is only tolerance equality, so the second is a test.
     """
     return g.A == g.B and g.A == g.C and _triality_holds(g.A, g.A, g.A)

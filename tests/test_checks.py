@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import os
 import pickle
@@ -75,6 +77,90 @@ def test_judge():
     assert not j.eq(ApproxReal(0.0, 1e-9), ApproxReal(0.5, 1e-9))
     assert not j.ok
     assert j.max_residual == 0.5
+
+
+def test_judge_differ():
+    j = Judge()
+    assert j.differ(ApproxReal(0.0, 1e-9), ApproxReal(0.5, 1e-9))
+    assert j.ok and j.max_residual == 0.0
+    # values equal at the backend's tolerance do not differ
+    assert not j.differ(ApproxReal(0.0, 1e-3), ApproxReal(1e-4, 1e-3))
+    assert not j.ok
+    assert j.max_residual == 0.0  # a control records no residual
+
+
+def test_judge_refuses():
+    def raises(exc, *args):
+        raise exc(*args)
+
+    j = Judge()
+    assert j.refuses(TrialityViolated, raises, TrialityViolated, (0, 1), 0.5)
+    assert j.ok and j.max_residual == 0.0
+    # a call that returns is not refused, and the residual stays unset
+    assert not j.refuses(TrialityViolated, lambda: None)
+    assert not j.ok
+    assert j.max_residual == 0.0
+    # an error of another type is no refusal: it propagates to run_check
+    j = Judge()
+    with pytest.raises(ZeroDivisionError):
+        j.refuses(TrialityViolated, raises, ZeroDivisionError)
+    assert j.ok
+
+
+# The (check, backend) rows that state at least one control, a
+# Judge.differ or Judge.refuses call, at --trials 1.  This set may only
+# grow: a check that gains a control is added here, and none is removed
+# (ROADMAP item 1, "Guard").
+CONTROL_ROWS = {
+    (name, backend)
+    for name in ("clifford-embedding", "s3-relations", "g2-fixed-group",
+                 "isotropy-at-base", "fixed-sets")
+    for backend in ("exact", "float")
+}
+
+
+def test_controls_only_grow(monkeypatch):
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    row, rows = [None], set()
+
+    def running(check, cfg, backend, real=checks.run_check):
+        row[0] = (check.name, backend.name)
+        return real(check, cfg, backend)
+
+    def stated(verb):
+        real = getattr(Judge, verb)
+        return lambda self, *args: rows.add(row[0]) or real(self, *args)
+
+    monkeypatch.setattr(checks, "run_check", running)
+    for verb in ("differ", "refuses"):
+        monkeypatch.setattr(Judge, verb, stated(verb))
+    results = run_checks(RunConfig(trials=1))
+    assert len(results) == 26 and all(r.passed for r in results)
+    assert rows == CONTROL_ROWS
+
+
+def test_checks_state_controls_only_through_the_verbs():
+    # no control is written by hand: no expect(False), no expect(not ...),
+    # and no handler that passes over what it catches
+    tree = ast.parse(inspect.getsource(checks))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "expect":
+            arg = node.args[0]
+            assert not (isinstance(arg, ast.Constant) and arg.value is False), node.lineno
+            assert not (isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.Not)), \
+                node.lineno
+        if isinstance(node, ast.ExceptHandler):
+            assert not all(isinstance(b, ast.Pass) for b in node.body), node.lineno
+
+
+def test_antipodal_sigma_swap_is_decided_by_antipodal_set():
+    import spin8.cli as cli
+
+    for module, name in ((checks, "_check_antipodal"), (cli, "_antipodal_section")):
+        tree = ast.parse(inspect.getsource(getattr(module, name)))
+        called = {getattr(n.func, "id", None) for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)}
+        assert "antipodal_set" in called and "sigma_sphere" not in called, name
 
 
 def test_hostile_tolerance_fails_cleanly():

@@ -450,6 +450,27 @@ def test_antipodal(capsys):
     assert len(section["maximality"]["candidates"]) == 13  # 3 closed-form + 10
 
 
+def test_a_sigma_that_does_not_swap_fails(tmp_path, capsys, monkeypatch):
+    # antipodal_set decides the swap for both callers: reported False, the
+    # antipodal-triple rows and the antipodal command fail
+    def aset(v, real=cli.antipodal_set):
+        return real(v)._replace(sigma_swaps=False)
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    monkeypatch.setattr(checks, "antipodal_set", aset)
+    monkeypatch.setattr(cli, "antipodal_set", aset)
+    out = tmp_path / "rep.json"
+    code, _, _ = run(capsys, "verify-all", "--trials", "1", "--out", str(out))
+    assert code == 1
+    failing = {(r["name"], r["backend"]) for r in json.loads(out.read_text())["checks"]
+               if r["status"] != "pass"}
+    assert failing == {("antipodal-triple", "exact"), ("antipodal-triple", "float")}
+    code, _, err = run(capsys, "antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--out", str(out))
+    assert code == 1 and err.startswith("FAIL antipodal [exact]")
+    assert [s["sigma_swaps_pair"] for s in json.loads(out.read_text())["antipodal"]] \
+        == [False, False]
+
+
 def test_antipodal_negated_v_swaps(capsys):
     code, out, _ = run(capsys, "antipodal", "[0,-1,0,0,0,0,0,0]",
                        "--trials", "5", "--backend", "exact")

@@ -587,6 +587,32 @@ def test_norm_sq_matches_approx_loop(x):
         assert got == want == 0 and type(got) is int
 
 
+def loop_float_norm(f):
+    """The squares of a float form added one by one onto +0.0, as
+    Octonion.norm_sq did before it called linalg._dots."""
+    n = 0.0
+    for v in f:
+        n += v * v
+    return n
+
+
+edge_coeff = st.one_of(st.sampled_from([0, 0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e200,
+                                        -1e200, 1.0, -1.0]),
+                       st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(edge_coeff, min_size=8, max_size=8))
+def test_octonion_norms_are_the_dots_loop(f):
+    # norm_sq and is_unit read linalg._dots; its adds and their order are
+    # the loop's, int zeros, signed zeros, subnormal and overflowing squares
+    # included
+    x = Octonion._of_floats(1e-9, tuple(f))
+    want = loop_float_norm(f)
+    assert repr(x.norm_sq().value) == repr(want)
+    assert x.is_unit() == (any(f) and abs(want - 1.0) <= 1e-9)
+
+
 def test_float_constructors_edge_cases():
     # a float octonion's norm and translations carry its form's tolerance,
     # the largest among its ApproxReal coefficients, zeros included

@@ -8,6 +8,7 @@ from spin8.octonion import (
     cube_root_of_unity,
     random_imaginary_unit,
     random_unit_octonion,
+    to_backend,
 )
 from spin8.sampling import random_g2, random_gamma, random_sphere_point, random_triple
 from spin8.scalars import EXACT, ApproxReal, FloatBackend, QuadExt, Rational
@@ -115,7 +116,7 @@ def test_fix_tau_point_random():
             p = fix_tau_point(v)
             assert is_fixed_by_tau(p)
             assert tau_fixed_characterization(p)
-            assert not p.is_diagonal()
+            assert p.x != p.y
 
 
 def test_is_fixed_by_tau_negative_cases():
@@ -147,7 +148,8 @@ def test_diagonal_meets_fixed_set_only_at_base():
     rng = random.Random(7)
     for _ in range(10):
         v = random_imaginary_unit(rng, EXACT)
-        assert not fix_tau_point(v).is_diagonal()
+        p = fix_tau_point(v)
+        assert p.x != p.y
 
 
 def test_phi_x():
@@ -208,6 +210,7 @@ def test_antipodal_set_canonical():
     assert p == SpherePoint(s, s.conj())
     assert q == SpherePoint(s.conj(), s)
     assert sigma_sphere(p) == q
+    assert aset.sigma_swaps
 
 
 def test_antipodal_set_random_and_float():
@@ -218,6 +221,8 @@ def test_antipodal_set_random_and_float():
         assert len(aset.points) == 3
         o, p, q = aset.points
         assert sigma_sphere(p) == q and sigma_sphere(q) == p
+        assert aset.sigma_swaps
+        assert antipodal_set(to_backend(e(2), backend)).sigma_swaps
 
 
 def test_maximality_scan():
