@@ -58,7 +58,6 @@ from .symspace import (
     gamma_sphere,
     is_fixed_by_tau,
     kai_sides,
-    maximality_scan,
     phi_x,
     sigma_sphere,
     tau_fixed_characterization,
@@ -410,15 +409,10 @@ def _check_antipodal(j, backend, rng, trials):
     vs = [to_backend(Octonion.basis(2), backend)]
     vs += [random_imaginary_unit(rng, backend) for _ in range(max(1, trials // 5))]
     for i, v in enumerate(vs):
-        aset = antipodal_set(v)
+        aset = antipodal_set(v, 10 * trials if i == 0 else 3, rng)
         j.expect(aset.sigma_swaps)
         j.expect(aset.polar_intersections)
-        scan_trials = 10 * trials if i == 0 else 3
-        scan = maximality_scan(v, scan_trials, rng)
-        j.expect(scan.closes_on(aset.points))
-        # one row per random candidate plus the three fixed ones, t = 1, s
-        # and conj s
-        j.expect(len(scan.rows) == scan_trials + 3)
+        j.expect(aset.maximal)
     return len(vs)
 
 

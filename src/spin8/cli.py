@@ -38,7 +38,6 @@ from .symspace import (
     base_point,
     fix_tau_point,
     is_fixed_by_tau,
-    maximality_scan,
     sigma_sphere,
     tau_fixed_characterization,
     tau_sphere,
@@ -247,14 +246,9 @@ def _candidates(rows, ind) -> list:
 
 
 def _antipodal_section(cfg: RunConfig, v, backend):
-    aset = antipodal_set(v)          # raises if a certificate fails
     rng = random.Random(derive_seed(cfg.seed, "antipodal-cmd", backend.name))
-    report_scan = maximality_scan(v, cfg.trials, rng)
-    accepted = report_scan.accepted_candidates()
-    scan_ok = report_scan.closes_on(aset.points)
-    # a failing scan counts the accepted candidates that are none of o, p, q
-    extra = 0 if scan_ok else sum(
-        not any(c == x for x in aset.points) for c in accepted)
+    aset = antipodal_set(v, cfg.trials, rng)  # raises if a certificate fails
+    accepted = sum(r.accepted for r in aset.rows)
     section = {
         "backend": backend.name,
         "v": format_octonion(v),
@@ -263,14 +257,14 @@ def _antipodal_section(cfg: RunConfig, v, backend):
         "polar_intersections": aset.polar_intersections,
         "maximality": {
             "trials": cfg.trials,
-            "accepted": len(accepted),
-            "extra_acceptances": extra,
-            "candidates": _candidates(report_scan.rows, _SECTION + "    "),
+            "accepted": accepted,
+            "extra_acceptances": aset.extra,
+            "candidates": _candidates(aset.rows, _SECTION + "    "),
         },
     }
-    ok = aset.sigma_swaps and aset.polar_intersections and scan_ok
+    ok = aset.sigma_swaps and aset.polar_intersections and aset.maximal
     line = (f"{'PASS' if ok else 'FAIL'} antipodal [{backend.name}] "
-            f"accepted={len(accepted)} of {len(report_scan.rows)} candidates")
+            f"accepted={accepted} of {len(aset.rows)} candidates")
     return section, line, ok
 
 

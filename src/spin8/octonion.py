@@ -157,7 +157,8 @@ def mul_coeffs(x, y):
     The product of the octonions they build: exact inputs multiply on their
     kernel forms; with a float input the result is ``mul_lines`` at the
     largest tolerance of both, as entrywise ``ApproxReal`` arithmetic would
-    give it.
+    give it.  No program code calls it: it stays because perfbench's tracer
+    wraps it by name, and a perfbench test fails when a name it reads is gone.
     """
     return (Octonion(x) * Octonion(y)).coeffs
 

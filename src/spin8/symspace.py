@@ -179,20 +179,20 @@ class PolarSphere:
         return True
 
 
-AntipodalSet = namedtuple("AntipodalSet", "points sigma_swaps polar_intersections")
+AntipodalSet = namedtuple(
+    "AntipodalSet", "points sigma_swaps polar_intersections rows extra maximal")
 
 
-def antipodal_set(v: Octonion) -> AntipodalSet:
+def antipodal_set(v: Octonion, trials: int, rng) -> AntipodalSet:
     """The three-point set {o, p, q} = {o, (s, conj s), (conj s, s)} with
-    certificates.
+    certificates, and the verdict of its maximality scan.
 
     Each point is the basepoint of a PolarSphere whose witness (the identity,
     L(s)-type and L(conj s)-type triples) transports o to it; the certificate
     is that the symmetry group at each point fixes every point of the set.
     A failed certificate raises; it must never fire.
 
-    `sigma_swaps` records that sigma(p) = q and sigma(q) = p, decided here
-    for every caller.
+    `sigma_swaps` records that sigma(p) = q and sigma(q) = p.
 
     `polar_intersections` records that the pairwise intersections of the
     three polars land in the set: the group at p fixes o and q, the group at
@@ -200,6 +200,12 @@ def antipodal_set(v: Octonion) -> AntipodalSet:
     Y in the parameter sense q = fix_tau_point(-v).  The first six are among
     the certificates just passed, evaluated on the same witnesses, groups and
     points, so only the parameter condition is left to compute.
+
+    Then `maximality_scan(v, trials, rng)` runs, and its `rows` are kept.
+    `extra` counts the accepted candidates that are none of o, p and q;
+    `maximal` holds when there are none, each of o, p and q is accepted, and
+    the scan has its `trials + 3` rows.  Every caller reads these flags, so
+    maximality is decided here and nowhere else.
     """
     s = cube_root_of_unity(v)
     o = base_point()
@@ -223,36 +229,27 @@ def antipodal_set(v: Octonion) -> AntipodalSet:
         for target in points:
             if not polar.point_group_fixes(target):
                 raise AntipodalityViolated(f"symmetry at {base!r} moves {target!r}")
+    rows = maximality_scan(v, trials, rng)
+    accepted = [r.candidate for r in rows if r.accepted]
+    extra = sum(not any(c == x for x in points) for c in accepted)
+    maximal = (extra == 0 and len(rows) == trials + 3
+               and all(any(c == x for c in accepted) for x in points))
     return AntipodalSet(points, sigma_sphere(p) == q and sigma_sphere(q) == p,
-                        q == fix_tau_point(-v))
+                        q == fix_tau_point(-v), rows, extra, maximal)
 
 
 ScanRow = namedtuple("ScanRow", "t candidate accepted residual")
 
 
-class ScanReport(namedtuple("ScanReport", "rows")):
-    __slots__ = ()
-
-    def accepted_candidates(self) -> list:
-        return [r.candidate for r in self.rows if r.accepted]
-
-    def closes_on(self, points) -> bool:
-        """Acceptance as a set statement: every accepted candidate is one of
-        the points, and every point is accepted (the closed-form candidates
-        hit o, p and q)."""
-        accepted = self.accepted_candidates()
-        return all(any(c == x for x in points) for c in accepted) and all(
-            any(c == x for c in accepted) for x in points)
-
-
-def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
-    """Scan for points of Y that could extend {o, p, q}.
+def maximality_scan(v: Octonion, trials: int, rng) -> list:
+    """Scan for points of Y that could extend {o, p, q}: one ScanRow per
+    candidate, for ``antipodal_set`` to judge.
 
     Candidates are (s*t, conj(s)*conj(t)) for cube roots of unity t: the three
     closed-form ones (t = 1, s, conj s from w = v, -v) plus cube roots built
     from `trials` random unit imaginaries.  A candidate is accepted iff
     conj(s)*conj(t) = conj(s*t), and that holds only for p, q and o; the
-    report records every decision.
+    rows record every decision.
 
     Proof.  conj is a bijective anti-automorphism, so conj(s)*conj(t) =
     conj(t*s) equals conj(s*t) iff s*t = t*s.  t = 1 gives p.  Otherwise
@@ -287,4 +284,4 @@ def maximality_scan(v: Octonion, trials: int, rng) -> ScanReport:
         want = st.conj()
         rows.append(ScanRow(t=t, candidate=SpherePoint(st, pair),
                             accepted=(pair == want), residual=deviation(pair, want)))
-    return ScanReport(rows)
+    return rows

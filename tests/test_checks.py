@@ -153,14 +153,26 @@ def test_checks_state_controls_only_through_the_verbs():
             assert not all(isinstance(b, ast.Pass) for b in node.body), node.lineno
 
 
-def test_antipodal_sigma_swap_is_decided_by_antipodal_set():
+def test_antipodal_verdicts_are_decided_by_antipodal_set():
+    # the sigma swap and maximality are decided once, in antipodal_set: its
+    # two callers use nothing else that symspace defines (no maximality_scan,
+    # no sigma_sphere, no SpherePoint) and compare no two computed values,
+    # only a value with a literal
     import spin8.cli as cli
+    import spin8.symspace as symspace
 
+    defined = {name for name, obj in vars(symspace).items()
+               if getattr(obj, "__module__", None) == symspace.__name__}
+    assert {"antipodal_set", "maximality_scan", "sigma_sphere"} <= defined
     for module, name in ((checks, "_check_antipodal"), (cli, "_antipodal_section")):
         tree = ast.parse(inspect.getsource(getattr(module, name)))
-        called = {getattr(n.func, "id", None) for n in ast.walk(tree)
-                  if isinstance(n, ast.Call)}
-        assert "antipodal_set" in called and "sigma_sphere" not in called, name
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert used & defined == {"antipodal_set"}, name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                assert any(isinstance(x, ast.Constant) for x in operands), \
+                    (name, ast.unparse(node))
 
 
 def test_hostile_tolerance_fails_cleanly():

@@ -1,8 +1,11 @@
 import builtins
+import glob
 import hashlib
 import json
 import math
 import os
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spin8.checks as checks
 import spin8.cli as cli
+import spin8.symspace as symspace
 from spin8.checks import RunConfig
 from spin8.cli import main
 from spin8.octonion import NotImaginaryUnit, ensure_imaginary_unit, parse_octonion
@@ -140,7 +144,7 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, arg
         calls.append(a)
         raise AssertionError("work started before the output path was checked")
 
-    for name in ("run_checks", "maximality_scan", "fix_tau_point"):
+    for name in ("run_checks", "antipodal_set", "fix_tau_point"):
         monkeypatch.setattr(cli, name, refuse)
     for out in (tmp_path / "missing" / "rep.json", tmp_path):
         code, stdout, err = run(capsys, *args, "--out", str(out))
@@ -312,6 +316,70 @@ def test_report_bytes_under_compensated_sum(tmp_path, capsys, monkeypatch):
         assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == (exit_code, digest), args
 
 
+# Runs each pin given as JSON in argv[3] with spin8 from argv[1] and reports
+# into directory argv[2]; prints [exit code, report SHA-256] per pin.
+_PIN_SCRIPT = """
+import hashlib, json, os, sys
+sys.path.insert(0, sys.argv[1])
+from spin8.cli import main
+got = []
+for i, args in enumerate(json.loads(sys.argv[3])):
+    out = os.path.join(sys.argv[2], f"rep{i}.json")
+    with open(os.devnull, "w") as null:
+        sys.stderr = null
+        code = main(args + ["--out", out])
+        sys.stderr = sys.__stderr__
+    with open(out, "rb") as f:
+        got.append([code, hashlib.sha256(f.read()).hexdigest()])
+print(json.dumps(got))
+"""
+
+
+def other_cpythons() -> list:
+    """Every other CPython >= 3.10 that starts: python3.N on PATH and each
+    version under `pyenv root`, one interpreter per distinct sys.version."""
+    paths = [shutil.which(f"python3.{n}") for n in range(10, 30)]
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
+        paths += sorted(glob.glob(os.path.join(root, "versions", "*", "bin", "python3")))
+    probe = ("import platform, sys; print(platform.python_implementation() == 'CPython'"
+             " and sys.version_info >= (3, 10)); print(sys.version)")
+    found = {sys.version: None}  # the running interpreter is no other one
+    for path in filter(None, paths):
+        try:
+            r = subprocess.run([path, "-I", "-c", probe], capture_output=True, text=True,
+                               timeout=10)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        supported, _, version = r.stdout.partition("\n")
+        if r.returncode == 0 and supported == "True":
+            found.setdefault(version, path)
+    return [path for path in found.values() if path]
+
+
+def test_report_bytes_on_other_pythons(tmp_path):
+    # the pins hold on every CPython this package supports, not only under
+    # the emulated compensated sum(): each interpreter found runs all of
+    # them in a fresh, isolated process, the interpreters side by side
+    pythons = other_cpythons()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 found")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    pins = json.dumps([args for args, _, _ in REPORT_DIGESTS])
+    procs = []
+    for i, python in enumerate(pythons):
+        (tmp_path / str(i)).mkdir()
+        procs.append(subprocess.Popen(
+            [python, "-I", "-B", "-c", _PIN_SCRIPT, src, str(tmp_path / str(i)), pins],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    want = [[code, digest] for _, digest, code in REPORT_DIGESTS]
+    for python, proc in zip(pythons, procs):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, (python, err)
+        assert json.loads(out) == want, python
+
+
 def test_fixset_line_reads_the_exit_verdict(tmp_path, capsys):
     # tau fixes this float point at eps 1e-16, but tau^3 does not return it
     # within that tolerance: the run fails, and its summary line says so
@@ -453,8 +521,8 @@ def test_antipodal(capsys):
 def test_a_sigma_that_does_not_swap_fails(tmp_path, capsys, monkeypatch):
     # antipodal_set decides the swap for both callers: reported False, the
     # antipodal-triple rows and the antipodal command fail
-    def aset(v, real=cli.antipodal_set):
-        return real(v)._replace(sigma_swaps=False)
+    def aset(*args, real=cli.antipodal_set):
+        return real(*args)._replace(sigma_swaps=False)
 
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
     monkeypatch.setattr(checks, "antipodal_set", aset)
@@ -571,13 +639,12 @@ def test_failing_scan_counts_only_extra_acceptances(tmp_path, capsys, monkeypatc
     # a failing scan counts the accepted candidates that are none of o, p
     # and q: a random row forced to accepted is one extra, and a closed-form
     # row forced to rejected leaves two accepted points and no extra
-    def scan(*args, real=cli.maximality_scan):
-        report = real(*args)
-        rows = list(report.rows)
+    def scan(*args, real=symspace.maximality_scan):
+        rows = real(*args)
         rows[row] = rows[row]._replace(accepted=accepted)
-        return type(report)(rows)
+        return rows
 
-    monkeypatch.setattr(cli, "maximality_scan", scan)
+    monkeypatch.setattr(symspace, "maximality_scan", scan)
     out = tmp_path / "rep.json"
     for backend in ("exact", "float"):
         code, _, err = run(capsys, "antipodal", "[0,3/5,4/5,0,0,0,0,0]",
@@ -805,7 +872,7 @@ def test_the_row_template_is_the_writer(literal, backend, eps, accepted):
     (parsing,) = RunConfig(backend=backend, eps=eps).backends()
     v = parse_octonion(literal, parsing)
     rng = random.Random(derive_seed(0, "antipodal-cmd", parsing.name))
-    rows = maximality_scan(v, 100, rng).rows
+    rows = maximality_scan(v, 100, rng)
     assert sum(r.accepted for r in rows) == accepted
     dicts = [{"t": format_octonion(r.t), "candidate": r.candidate.to_json(),
               "accepted": r.accepted, "residual": r.residual} for r in rows]

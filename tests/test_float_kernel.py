@@ -210,6 +210,7 @@ def test_no_float_path_calls_builtin_sum():
         ("triality", "_triality_holds"),  # packed integers
         ("triality", "_packed_products"),  # packed integers
         ("cli", "_antipodal_section"),  # a count of bools
+        ("symspace", "antipodal_set"),  # a count of bools
     }
     found = set()
 

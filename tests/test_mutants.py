@@ -3,7 +3,8 @@
 Each test applies one fault to the model in process, runs
 ``verify-all --trials 3`` on the exact backend, or on both, with every job in
 this process, and asserts exit 1 with the named rows failing on each backend
-run.  No mutant touches ``checks``.
+run.  No mutant touches ``checks``.  The short-scan mutant must also fail the
+``antipodal`` command, which reads the same verdict.
 """
 
 import json
@@ -58,13 +59,21 @@ def _identity_always_holds(monkeypatch):
     monkeypatch.setattr(triality, "_triality_holds", lambda a, b, c: True)
 
 
+def _scan_draws_no_candidates(monkeypatch):
+    # M2: the maximality scan keeps its three closed-form rows, which accept
+    # o, p and q, and drops every random candidate
+    real = symspace.maximality_scan
+    monkeypatch.setattr(symspace, "maximality_scan", lambda *args: real(*args)[:3])
+
+
 @pytest.mark.parametrize("mutate, rows, backends", [
     (_matmul_off_by_one, _TRIPLE_ROWS, ["exact"]),
     (_left_rows_swapped, _TRIPLE_ROWS, ["exact"]),
     (_sphere_point_takes_any_pair, {"fixed-sets"}, ["exact"]),
     (_identity_always_holds, {"clifford-embedding"}, ["exact", "float"]),
+    (_scan_draws_no_candidates, {"antipodal-triple"}, ["exact", "float"]),
 ], ids=["matmul-off-by-one", "left-rows-swapped", "sphere-point-takes-any-pair",
-        "identity-always-holds"])
+        "identity-always-holds", "scan-draws-no-candidates"])
 def test_battery_kills_mutant(tmp_path, capsys, monkeypatch, mutate, rows, backends):
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # the mutant is in this process
     # an identity triple built under the mutant must not outlive the test
@@ -78,3 +87,12 @@ def test_battery_kills_mutant(tmp_path, capsys, monkeypatch, mutate, rows, backe
     failing = {(r["name"], r["backend"]) for r in json.loads(out.read_text())["checks"]
                if r["status"] != "pass"}
     assert {(name, b) for name in rows for b in backends} <= failing
+
+
+def test_antipodal_command_kills_a_short_scan(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)
+    _scan_draws_no_candidates(monkeypatch)
+    code = main(["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [line.split(" [")[0] for line in err.splitlines()] == ["FAIL antipodal"] * 2

@@ -202,8 +202,13 @@ def test_kai_random_configurations():
             assert all(act_semidirect(lhs, p) == act_semidirect(rhs, p) for p in grid)
 
 
+def antipodal(v, trials=1):
+    """antipodal_set(v) with a scan of `trials` random candidates."""
+    return antipodal_set(v, trials, random.Random(0))
+
+
 def test_antipodal_set_canonical():
-    aset = antipodal_set(e(2))
+    aset = antipodal(e(2))
     o, p, q = aset.points
     assert o == base_point()
     s = cube_root_of_unity(e(2))
@@ -211,61 +216,75 @@ def test_antipodal_set_canonical():
     assert q == SpherePoint(s.conj(), s)
     assert sigma_sphere(p) == q
     assert aset.sigma_swaps
+    assert aset.maximal and aset.extra == 0 and len(aset.rows) == 1 + 3
 
 
 def test_antipodal_set_random_and_float():
     rng = random.Random(11)
     for backend in (EXACT, FloatBackend(1e-9)):
         v = random_imaginary_unit(rng, backend)
-        aset = antipodal_set(v)
+        aset = antipodal(v, 5)
         assert len(aset.points) == 3
         o, p, q = aset.points
         assert sigma_sphere(p) == q and sigma_sphere(q) == p
         assert aset.sigma_swaps
-        assert antipodal_set(to_backend(e(2), backend)).sigma_swaps
+        assert aset.maximal and aset.extra == 0 and len(aset.rows) == 5 + 3
+        assert antipodal(to_backend(e(2), backend)).sigma_swaps
 
 
 def test_maximality_scan():
     rng = random.Random(12)
-    report = maximality_scan(e(2), 25, rng)
-    o, p, q = antipodal_set(e(2)).points
-    accepted = report.accepted_candidates()
+    rows = maximality_scan(e(2), 25, rng)
+    o, p, q = antipodal(e(2)).points
+    accepted = [r.candidate for r in rows if r.accepted]
     # the three closed-form candidates are p (t = 1), q (t = s), o (t = conj s)
-    assert report.rows[0].accepted and report.rows[0].candidate == p
-    assert report.rows[1].accepted and report.rows[1].candidate == q
-    assert report.rows[2].accepted and report.rows[2].candidate == o
+    assert rows[0].accepted and rows[0].candidate == p
+    assert rows[1].accepted and rows[1].candidate == q
+    assert rows[2].accepted and rows[2].candidate == o
     for cand in accepted:
         assert cand in (o, p, q)
     for x in (o, p, q):
         assert any(c == x for c in accepted)
     # random cube roots fail the commutation test
-    assert all(not r.accepted for r in report.rows[3:])
-    assert all(r.residual > 0.1 for r in report.rows[3:])
+    assert all(not r.accepted for r in rows[3:])
+    assert all(r.residual > 0.1 for r in rows[3:])
     # an exact v gives exact candidates
-    assert not any(isinstance(c, ApproxReal) for r in report.rows for c in r.t.coeffs)
+    assert not any(isinstance(c, ApproxReal) for r in rows for c in r.t.coeffs)
 
 
-def test_scan_closes_on():
-    o, p, q = antipodal_set(e(2)).points
-    report = maximality_scan(e(2), 5, random.Random(16))
-    assert report.closes_on((o, p, q))
-    assert not report.closes_on((o, p))  # q is accepted but not listed
-    other = fix_tau_point(Octonion((0, 0, 1, 0, 0, 0, 0, 0)))
-    assert not report.closes_on((o, p, q, other))  # other is never accepted
+def test_antipodal_set_decides_maximality(monkeypatch):
+    # antipodal_set judges the scan's rows itself: patched rows move its
+    # count of extra acceptances and its verdict
+    import spin8.symspace as symspace
+
+    real = symspace.maximality_scan
+    cases = [
+        (lambda rows: rows, 0, True),
+        # an accepted random row is one candidate beyond o, p and q
+        (lambda rows: rows[:5] + [rows[5]._replace(accepted=True)] + rows[6:], 1, False),
+        # a rejected closed-form row leaves p unaccepted, with nothing extra
+        (lambda rows: [rows[0]._replace(accepted=False)] + rows[1:], 0, False),
+        # a short scan: every row it has is right, but two are missing
+        (lambda rows: rows[:-2], 0, False),
+    ]
+    for rows_of, extra, maximal in cases:
+        monkeypatch.setattr(symspace, "maximality_scan",
+                            lambda *args, rows_of=rows_of: rows_of(real(*args)))
+        for backend in (EXACT, FloatBackend(1e-9)):
+            aset = antipodal(to_backend(e(2), backend), 5)
+            assert (aset.extra, aset.maximal) == (extra, maximal)
 
 
 def test_maximality_scan_float():
     rng = random.Random(13)
     fb = FloatBackend(1e-9)
-    from spin8.octonion import to_backend
-
-    report = maximality_scan(to_backend(e(2), fb), 25, rng)
-    assert len(report.accepted_candidates()) == 3
-    assert sum(not row.accepted for row in report.rows) == 25
+    rows = maximality_scan(to_backend(e(2), fb), 25, rng)
+    assert sum(row.accepted for row in rows) == 3
+    assert sum(not row.accepted for row in rows) == 25
     # the candidates are drawn at the tolerance of v, here not the default
     wide = maximality_scan(to_backend(e(2), FloatBackend(1e-6)), 5, rng)
-    assert all(isinstance(r.t.coeffs[0], ApproxReal) for r in wide.rows)
-    assert all(c.eps == 1e-6 for r in wide.rows for c in r.t.coeffs
+    assert all(isinstance(r.t.coeffs[0], ApproxReal) for r in wide)
+    assert all(c.eps == 1e-6 for r in wide for c in r.t.coeffs
                if isinstance(c, ApproxReal))
 
 
@@ -273,7 +292,7 @@ def test_maximality_scan_accepts_plain_seed():
     # the seed reaches the scan through a random.Random
     r1 = maximality_scan(e(2), 5, random.Random(123))
     r2 = maximality_scan(e(2), 5, random.Random(123))
-    assert [row.t for row in r1.rows] == [row.t for row in r2.rows]
+    assert [row.t for row in r1] == [row.t for row in r2]
 
 
 def test_sphere_point_json_round_trip():
@@ -311,10 +330,10 @@ def test_polar_sphere_builds_its_group_once(monkeypatch):
 
 
 def test_polar_intersection_check():
-    assert antipodal_set(e(2)).polar_intersections
+    assert antipodal(e(2)).polar_intersections
     rng = random.Random(15)
     v = random_imaginary_unit(rng, EXACT)
-    assert antipodal_set(v).polar_intersections
+    assert antipodal(v).polar_intersections
 
 
 def _record_group_tests(monkeypatch, verdict=lambda base, z: True):
@@ -340,7 +359,7 @@ def test_antipodal_set_certifies_the_polar_pairs(monkeypatch):
     for v in (e(2), random_imaginary_unit(rng, EXACT),
               random_imaginary_unit(rng, FloatBackend(1e-9))):
         pairs.clear()
-        aset = antipodal_set(v)
+        aset = antipodal(v)
         o, p, q = aset.points
         assert aset.polar_intersections
         for base, target in ((p, o), (p, q), (q, o), (q, p), (o, p), (o, q)):
@@ -353,7 +372,7 @@ def test_antipodal_set_raises_on_a_failed_group_test(monkeypatch):
     o = base_point()
     _record_group_tests(monkeypatch, lambda base, z: not (base == p and z == o))
     with pytest.raises(AntipodalityViolated, match="moves"):
-        antipodal_set(e(2))
+        antipodal(e(2))
 
 
 def test_antipodal_set_raises_on_a_misplaced_witness(monkeypatch):
@@ -363,7 +382,7 @@ def test_antipodal_set_raises_on_a_misplaced_witness(monkeypatch):
     real = symspace.spin_from_unit
     monkeypatch.setattr(symspace, "spin_from_unit", lambda s: real(s.conj()))
     with pytest.raises(AntipodalityViolated, match="does not transport"):
-        antipodal_set(e(2))
+        antipodal(e(2))
 
 
 def test_antipodal_callers_build_two_witnesses_per_v(monkeypatch, capsys):
