@@ -15,11 +15,9 @@ negation, equality, the trace form, blocks (``Matrix.blocks``, ``join``) and
 the plane rotations of ``random_rotation`` run on the forms alone.  Float
 results are bit-identical to entrywise ``ApproxReal`` arithmetic: the same
 float operations run in the same order, and a run's tolerances are uniform
-and combine as the max.  Every float dot product is ``_dots`` (octonion
-norms too): the products added one by one in index order onto +0.0, written
-out, never the builtin ``sum``, whose float algorithm depends on the Python
-version.  The one exception is the trace form, which folds its nonzero
-products only, in row-major order onto +0.0.
+and combine as the max.  Every float dot product (norms and the trace form
+too) is ``_dots``: products added one by one in index order onto +0.0, never
+the builtin ``sum``, whose float algorithm depends on the Python version.
 
 The one determinant is ``_det_float``, partial-pivot LU on floats.  It gives
 the sign of every SO(n) verdict, exact ones included: an exactly orthogonal
@@ -260,7 +258,7 @@ def _dots(vs, w):
     the running float as 0.0 does.  Written out, the bits do not depend on
     the Python version (3.12 made ``sum`` of floats compensated).  n = 8,
     every rotation and octonion here, runs straight-line; any other n
-    (16 x 16 Clifford matrices, 7-dim unit draws) folds them with ``reduce``.
+    (16 x 16 Clifford matrices, 7-dim draws, trace forms) folds with ``reduce``.
     """
     if len(w) == 8:
         w0, w1, w2, w3, w4, w5, w6, w7 = w
@@ -401,10 +399,12 @@ def _so8_verdict(m: Matrix) -> bool:
 def trace_inner_product(a: Matrix, b: Matrix):
     """<a, b> = trace(a^t b) / n, the trace form normalized so <I, I> = 1.
 
-    On floats the nonzero products add one by one in row-major order onto
-    +0.0, times 1/n, as in ``ApproxReal`` arithmetic, at the larger
-    tolerance of a and b; with no nonzero product that is +0.0 at that
-    tolerance."""
+    On floats: ``_dots`` of the flattened rows, times 1/n, at the larger
+    tolerance of a and b.  For finite entries that is, bit for bit, the
+    fold of the nonzero products only (``ApproxReal`` arithmetic): a zero
+    product is +-0.0 or the int 0, and the sum from +0.0 is never -0.0
+    (x + (-x) rounds to +0.0, a nonzero exact sum to a nonzero float), so
+    adding a zero product leaves it unchanged."""
     if a.n != b.n:
         raise DimensionMismatch("size mismatch")
     if a._fl is None and b._fl is None:
@@ -412,9 +412,8 @@ def trace_inner_product(a: Matrix, b: Matrix):
         x, y = kernel.zdot((_flat(aa), _flat(ab)), (_flat(ba), _flat(bb)))
         return kernel.unscale(da * db * a.n, [x], [y] if y else None)[0]
     (ea, fa), (eb, fb) = a._floats(), b._floats()
-    terms = [x * y for x, y in zip(chain.from_iterable(fa), chain.from_iterable(fb))
-             if x and y]
-    return ApproxReal._fast(reduce(add, terms, 0.0) * (1 / a.n), max(ea, eb))
+    dot = _dots((chain.from_iterable(fa),), tuple(chain.from_iterable(fb)))[0]
+    return ApproxReal._fast(dot * (1 / a.n), max(ea, eb))
 
 
 def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:

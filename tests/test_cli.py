@@ -937,3 +937,25 @@ def test_perfbench_finds_every_name_it_reads():
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", ["exact-battery", "float-battery", "antipodal-scan"])
+def test_perfbench_seed_0_reports_match_their_goldens(tmp_path, capsys, monkeypatch, name):
+    # perfbench holds each workload's seed-0 report to the SHA-256 in
+    # perfbench/golden/; a byte drift fails here, not first as a benchmark
+    # pass_frac below 1.  run.py is loaded for its WORKLOADS, never run.
+    import importlib.util
+
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    monkeypatch.syspath_prepend(bench)  # run.py imports its sibling check.py
+    spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(bench, "run.py"))
+    run_py = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_py)
+    sys.modules.pop("check", None)
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    out = tmp_path / "rep.json"
+    assert run(capsys, *run_py.WORKLOADS[name].argv(0, out))[0] == 0
+    with open(os.path.join(bench, "golden", f"{name}.digest.json")) as f:
+        golden = json.load(f)["sha256"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden

@@ -518,3 +518,48 @@ def test_float_trace_form_bits():
     # no nonzero product: +0.0 at the larger tolerance
     zero = trace_inner_product(Matrix.identity(8).scale(ApproxReal(0.0)), a)
     assert (type(zero), repr(zero.value), zero.eps) == (ApproxReal, "0.0", 1e-9)
+
+
+def _finite_float(rng, big):
+    """A finite float: a signed zero, a subnormal, one in [-2, 2], or, with
+    probability big, one of magnitude 1e150 to 1e308."""
+    r = rng.random()
+    if r < 0.3:
+        return rng.choice((0.0, -0.0))
+    if r < 0.45:
+        return rng.choice((5e-324, -5e-324, 1e-310, -2.5e-308))
+    if r < 1 - big:
+        return rng.uniform(-2, 2)
+    return rng.choice((-1, 1)) * 10.0 ** rng.uniform(150, 308)
+
+
+def _float_entries(rng, n):
+    """Two lists of n * n finite floats.  One regime in five pairs signed
+    zeros, all -0.0 half the time, with positive floats, so that every
+    product is a zero; one pairs +-1 and +-0 with the least subnormals,
+    whose sums cancel to zero often; the others mix zeros, subnormals,
+    floats in [-2, 2] and some huge values."""
+    regime = rng.choice(("zeros", "signs", 0, 0.002, 0.02))
+    if regime == "zeros":
+        neg = rng.choice((0.5, 1.0))
+        return ([-0.0 if rng.random() < neg else 0.0 for _ in range(n * n)],
+                [rng.uniform(0.5, 2) for _ in range(n * n)])
+    if regime == "signs":
+        signs = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324)
+        return [[rng.choice(signs) for _ in range(n * n)] for _ in range(2)]
+    return [[_finite_float(rng, regime) for _ in range(n * n)] for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([8, 16]), st.integers(0, 2**32))
+def test_float_trace_form_adds_zero_products_as_nothing(n, seed):
+    # _dots adds every product, the fold it replaced only those of two
+    # nonzero factors: a zero product is +-0.0, and the running sum starts
+    # at +0.0 and is never -0.0, so the bits are the same
+    fa, fb = _float_entries(random.Random(seed), n)
+    a, b = [Matrix._of_floats(1e-9, tuple(kernel.rows_of(tuple(f), n))) for f in (fa, fb)]
+    fold = 0.0
+    for x, y in zip(fa, fb):
+        if x and y:
+            fold += x * y
+    assert repr(trace_inner_product(a, b).value) == repr(fold * (1 / n))

@@ -13,8 +13,9 @@ from spin8.octonion import (
 from spin8.sampling import random_g2, random_gamma, random_sphere_point, random_triple
 from spin8.scalars import EXACT, ApproxReal, FloatBackend, QuadExt, Rational
 from spin8.symspace import (
+    _TAU,
+    _TAU2,
     AntipodalityViolated,
-    PolarSphere,
     SpherePoint,
     act,
     act_semidirect,
@@ -302,31 +303,38 @@ def test_sphere_point_json_round_trip():
                            "y": "[-1/2, -1/2*r3, 0, 0, 0, 0, 0, 0]"}
 
 
-def test_polar_sphere():
+def _group_at_p():
+    """The order-3 group at p = (s, conj s), v = e2, as antipodal_set builds it."""
+    g = spin_from_unit(cube_root_of_unity(e(2)))
+    return g, [phi_x(g, w) for w in (_TAU, _TAU2)]
+
+
+def _fixes(group, z):
+    return all(act_semidirect(el, z) == z for el in group)
+
+
+def test_group_at_p_fixes_its_polar():
+    g, group = _group_at_p()
     s = cube_root_of_unity(e(2))
-    g = spin_from_unit(s)
-    polar = PolarSphere(g)
-    assert polar.basepoint == SpherePoint(s, s.conj())
+    assert act(g, base_point()) == SpherePoint(s, s.conj())
     rng = random.Random(14)
     v = random_imaginary_unit(rng, EXACT)
-    z = act(polar.witness, fix_tau_point(v))
-    assert polar.point_group_fixes(z)
-    assert polar.point_group_fixes(base_point())
+    assert _fixes(group, act(g, fix_tau_point(v)))  # a transported point of Y
+    assert _fixes(group, base_point())
 
 
-def test_polar_sphere_builds_its_group_once(monkeypatch):
+def test_antipodal_set_builds_each_group_once(monkeypatch):
+    # one phi_x call per word and point: tau, then tau^2, at o, p and q
     import spin8.symspace as symspace
 
     calls = []
     real = symspace.phi_x
-    monkeypatch.setattr(symspace, "phi_x",
-                        lambda g, w: calls.append(w.word()) or real(g, w))
-    polar = PolarSphere(spin_from_unit(cube_root_of_unity(e(2))))
-    q = fix_tau_point(-e(2))
-    for _ in range(3):
-        assert polar.point_group_fixes(q)
-        assert polar.point_group_fixes(base_point())
-    assert calls == ["t", "t2"]
+    monkeypatch.setattr(symspace, "phi_x", lambda g, w: calls.append(
+        (act(g, base_point()), w.word())) or real(g, w))
+    for v in (e(2), to_backend(e(2), FloatBackend(1e-9))):
+        calls.clear()
+        o, p, q = antipodal(v, trials=3).points
+        assert calls == [(x, w) for x in (o, p, q) for w in ("t", "t2")]
 
 
 def test_polar_intersection_check():
@@ -337,17 +345,27 @@ def test_polar_intersection_check():
 
 
 def _record_group_tests(monkeypatch, verdict=lambda base, z: True):
-    """Replace PolarSphere.point_group_fixes by a recorder of its (basepoint,
-    target) pairs that answers `verdict(basepoint, target)` after the real
-    test has passed."""
-    real = PolarSphere.point_group_fixes
-    pairs = []
+    """Wrap symspace.act_semidirect to record the (basepoint, target) pair of
+    each group element antipodal_set applies, and to return a non-point, so
+    that the certificate fails, unless `verdict(basepoint, target)` holds.
+    symspace.phi_x is wrapped to tag each element with its basepoint."""
+    import spin8.symspace as symspace
 
-    def recording(self, z):
-        pairs.append((self.basepoint, z))
-        return real(self, z) and verdict(self.basepoint, z)
+    real_phi, real_act = symspace.phi_x, symspace.act_semidirect
+    bases, pairs = {}, []
 
-    monkeypatch.setattr(PolarSphere, "point_group_fixes", recording)
+    def tagging(g, w):
+        el = real_phi(g, w)
+        bases[id(el)] = act(g, base_point())
+        return el
+
+    def recording(el, z):
+        base = bases[id(el)]
+        pairs.append((base, z))
+        return real_act(el, z) if verdict(base, z) else None
+
+    monkeypatch.setattr(symspace, "phi_x", tagging)
+    monkeypatch.setattr(symspace, "act_semidirect", recording)
     return pairs
 
 
@@ -409,9 +427,6 @@ def test_antipodal_callers_build_two_witnesses_per_v(monkeypatch, capsys):
 
 def test_perturbed_point_is_not_fixed():
     # a point of Y away from q is moved by the symmetry group at p
-    s = cube_root_of_unity(e(2))
-    polar_p = PolarSphere(spin_from_unit(s))
-    q = fix_tau_point(-e(2))
-    assert polar_p.point_group_fixes(q)
-    other = fix_tau_point(Octonion((0, 0, 1, 0, 0, 0, 0, 0)))  # v = e3 != -e2
-    assert not polar_p.point_group_fixes(other)
+    _, group = _group_at_p()
+    assert _fixes(group, fix_tau_point(-e(2)))
+    assert not _fixes(group, fix_tau_point(e(3)))  # v = e3 != -e2
