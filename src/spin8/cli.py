@@ -24,7 +24,7 @@ import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _string
 
-from .checks import _CHECK_FAILURES, RunConfig, _run_jobs, derive_seed, run_checks
+from .checks import RunConfig, _run_jobs, derive_seed, run_checks
 from .octonion import (
     NotImaginaryUnit,
     ensure_imaginary_unit,
@@ -32,7 +32,7 @@ from .octonion import (
     parse_octonion,
     table_rows,
 )
-from .scalars import ParseError
+from .scalars import CheckFailed, ParseError
 from .symspace import (
     antipodal_set,
     base_point,
@@ -277,8 +277,7 @@ def _sections(cfg: RunConfig, literal: str, command: str, section,
     forked workers, by default one per further CPU), and the summary
     lines, the failure raised and the report are those of running them one
     after another: lines in backend order, and the first section's failure
-    (a _CHECK_FAILURES error) raised after the lines of the sections before
-    it.
+    (a CheckFailed) raised after the lines of the sections before it.
     """
     backends = cfg.backends()
     vs = [_read_v(literal, backend) for backend in backends]
@@ -286,7 +285,7 @@ def _sections(cfg: RunConfig, literal: str, command: str, section,
     def job(v, backend):
         try:
             body, line, passed = section(cfg, v, backend)
-        except _CHECK_FAILURES as exc:  # raised below, in backend order
+        except CheckFailed as exc:  # raised below, in backend order
             return exc
         # rendered here, so a worker sends back one string
         return _Rendered(_render(body, _SECTION)), line, passed
@@ -361,7 +360,7 @@ def main(argv=None) -> int:
         # a directory, an unwritable file): a usage error
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
-    except _CHECK_FAILURES as exc:
+    except CheckFailed as exc:
         # a verified construction failed outside run_check, e.g. under a
         # hostile tolerance: a failed check, not a crash
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .linalg import DimensionMismatch, Matrix, NotOrthogonal, is_special_orthogonal, join
 from .octonion import Octonion, left_translation, transform
+from .scalars import CheckFailed
 
 EVEN = "even"
 ODD = "odd"
@@ -25,7 +26,7 @@ MIXED = "mixed"
 _Z8 = Matrix(((0,) * 8,) * 8)
 
 
-class NotVectorShaped(ValueError):
+class NotVectorShaped(CheckFailed):
     """Matrix is not the embedding of any octonion."""
 
 

@@ -34,14 +34,14 @@ from operator import add, mul, sub
 
 from . import kernel
 from .kernel import columns
-from .scalars import ApproxReal, approx_eps, format_scalar
+from .scalars import ApproxReal, CheckFailed, approx_eps, format_scalar
 
 
 class DimensionMismatch(ValueError):
     pass
 
 
-class NotOrthogonal(ValueError):
+class NotOrthogonal(CheckFailed):
     pass
 
 
@@ -422,7 +422,7 @@ def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:
     Each factor uses the rational circle parametrization
     (cos, sin) = ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), so exact-backend output
     is an exactly orthogonal rational matrix (t = p/q: (q^2 - p^2, 2pq) over
-    p^2 + q^2, reduced).  A float 1 + t^2 within eps of 0 raises ZeroDivisionError.
+    p^2 + q^2, reduced).  A float 1 + t^2 within eps of 0 raises NotOrthogonal.
     """
     m = Matrix.identity(n)
     for _ in range(steps):
@@ -436,7 +436,7 @@ def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:
         else:
             t = rng.uniform(-2.0, 2.0)
             if t * t + 1.0 <= backend.eps:
-                raise ZeroDivisionError("1 + t^2 indistinguishable from zero")
+                raise NotOrthogonal("1 + t^2 indistinguishable from zero")
             den = 1.0 / (t * t + 1.0)
             d, zero, c, s = 1.0, 0.0, (1.0 - t * t) * den, t * 2.0 * den
         g = [[d if a == b else zero for b in range(n)] for a in range(n)]

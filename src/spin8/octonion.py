@@ -36,14 +36,14 @@ from operator import itemgetter, sub
 
 from . import kernel
 from .linalg import Matrix, _dots
-from .scalars import SQRT3, ApproxReal, ParseError, approx_eps
+from .scalars import SQRT3, ApproxReal, CheckFailed, ParseError, approx_eps
 
 
-class NotUnit(ValueError):
+class NotUnit(CheckFailed):
     """Octonion expected to have norm 1."""
 
 
-class NotImaginaryUnit(ValueError):
+class NotImaginaryUnit(CheckFailed):
     """Octonion expected to be a unit vector with zero e1 component."""
 
 

@@ -29,6 +29,12 @@ class ParseError(ValueError):
     """Malformed scalar or octonion literal."""
 
 
+class CheckFailed(ValueError):
+    """A verified construction or certificate failed: a failed check."""
+
+    residual = 0.0
+
+
 class QuadExt:
     """a + b*sqrt(3) with exact rational coefficients.
 
@@ -197,7 +203,8 @@ def format_scalar(x) -> str:
 
 
 _TERM = re.compile(
-    r"([+-]?)(?:((?:\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?|\d+/\d+)(?:\*(r3))?|(r3))$"
+    r"([+-]?)(?:((?:\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?|\d+/\d+)(?:\*(r3))?|(r3))$",
+    re.ASCII,  # \d alone, like float(), reads any Unicode digit
 )
 
 # A decimal exponent adds as many digits to the exact value as it says, so it

@@ -36,7 +36,7 @@ from .octonion import (
     to_backend,
     transform,
 )
-from .scalars import EXACT, FloatBackend
+from .scalars import EXACT, CheckFailed, FloatBackend
 from .triality import (
     GammaElement,
     SemidirectElement,
@@ -49,8 +49,9 @@ _TAU = GammaElement.tau()
 _TAU2 = GammaElement(0, 2)
 
 
-class AntipodalityViolated(RuntimeError):
-    """An antipodality certificate failed; indicates an implementation bug."""
+class AntipodalityViolated(CheckFailed):
+    """o, p and q are not three points, as under a loose float tolerance (at
+    eps >= 1.5 o and p compare equal for every v), or a certificate failed."""
 
 
 class SpherePoint:

@@ -36,9 +36,10 @@ from .octonion import (
     sandwich_matrix,
     transform,
 )
+from .scalars import CheckFailed
 
 
-class TrialityViolated(ValueError):
+class TrialityViolated(CheckFailed):
     """The three-rotation compatibility identity failed on a basis pair."""
 
     def __init__(self, pair, residual):

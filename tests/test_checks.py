@@ -25,7 +25,7 @@ from spin8.checks import (
 from spin8.cli import main
 from spin8.linalg import Matrix
 from spin8.octonion import Octonion
-from spin8.scalars import EXACT, ApproxReal, Rational
+from spin8.scalars import EXACT, ApproxReal, CheckFailed, Rational
 from spin8.triality import TrialityViolated
 
 import pytest
@@ -342,12 +342,60 @@ def test_forks_only_when_jobs_can_share(monkeypatch):
 
 def test_check_failures_survive_a_worker():
     # a section run by a worker returns the failure it caught, pickled
-    failures = [kind("text") for kind in checks._CHECK_FAILURES
-                if kind is not TrialityViolated]
+    kinds, pending = [], [CheckFailed]
+    while pending:
+        kinds.append(pending.pop())
+        pending.extend(kinds[-1].__subclasses__())
+    assert len(kinds) == 7  # CheckFailed and the six failures built on it
+    failures = [kind("text") for kind in kinds if kind is not TrialityViolated]
     for exc in [TrialityViolated((1, 2), 0.5), *failures]:
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc)
         assert str(back) == str(exc)
+        assert back.residual == exc.residual
+
+
+def test_every_failure_is_a_check_failed():
+    # exit 1 has one root type, CheckFailed, and exit 2 one, ParseError: every
+    # exception class spin8 defines is one of them or DimensionMismatch (a
+    # shape error in the code itself); no handler names a tuple of failure
+    # classes, and ZeroDivisionError is named once, where _parse_exact turns
+    # a zero denominator into a ParseError
+    import builtins
+    import importlib
+    import pkgutil
+
+    import spin8
+
+    zero_division, mentions = [], 0
+    for info in pkgutil.iter_modules(spin8.__path__):
+        module = importlib.import_module(f"spin8.{info.name}")
+        source = inspect.getsource(module)
+        mentions += source.count("ZeroDivisionError")
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                if issubclass(cls, BaseException):
+                    assert issubclass(cls, CheckFailed) or node.name in (
+                        "ParseError", "DimensionMismatch"), node.name
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = (node.type.elts if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                # a local name, such as the exc of Judge.refuses, reads None
+                caught = [getattr(module, n.id, getattr(builtins, n.id, None))
+                          for n in named]
+                assert not any(isinstance(c, tuple) for c in caught), ast.unparse(node.type)
+                assert len(caught) == 1 or not any(
+                    isinstance(c, type) and issubclass(c, (CheckFailed, ZeroDivisionError))
+                    for c in caught), ast.unparse(node.type)
+            if isinstance(node, ast.FunctionDef):
+                zero_division += [
+                    (info.name, node.name) for h in ast.walk(node)
+                    if isinstance(h, ast.ExceptHandler)
+                    and getattr(h.type, "id", None) == "ZeroDivisionError"]
+    assert zero_division == [("scalars", "_parse_exact")]
+    assert mentions == 1
 
 
 def test_importing_the_cli_loads_no_dataclasses():

@@ -106,6 +106,18 @@ def test_underscored_literal_is_rejected_on_every_backend(capsys):
             assert err == f"error: bad scalar literal {entry!r}\n"
 
 
+def test_non_ascii_digits_are_rejected_on_every_backend(capsys):
+    # \d and float() read any Unicode digit: an Arabic-Indic 3/5 and 4/5, and
+    # fullwidth 3/5 and 4/5, once made a unit v that passed
+    for v in ("[0,\u0663/5,\u0664/5,0,0,0,0,0]", "[0,\uff13/\uff15,\uff14/\uff15,0,0,0,0,0]",
+              "[0,1e\u0660,0,0,0,0,0,0]"):
+        for backend in ("exact", "float", "both"):
+            code, out, err = run(capsys, "fixset", v, "--backend", backend)
+            assert code == 2, (v, backend)
+            assert out == ""
+            assert err.startswith("error: bad scalar literal"), err
+
+
 def test_fixset_rejects_non_finite_float_literal(capsys):
     for entry in ("nan", "inf", "-1e400"):
         code, out, err = run(capsys, "fixset", f"[0,{entry},0,0,0,0,0,0]",
@@ -632,6 +644,36 @@ def test_antipodal_hostile_eps_fails_cleanly(capsys):
     assert "Traceback" not in err
 
 
+_HOSTILE_EPS = ["1e-17", "1e-16", "2e-16", "3e-16", "5e-16", "1e-15", "1e-14", "1e-12",
+                "0.3", "0.5", "0.65", "1", "1.5", "2", "5", "1e308"]
+_SWEEP = [["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "5"],
+          ["antipodal", "[0,1,0,0,0,0,0,0]", "--trials", "5"],
+          ["verify-all", "--trials", "2"]]
+
+
+def test_hostile_eps_sweep(tmp_path, capsys, monkeypatch):
+    # every float run from below an ulp to 1e308 keeps the exit-code
+    # contract; the exit codes, report bytes and last stderr lines are pinned
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    out = tmp_path / "rep.json"
+    h, codes = hashlib.sha256(), []
+    for args in _SWEEP:
+        codes.append("")
+        for eps in _HOSTILE_EPS:
+            code, _, err = run(capsys, *args, "--backend", "float", "--eps", eps,
+                               "--out", str(out))
+            assert "Traceback" not in err
+            codes[-1] += str(code)
+            # a failure raised outside run_check writes no report
+            h.update(out.read_bytes() if out.exists() else b"")
+            h.update(err.splitlines()[-1].encode() + b"\n")
+            out.unlink(missing_ok=True)
+    # one digit per eps, in _HOSTILE_EPS order
+    assert codes == ["1111000000001111", "1111100000001111", "1111110000011111"]
+    assert h.hexdigest() == \
+        "1cc8862c096f65faa1184c5f70a6c6ee9cc9350151cd69b425c7fd131f9507a6"
+
+
 @pytest.mark.parametrize("row, accepted, total, extra", [(5, True, 4, 1), (0, False, 2, 0)],
                          ids=["random-row-accepted", "closed-form-row-rejected"])
 def test_failing_scan_counts_only_extra_acceptances(tmp_path, capsys, monkeypatch,
@@ -798,7 +840,7 @@ def test_usage_error_exit_code(capsys):
                             "[0,0.6,-0.0,-0.8,0,0,0,0]", "[0,1/3,2/3,2/3,0,0,0,0]"]),
            st.lists(st.sampled_from(["0", "1", "-1", "3/5", "4/5", "1/0", "r3",
                                      "nan", "inf", "1e-3", "1e400", "x", "",
-                                     "_", "1_0", "1E5_0"]),
+                                     "_", "1_0", "1E5_0", "\u0663/5"]),
                     min_size=7, max_size=9).map(lambda xs: f"[{','.join(xs)}]"),
        ))
 def test_any_literal_keeps_the_exit_code_contract(capsys, command, backend, eps, literal):

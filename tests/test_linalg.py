@@ -13,6 +13,7 @@ from spin8 import kernel
 from spin8.linalg import (
     DimensionMismatch,
     Matrix,
+    NotOrthogonal,
     is_orthogonal,
     is_special_orthogonal,
     join,
@@ -462,7 +463,7 @@ def test_random_rotation():
         m = random_rotation(random.Random(1), EXACT, steps=steps)
         assert is_special_orthogonal(m) and m == Matrix(m.rows)
     # every draw has 1 + t^2 <= 5, within the tolerance of zero
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(NotOrthogonal, match=r"^1 \+ t\^2 indistinguishable from zero$"):
         random_rotation(random.Random(0), FloatBackend(5.0))
 
 

@@ -155,8 +155,10 @@ def test_float_backend_parsing():
     for bad in ("nan", "-inf", "Infinity", "1e400", "10" * 200 + "/3"):
         with pytest.raises(ParseError):
             fb.parse(bad)
-    # the float backend reads only the exact grammar, which has no "_"
-    for bad in ("1_0e-1", "1E5_0", "1_0", "_1", "1e-5000"):
+    # the float backend reads only the exact grammar, which has no "_" and
+    # only ASCII digits (float() reads "1e\u0660", an Arabic-Indic 0, as 1.0)
+    for bad in ("1_0e-1", "1E5_0", "1_0", "_1", "1e-5000",
+                "\u0663/5", "\uff13/\uff15", "1e\u0660"):
         with pytest.raises(ParseError, match="bad scalar literal"):
             fb.parse(bad)
         with pytest.raises(ParseError, match="bad scalar literal"):
