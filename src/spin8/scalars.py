@@ -203,7 +203,7 @@ def format_scalar(x) -> str:
 
 
 _TERM = re.compile(
-    r"([+-]?)(?:((?:\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?|\d+/\d+)(?:\*(r3))?|(r3))$",
+    r"([+-]?)\s*(?:((?:\d+(?:\.\d*)?|\.\d+)(?:[eE]([+-]?\d+))?|\d+/\d+)(?:\s*\*\s*(r3))?|(r3))$",
     re.ASCII,  # \d alone, like float(), reads any Unicode digit
 )
 
@@ -216,13 +216,13 @@ _MAX_EXPONENT = 4300
 def _parse_exact(text: str):
     """Parse "p/q", decimals with an optional exponent ("2.5E-3" is 1/400
     exactly), and "a+b*r3" forms into Rational or QuadExt."""
-    s = re.sub(r"\s+", "", text)
+    s = text.strip()
     if not s:
         raise ParseError("empty scalar literal")
     a = Rational(0)
     b = Rational(0)
     # a sign right after an exponent marker belongs to the exponent
-    for part in re.split(r"(?<![eE])(?=[+-])", s):
+    for part in map(str.strip, re.split(r"(?<![eE])(?=[+-])", s)):
         if not part or part in "+-":
             if part:
                 raise ParseError(f"bad scalar literal {text!r}")

@@ -99,11 +99,7 @@ def sigma_sphere(pt: SpherePoint) -> SpherePoint:
 
 
 def gamma_sphere(w: GammaElement, pt: SpherePoint) -> SpherePoint:
-    for _ in range(w.t):
-        pt = tau_sphere(pt)
-    for _ in range(w.s):
-        pt = sigma_sphere(pt)
-    return pt
+    return w.act(pt, tau_sphere, sigma_sphere)
 
 
 def act_semidirect(el: SemidirectElement, pt: SpherePoint) -> SpherePoint:

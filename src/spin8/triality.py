@@ -7,8 +7,9 @@ A triple (A, B, C) of special orthogonal 8x8 matrices is *verified* when
 which pins the group of such triples down as the double cover of SO(8) acting
 through three inequivalent 8-dimensional representations at once.  Every
 constructor in this module re-runs the 64-basis-pair verification, including
-products, so a verification failure after a group operation always means an
-implementation bug rather than bad input.
+products.  On exact triples a failure after a group operation is a bug; under
+a hostile float ``--eps`` working code fails one too (``NotOrthogonal`` or
+``TrialityViolated``), and ``checks.run_check`` reports such a row as failed.
 
 The two outer symmetries are
 
@@ -22,6 +23,7 @@ automorphism.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import repeat
 from math import gcd
 
@@ -278,22 +280,18 @@ def apply_sigma(g: TrialityTriple) -> TrialityTriple:
     return g._sigma
 
 
-class GammaElement:
+class GammaElement(namedtuple("GammaElement", "s t")):
     """Element of the S3 generated by tau (order 3) and sigma (order 2).
 
     Stored in the normal form sigma^s tau^t with s in {0,1}, t in {0,1,2};
-    as a map it is "tau t times, then sigma s times".  Words read "st" =
-    sigma-after-tau.
+    as a map it is "tau t times, then sigma s times" (``act``).  Words read
+    "st" = sigma-after-tau.
     """
 
-    __slots__ = ("s", "t")
+    __slots__ = ()
 
-    _WORDS = {"e": (0, 0), "t": (0, 1), "t2": (0, 2),
-              "s": (1, 0), "st": (1, 1), "st2": (1, 2)}
-
-    def __init__(self, s: int = 0, t: int = 0):
-        self.s = s % 2
-        self.t = t % 3
+    def __new__(cls, s: int = 0, t: int = 0):
+        return super().__new__(cls, s % 2, t % 3)
 
     @classmethod
     def tau(cls) -> "GammaElement":
@@ -301,10 +299,19 @@ class GammaElement:
 
     @classmethod
     def all_elements(cls) -> list["GammaElement"]:
-        return [cls(*st) for st in cls._WORDS.values()]
+        """The six words in the order e, t, t2, s, st, st2."""
+        return [cls(s, t) for s in (0, 1) for t in (0, 1, 2)]
 
     def word(self) -> str:
-        return {v: k for k, v in self._WORDS.items()}[(self.s, self.t)]
+        return "s" * self.s + ("", "t", "t2")[self.t] or "e"
+
+    def act(self, x, tau, sigma):
+        """x under this word, for tau and sigma acting on x's kind of value."""
+        for _ in range(self.t):
+            x = tau(x)
+        for _ in range(self.s):
+            x = sigma(x)
+        return x
 
     def __mul__(self, other):
         if not isinstance(other, GammaElement):
@@ -318,38 +325,19 @@ class GammaElement:
         # reflections are involutions; rotations invert the tau power
         return GammaElement(self.s, self.t if self.s else -self.t)
 
-    def __eq__(self, other):
-        if not isinstance(other, GammaElement):
-            return NotImplemented
-        return self.s == other.s and self.t == other.t
-
-    def __hash__(self):
-        return hash((self.s, self.t))
-
-    def __repr__(self):
-        return f"GammaElement({self.word()!r})"
-
 
 def apply_gamma(w: GammaElement, g: TrialityTriple) -> TrialityTriple:
     """Act by the word w on a triple (tau first, then sigma)."""
-    for _ in range(w.t):
-        g = apply_tau(g)
-    for _ in range(w.s):
-        g = apply_sigma(g)
-    return g
+    return w.act(g, apply_tau, apply_sigma)
 
 
-class SemidirectElement:
+class SemidirectElement(namedtuple("SemidirectElement", "spin gamma")):
     """Pair (g, w) of a triple and an S3 word, the isometry g after w.
 
     Multiplication follows w g = w(g) w:  (g, w)(h, u) = (g * w(h), w u).
     """
 
-    __slots__ = ("spin", "gamma")
-
-    def __init__(self, spin: TrialityTriple, gamma: GammaElement):
-        self.spin = spin
-        self.gamma = gamma
+    __slots__ = ()
 
     def __mul__(self, other):
         if not isinstance(other, SemidirectElement):
@@ -362,14 +350,6 @@ class SemidirectElement:
     def inverse(self) -> "SemidirectElement":
         winv = self.gamma.inverse()
         return SemidirectElement(apply_gamma(winv, self.spin.inverse()), winv)
-
-    def __eq__(self, other):
-        if not isinstance(other, SemidirectElement):
-            return NotImplemented
-        return self.gamma == other.gamma and self.spin == other.spin
-
-    def __repr__(self):
-        return f"<SemidirectElement gamma={self.gamma.word()!r}>"
 
 
 def spin_from_unit(s: Octonion) -> TrialityTriple:

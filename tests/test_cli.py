@@ -96,8 +96,9 @@ def test_fixset_rejects_bad_literal(capsys):
 
 
 def test_underscored_literal_is_rejected_on_every_backend(capsys):
-    # float() alone reads "1_0e-1" as 1.0 and "1E5_0" as 1e50
-    for entry in ("1_0e-1", "1E5_0"):
+    # float() alone reads "1_0e-1" as 1.0 and "1E5_0" as 1e50; a space
+    # inside a number ("0.6 0") makes no number either
+    for entry in ("1_0e-1", "1E5_0", "0.6 0"):
         for backend in ("exact", "float", "both"):
             code, out, err = run(capsys, "fixset", f"[0,{entry},0,0,0,0,0,0]",
                                  "--backend", backend)
@@ -1001,3 +1002,29 @@ def test_perfbench_seed_0_reports_match_their_goldens(tmp_path, capsys, monkeypa
     with open(os.path.join(bench, "golden", f"{name}.digest.json")) as f:
         golden = json.load(f)["sha256"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == golden
+
+
+def test_readme_cli_block_matches_the_parser():
+    # README's "## CLI" block names exactly the parser's subcommands; each
+    # example without bracketed options parses, and each bracketed option is
+    # one its subcommand takes.  Nothing runs.
+    import argparse
+    import re
+    import shlex
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        block = f.read().split("\n## CLI\n", 1)[1].split("```")[1]
+    parser = cli.build_parser()
+    subs = next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    lines = [line for line in block.splitlines() if line.strip()]
+    argvs = [shlex.split(line, comments=True) for line in lines]
+    assert all(argv[0] == "spin8" for argv in argvs)
+    assert {argv[1] for argv in argvs} == set(subs)
+    for line, argv in zip(lines, argvs):
+        if "[--" in line:
+            taken = {o for a in subs[argv[1]]._actions for o in a.option_strings}
+            assert set(re.findall(r"\[(--[\w-]+)", line)) <= taken, line
+        else:
+            assert parser.parse_args(argv[1:]).command == argv[1], line

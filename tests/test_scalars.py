@@ -114,6 +114,7 @@ def test_parse_scalars():
         "1/2*r3": QuadExt(0, Rational(1, 2)),
         "-1/2+1/2*r3": QuadExt(Rational(-1, 2), Rational(1, 2)),
         "1/2 - 1/2 * r3": QuadExt(Rational(1, 2), Rational(-1, 2)),
+        " - 3/5 ": Rational(-3, 5),
         "2+r3": QuadExt(2, 1),
         # decimal exponents, read exactly: the float grammar's literals
         "1e0": Rational(1),
@@ -155,10 +156,12 @@ def test_float_backend_parsing():
     for bad in ("nan", "-inf", "Infinity", "1e400", "10" * 200 + "/3"):
         with pytest.raises(ParseError):
             fb.parse(bad)
-    # the float backend reads only the exact grammar, which has no "_" and
-    # only ASCII digits (float() reads "1e\u0660", an Arabic-Indic 0, as 1.0)
+    # the float backend reads only the exact grammar, which has no "_", only
+    # ASCII digits (float() reads "1e\u0660", an Arabic-Indic 0, as 1.0) and
+    # whitespace only around a term, after its sign and around "*"
     for bad in ("1_0e-1", "1E5_0", "1_0", "_1", "1e-5000",
-                "\u0663/5", "\uff13/\uff15", "1e\u0660"):
+                "\u0663/5", "\uff13/\uff15", "1e\u0660",
+                "0.6 0", "4 /5", "4/ 5", "0.8e 0", "1e -5", "1/2*r 3"):
         with pytest.raises(ParseError, match="bad scalar literal"):
             fb.parse(bad)
         with pytest.raises(ParseError, match="bad scalar literal"):

@@ -194,6 +194,11 @@ def test_gamma_words():
     for w in GammaElement.all_elements():
         assert w * w.inverse() == ge("e")
         assert ge(w.word()) == w
+    assert GammaElement(3, 4) == GammaElement(1, 1)
+    words = GammaElement.all_elements()
+    assert len(set(words)) == 6
+    # s3-relations draws its triples over the words in this order
+    assert [w.word() for w in words] == ["e", "t", "t2", "s", "st", "st2"]
 
 
 def test_gamma_group_is_associative():
@@ -203,6 +208,37 @@ def test_gamma_group_is_associative():
         for b in elements:
             for c in elements:
                 assert (a * b) * c == a * (b * c)
+
+
+def test_only_gamma_act_spells_out_a_word():
+    # "tau t times, then sigma s times" is written once, in GammaElement.act,
+    # for triples (apply_gamma) and sphere points (gamma_sphere) alike; the
+    # two S3 value types are namedtuples and write no equality of their own
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+
+    import spin8
+
+    def word_loops(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from word_loops(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.For) and isinstance(child.iter, ast.Call)
+                    and getattr(child.iter.func, "id", None) == "range"
+                    and any(getattr(a, "attr", None) in ("s", "t") for a in child.iter.args)):
+                yield scope
+            yield from word_loops(child, scope)
+
+    loops = []
+    for info in pkgutil.iter_modules(spin8.__path__):
+        source = inspect.getsource(importlib.import_module(f"spin8.{info.name}"))
+        loops += word_loops(ast.parse(source), info.name)
+    assert loops == ["triality.GammaElement.act", "triality.GammaElement.act"]
+    for cls in (GammaElement, SemidirectElement):
+        assert not {"__init__", "__eq__", "__hash__"} & set(vars(cls)), cls
 
 
 def test_apply_gamma_is_an_action():
