@@ -20,16 +20,18 @@ too) is ``_dots``: products added one by one in index order onto +0.0, never
 the builtin ``sum``, whose float algorithm depends on the Python version.
 
 The one determinant is ``_det_float``, partial-pivot LU on floats.  It gives
-the sign of every SO(n) verdict, exact ones included: an exactly orthogonal
-matrix is far enough from singular that the float sign is exact (see
-``_so8_verdict``).
+the sign of every SO(n) verdict that nothing proves, exact ones included: an
+exactly orthogonal matrix is far enough from singular that the float sign is
+exact.  A float matrix whose construction proves det > 0 (``_det_pos``) skips
+it at a tolerance up to ``_SIGN_EPS``, where the LU is proved to return that
+sign (see ``_so8_verdict``).
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import chain
-from math import lcm
+from math import isfinite, lcm
 from operator import add, mul, sub
 
 from . import kernel
@@ -53,9 +55,12 @@ class Matrix:
     kernel form (d, a, b) in ``_form``, a float one (eps, float rows) in
     ``_fl``; one computed on a form starts from the form alone.  ``_so8``
     holds the verdict of ``is_special_orthogonal`` once known (None before).
+    ``_det_pos`` is True on a float matrix built so that its determinant is
+    proved positive once it passes the Gram test at a tolerance up to
+    ``_SIGN_EPS`` (see ``_so8_verdict``); False on every other matrix.
     """
 
-    __slots__ = ("_form", "_fl", "_so8")
+    __slots__ = ("_form", "_fl", "_so8", "_det_pos")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -63,6 +68,7 @@ class Matrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square and non-empty")
         self._so8 = None
+        self._det_pos = False
         flat = list(chain.from_iterable(rows))
         eps = approx_eps(flat)
         self._fl = (eps, tuple(tuple(map(float, r)) for r in rows)) if eps else None
@@ -74,6 +80,7 @@ class Matrix:
         m._form = form
         m._fl = None
         m._so8 = None
+        m._det_pos = False
         return m
 
     @classmethod
@@ -83,6 +90,7 @@ class Matrix:
         m._form = None
         m._fl = (eps, rows)
         m._so8 = None
+        m._det_pos = False
         return m
 
     @property
@@ -114,7 +122,10 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if self._fl is not None:
             eps, rows = self._fl
-            return Matrix._of_floats(eps, tuple(zip(*rows)))
+            out = Matrix._of_floats(eps, tuple(zip(*rows)))
+            # det M^t = det M, positive for a True verdict (``_so8_verdict``)
+            out._det_pos = self._so8 is True
+            return out
         d, a, b = self._form
         out = Matrix._of_form((d, columns(a), columns(b)))
         # the exact verdict carries: for square M, M^t M = I iff M M^t = I
@@ -132,7 +143,12 @@ class Matrix:
             ea, a = self._floats()
             eb, b = other._floats()
             # column j of the product: a_i . b_col_j over the rows a_i
-            return Matrix._of_floats(max(ea, eb), tuple(zip(*[_dots(a, c) for c in zip(*b)])))
+            out = Matrix._of_floats(max(ea, eb), tuple(zip(*[_dots(a, c) for c in zip(*b)])))
+            # within rounding of AB, and det AB = det A det B > 0 for two True
+            # verdicts (``_so8_verdict``)
+            if self._so8 and other._so8:
+                out._det_pos = True
+            return out
         da, a, ab = self._form
         db, b, bb = other._form
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
@@ -345,17 +361,29 @@ def is_special_orthogonal(m: Matrix) -> bool:
     gets ``x.is_unit()`` (``octonion._translation``); an exact product of
     two True factors is True (``Matrix.__mul__``); an exact transpose copies
     it (``Matrix.transpose``); and ``triality._kconj`` copies it to kmk, on
-    both backends.  Float translations, products and transposes carry
-    none: a tolerance verdict on m says nothing bit-exact about the floats
-    of a rounded product or of m^t.
+    both backends.  Float translations, sandwiches, products and transposes
+    carry no verdict: a tolerance verdict on m says nothing bit-exact about
+    the floats of a rounded product or of m^t.  Five places give a float
+    matrix the sign of its determinant instead, ``_det_pos``, so that its
+    verdict runs the Gram test without the LU (``_so8_verdict``): a float
+    L(x) or R(x) (``octonion._translation``), a float sandwich
+    (``octonion.sandwich_matrix``), a float product of two True factors
+    (``Matrix.__mul__``), a float transpose of a True matrix
+    (``Matrix.transpose``), and kmk, which copies it (``triality._kconj``).
     """
     if m._so8 is None:
         m._so8 = _so8_verdict(m)
     return m._so8
 
 
+# The largest tolerance at which a float matrix with ``_det_pos`` is decided
+# by the Gram test alone: a proved constant (``_so8_verdict``), not a setting.
+_SIGN_EPS = 1 / 64
+
+
 def _so8_verdict(m: Matrix) -> bool:
-    """m^t m = I, then the sign of the float LU determinant of m's floats.
+    """m^t m = I, then the sign of the float LU determinant of m's floats,
+    unless how m was built proves that sign.
 
     A float matrix reads its own float rows.  An exact matrix is first tested
     exactly (``is_orthogonal``); only an orthogonal one is read as
@@ -390,9 +418,65 @@ def _so8_verdict(m: Matrix) -> bool:
 
     Step 3's bound passes 1 beyond n = 32, so a larger exact matrix raises
     DimensionMismatch; this package builds only 8x8 and 16x16 ones.
+
+    A float matrix with ``_det_pos``, of size n <= 16, at a tolerance
+    eps <= ``_SIGN_EPS`` = 1/64 and with every entry finite, is decided by
+    the Gram test alone: whenever it passes, the LU would return det > 0.
+    Proof at n = 8, with the bounds at n = 16 in brackets:
+
+    1. The Gram test computes c_i . c_j within gamma_n |c_i||c_j| (an n-term
+       dot onto 0.0), so passing it at eps gives |c_i|^2 <= 1.016 and
+       ||M^t M - I||_2 <= n (eps + gamma_n 1.07) < 0.13 [0.26].  So every
+       singular value of M lies in [0.93, 1.07] [[0.86, 1.13]], and
+       |m_ij| <= 1.07.
+    2. Steps 3 to 5 above for M's own floats (no conversion term), with
+       singular values >= 0.93 in place of 1: the LU's backward error is at
+       most n^2 2^(n-1) gamma_(n+1) 1.07, about 9e-12 [2e-8], so the LU
+       returns the sign of det M.
+    3. M is within delta < 1e-13 (2-norm) of a real matrix M0 whose
+       determinant is >= 0 by construction.  By Weyl every matrix on the
+       segment from M0 to M has singular values >= 0.93 - delta > 0
+       [0.86 - delta], so det M0 > 0 and det M > 0.  The constructions:
+
+       * a float L(x) or R(x) (``octonion._translation``): M0 = M is the
+         translation of x's floats, det = |x|^8 by ``_translation``'s proof,
+         which holds over the reals; delta = 0.
+       * a float sandwich x -> l (x r) (``octonion.sandwich_matrix``):
+         M0 = L(l) R(r) of l's and r's floats, det = |l|^8 |r|^8.  Each entry
+         adds 8 signed products onto 0.0, so it is within gamma_8 |l||r| of
+         M0's (Cauchy-Schwarz); |l||r| = ||M0||_2 <= 1.07 + delta, so
+         delta <= 8 gamma_8 1.08 < 1e-14.
+       * a float product AB of two True factors (``Matrix.__mul__``):
+         M0 = AB over the factors' floats, and |fl(AB) - AB| <=
+         gamma_n |A||B| gives delta <= gamma_n ||A||_F ||B||_F <=
+         1.13 n gamma_n [1.26 n gamma_n] < 1e-13.  The product's tolerance
+         is the larger of the factors', so each factor passed the Gram test
+         at eps <= 1/64 and has det > 0: by step 2 where its LU ran, by this
+         lemma where it did not, and by the exact proof for an exact factor.
+       * a float transpose of a True matrix A (``Matrix.transpose``): it is
+         A^t exactly, and det A^t = det A > 0 as for a factor; delta = 0.
+       * kmk (``triality._kconj``): k M0 k at the same distance, and
+         det(k M0 k) = det M0.
+
+       An underflow adds at most 2^-1074 per operation to these bounds.
+
+    The finite entries guard the lemma, whose sums are over the reals: nan
+    passes the Gram test's ``>`` comparisons, and inf times 0 is nan.  A
+    non-finite factor makes a product non-finite (a float sum with an inf or
+    nan term is inf or nan), and a transpose or kmk keeps it so.  A
+    non-finite matrix, like every matrix nothing vouches for and every one
+    at eps > 1/64, runs the LU, so each verdict is the one the LU gives: a
+    nan above the diagonal of an upper-triangular matrix never reaches a
+    pivot, and the LU accepts that matrix.  The lemma is written up to
+    n = 16; a larger float matrix runs the LU.
     """
-    if m._fl is None and m.n > 32:
-        raise DimensionMismatch(f"exact SO(n) sign is proved up to n = 32, got {m.n}")
+    fl = m._fl
+    if fl is None:
+        if m.n > 32:
+            raise DimensionMismatch(f"exact SO(n) sign is proved up to n = 32, got {m.n}")
+    elif (m._det_pos and fl[0] <= _SIGN_EPS and len(fl[1]) <= 16
+          and all(map(isfinite, chain.from_iterable(fl[1])))):
+        return is_orthogonal(m)
     return is_orthogonal(m) and _det_float(m._floats()[1]) > 0
 
 

@@ -355,13 +355,17 @@ def _translation(x: Octonion, layout) -> Matrix:
     |x|^2 I, so |det L(x)| = |det R(x)| = |x|^8; the determinant is
     continuous and nonzero on the nonzero octonions, a connected set, and 1
     at x = 1, so det L(x) = det R(x) = |x|^8, and the matrix is in SO(8) iff
-    |x|^2 = 1.
+    |x|^2 = 1.  The float matrix is exactly the translation of x's floats,
+    so the same proof gives det = |x|^8 >= 0: it carries ``_det_pos``
+    (``linalg._so8_verdict``).
     """
     if x._fl is not None:
         eps, fl = x._fl
         f = [v if v else 0.0 for v in fl]
         signed = f + [-v if v else 0.0 for v in f]
-        return Matrix._of_floats(eps, tuple([get(signed) for get in layout]))
+        m = Matrix._of_floats(eps, tuple([get(signed) for get in layout]))
+        m._det_pos = True
+        return m
     d, a, b = x._form
     m = Matrix._of_form((d, _placed(a, layout), _placed(b, layout)))
     m._so8 = x.is_unit()
@@ -385,14 +389,17 @@ def sandwich_matrix(l: Octonion, r: Octonion) -> Matrix:
     is ``mul_lines`` of l and column j of R(r), at the largest tolerance of
     l and r: the floats the octonion product computes for l (e_j r), since
     e_j r is a signed copy of r and ``mul_lines`` gives the same bits for
-    +0.0 and -0.0 inputs.
+    +0.0 and -0.0 inputs.  Within rounding of L(l) R(r), whose determinant
+    is |l|^8 |r|^8 >= 0, it carries ``_det_pos`` (``linalg._so8_verdict``).
     """
     if l._fl is None and r._fl is None:
         return left_translation(l) * right_translation(r)
     el, lf = l._floats()
     cols = zip(*right_translation(r)._floats()[1])
     eps = max(el, r._floats()[0])
-    return Matrix._of_floats(eps, tuple(zip(*[mul_lines(lf, col, 0.0) for col in cols])))
+    m = Matrix._of_floats(eps, tuple(zip(*[mul_lines(lf, col, 0.0) for col in cols])))
+    m._det_pos = True
+    return m
 
 
 def to_backend(x: Octonion, backend) -> Octonion:

@@ -248,6 +248,9 @@ def _kconj(m: Matrix) -> Matrix:
       signs; the product of the pivots is the original times
       det(D_r) det(D_c) = det(D)^2 = 1, and a zero pivot is zero in both.
       So the determinant's float, and its sign, are unchanged.
+
+    ``_det_pos`` is copied too: kmk is k M0 k at m's distance from M0, and
+    det(k M0 k) = det M0 (``linalg._so8_verdict``).
     """
     if m._fl is not None:
         eps, rows = m._fl
@@ -256,6 +259,7 @@ def _kconj(m: Matrix) -> Matrix:
         d, a, b = m._form
         out = Matrix._of_form((d, _kconj_rows(a), b and _kconj_rows(b)))
     out._so8 = m._so8
+    out._det_pos = m._det_pos
     return out
 
 

@@ -645,6 +645,78 @@ def test_antipodal_hostile_eps_fails_cleanly(capsys):
     assert "Traceback" not in err
 
 
+def test_float_verdicts_run_the_lu_only_where_nothing_proves_the_sign(tmp_path, capsys,
+                                                                     monkeypatch):
+    # A float translation, sandwich, product of two SO(8) factors, transpose
+    # of one or kmk carries the proved sign of its determinant, so at the
+    # default eps its verdict is the Gram test alone.  The LU runs on the
+    # exact identity and on the float matrices nothing vouches for: the
+    # random rotations of clifford-embedding and the C of triple_from_pair
+    # (README, "SO(8) verdicts").
+    from spin8 import linalg
+    from spin8.triality import TrialityTriple
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    monkeypatch.setattr(TrialityTriple, "_cached_identity", None)
+    counts = {"verdicts": 0, "lus": 0}
+    verdict, det = linalg._so8_verdict, linalg._det_float
+
+    def counted_verdict(m):
+        counts["verdicts"] += 1
+        return verdict(m)
+
+    def counted_det(rows):
+        counts["lus"] += 1
+        return det(rows)
+
+    monkeypatch.setattr(linalg, "_so8_verdict", counted_verdict)
+    monkeypatch.setattr(linalg, "_det_float", counted_det)
+    out = str(tmp_path / "rep.json")
+    assert run(capsys, "verify-all", "--backend", "float", "--trials", "2", "--out", out)[0] == 0
+    assert counts == {"verdicts": 429, "lus": 5}
+
+
+def test_proved_sign_threshold_keeps_every_verdict(tmp_path, capsys, monkeypatch):
+    # linalg._SIGN_EPS at 0 runs the LU on every float verdict.  The reports
+    # read the same with and without it: the seed-0 float battery, and
+    # --trials 3 at eps 1/64 and at the next float above.  Above 1/64 the LU
+    # runs wherever the Gram test passes, as it does at _SIGN_EPS 0.
+    from spin8 import linalg
+    from spin8.triality import TrialityTriple
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    counts = {"gram": 0, "lus": 0}
+    verdict, det = linalg._so8_verdict, linalg._det_float
+
+    def counted_verdict(m):
+        counts["gram"] += linalg.is_orthogonal(m)
+        return verdict(m)
+
+    def counted_det(rows):
+        counts["lus"] += 1
+        return det(rows)
+
+    monkeypatch.setattr(linalg, "_so8_verdict", counted_verdict)
+    monkeypatch.setattr(linalg, "_det_float", counted_det)
+    out = tmp_path / "rep.json"
+    proved, edge, above = linalg._SIGN_EPS, 1 / 64, math.nextafter(1 / 64, 1)
+    for args, eps in [(["--trials", "100", "--seed", "0"], 1e-9),
+                      (["--trials", "3", "--eps", repr(edge)], edge),
+                      (["--trials", "3", "--eps", repr(above)], above)]:
+        runs = []
+        for sign_eps in (proved, 0.0):
+            monkeypatch.setattr(linalg, "_SIGN_EPS", sign_eps)
+            monkeypatch.setattr(TrialityTriple, "_cached_identity", None)
+            counts.update(gram=0, lus=0)
+            code, _, _ = run(capsys, "verify-all", "--backend", "float", *args,
+                             "--out", str(out))
+            runs.append((code, out.read_bytes(), dict(counts)))
+        (code, report, mine), (code0, report0, lu_everywhere) = runs
+        assert (code, report) == (code0, report0), args
+        assert lu_everywhere["lus"] == lu_everywhere["gram"] == mine["gram"] > 0
+        assert (mine["lus"] == mine["gram"]) is (eps > 1 / 64), args
+
+
 _HOSTILE_EPS = ["1e-17", "1e-16", "2e-16", "3e-16", "5e-16", "1e-15", "1e-14", "1e-12",
                 "0.3", "0.5", "0.65", "1", "1.5", "2", "5", "1e308"]
 _SWEEP = [["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "5"],

@@ -10,7 +10,8 @@ defect, partial-pivot LU and Gram test are also held to the code they
 replaced on non-finite input: ``_det_float`` with a ``max(key=...)`` pivot,
 the defect over ``mul_lines`` and the Gram test over ``dot``.  Floats are
 compared by repr, which tells -0.0 from 0.0.  The SO(n) verdict that kappa
-conjugation carries is compared with a fresh one.
+conjugation carries is compared with a fresh one, and the verdict a float
+matrix gets from its proved determinant sign with the LU it skips.
 """
 
 import ast
@@ -511,6 +512,103 @@ def test_reflection_never_enters_a_triple():
         # known-good components still meet the 64-pair identity
         with pytest.raises(TrialityViolated):
             TrialityTriple(_kconj(g.B), g.C, g.A)
+
+
+# --- the determinant's sign from construction against the LU it skips ------
+
+def lu_verdict(m):
+    """The SO(n) verdict with the LU run on every matrix."""
+    return linalg.is_orthogonal(m) and linalg._det_float(m._fl[1]) > 0
+
+
+def scaled(x, k):
+    """x's floats times k, at x's tolerance."""
+    eps, f = x._fl
+    return Octonion._of_floats(eps, tuple(v * k for v in f))
+
+
+def sign_cases(rng, eps):
+    """Float matrices at tolerance eps from every site that sets _det_pos:
+    translations and sandwiches of unit and non-unit octonions, products of
+    verified matrices (an exact factor among them), transposes of verified
+    matrices, and kmk of each.  Norms sit inside, at and beyond the edge of
+    the Gram test."""
+    fb = FloatBackend(eps)
+    octs = [random_unit_octonion(rng, fb) for _ in range(3)]
+    octs.append(to_backend(Octonion.basis(rng.randrange(1, 9)), fb))
+    octs.append(cube_root_of_unity(random_imaginary_unit(rng, fb)))
+    octs += [scaled(octs[0], math.sqrt(1 + k * eps)) for k in (-1.5, -1, -0.5, 0.5, 1, 1.5)]
+    octs += [scaled(octs[1], k) for k in (0.5, 2.0)]
+    made = [t(x) for x in octs for t in (left_translation, right_translation)]
+    made += [sandwich_matrix(l, r) for l, r in zip(octs, octs[1:] + octs[:1])]
+    made += [sandwich_matrix(x.conj(), x.conj()) for x in octs[:3]]
+    verified = [m for m in made if is_special_orthogonal(m)]
+    exact = left_translation(random_unit_octonion(rng, EXACT))
+    assert is_special_orthogonal(exact)
+    products = [a * b for a, b in zip(verified, verified[1:])]
+    products += [exact * verified[0], verified[-1] * exact]
+    products += [a * b for a, b in zip(products, products[1:])
+                 if is_special_orthogonal(a) and is_special_orthogonal(b)]
+    made += products
+    made += [m.transpose() for m in made if is_special_orthogonal(m)]
+    return made + [_kconj(m) for m in made]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1e-15, 1e-9, 1e-4, 1 / 64]))
+def test_proved_sign_gives_the_lu_verdict(seed, eps):
+    # Every matrix built where _det_pos is set gets, without the LU, the
+    # verdict the LU gives (the lemma in linalg._so8_verdict).
+    rng = random.Random(seed)
+    cases = sign_cases(rng, eps)
+    verdicts = []
+    for m in cases:
+        assert m._det_pos and m._fl[0] == eps
+        verdicts.append(linalg._so8_verdict(m))
+        assert verdicts[-1] is lu_verdict(m)
+    assert any(verdicts)
+    # a product with an unknown or False factor, or the transpose of a
+    # matrix whose verdict is unknown, proves nothing
+    fresh = Matrix._of_floats(eps, cases[0]._fl[1])
+    assert not (fresh * cases[0])._det_pos and not fresh.transpose()._det_pos
+    assert not random_rotation(rng, FloatBackend(eps))._det_pos
+
+
+def test_non_finite_flagged_matrices_take_the_lu(monkeypatch):
+    # nan passes the Gram test's > comparisons, so a flagged matrix with a
+    # non-finite entry keeps the LU and its verdict, whatever that is
+    runs = []
+    det = linalg._det_float
+    monkeypatch.setattr(linalg, "_det_float", lambda rows: runs.append(1) or det(rows))
+
+    def flagged(rows):
+        m = Matrix._of_floats(1 / 64, tuple(map(tuple, rows)))
+        m._det_pos = True
+        return m
+
+    eye = [[1.0 if i == j else 0.0 for j in range(8)] for i in range(8)]
+    above = [r[:] for r in eye]
+    above[2][5] = math.nan  # upper-triangular: the nan never reaches a pivot
+    below = [r[:] for r in eye]
+    below[5][2] = math.nan  # the update carries it to pivot 5
+    rng = random.Random(12)
+    g = spin_from_unit(random_unit_octonion(rng, FloatBackend(1 / 64)))
+    tri = flagged(above)
+    assert linalg.is_orthogonal(tri) and linalg.is_orthogonal(flagged(below))
+    cases = [(tri, True), (flagged(below), False)]
+    assert is_special_orthogonal(tri) and is_special_orthogonal(g.A)
+    cases += [(tri * g.A, None), (g.A * tri, None), (tri.transpose(), None),
+              (_kconj(tri), True)]
+    cases += [(flagged(overflowed(m)._fl[1]), False) for m in (g.A, g.B, g.C)]
+    for m, want in cases:
+        assert m._det_pos
+        assert not all(map(math.isfinite, (x for r in m._fl[1] for x in r)))
+        del runs[:]
+        got = linalg._so8_verdict(m)
+        assert runs == [1]
+        assert got is lu_verdict(m)
+        if want is not None:
+            assert got is want
 
 
 # --- float translations, sandwiches and norms against ApproxReal loops ------

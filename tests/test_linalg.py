@@ -256,8 +256,24 @@ _VERDICT_SITES = {
 }
 
 
-def _verdict_writes(tree, module):
-    """(module, qualified name, value) of each assignment to an ._so8."""
+# Every site that writes a float matrix's proved determinant sign, with the
+# value it writes.  Each one but the constructors' False carries its proof
+# in linalg._so8_verdict; a new site fails the test below until its proof is
+# written there and it is listed here.
+_SIGN_SITES = {
+    ("linalg", "Matrix.__init__", "False"),
+    ("linalg", "Matrix._of_form", "False"),
+    ("linalg", "Matrix._of_floats", "False"),
+    ("linalg", "Matrix.transpose", "self._so8 is True"),
+    ("linalg", "Matrix.__mul__", "True"),
+    ("octonion", "_translation", "True"),
+    ("octonion", "sandwich_matrix", "True"),
+    ("triality", "_kconj", "m._det_pos"),
+}
+
+
+def _verdict_writes(tree, module, attr="_so8"):
+    """(module, qualified name, value) of each assignment to an .<attr>."""
     found = []
 
     def visit(node, scope):
@@ -265,7 +281,7 @@ def _verdict_writes(tree, module):
             scope = scope + (node.name,)
         for target in node.targets if isinstance(node, ast.Assign) else ():
             for t in ast.walk(target):
-                if isinstance(t, ast.Attribute) and t.attr == "_so8":
+                if isinstance(t, ast.Attribute) and t.attr == attr:
                     found.append((module, ".".join(scope), ast.unparse(node.value)))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -280,6 +296,16 @@ def test_every_verdict_site_is_listed():
     for path in sorted(src.glob("*.py")):
         writes += _verdict_writes(ast.parse(path.read_text()), path.stem)
     assert len(writes) == len(set(writes)) and set(writes) == _VERDICT_SITES
+
+
+def test_every_sign_site_is_listed():
+    src = Path(linalg.__file__).parent
+    writes = []
+    for path in sorted(src.glob("*.py")):
+        writes += _verdict_writes(ast.parse(path.read_text()), path.stem, "_det_pos")
+    assert len(writes) == len(set(writes)) and set(writes) == _SIGN_SITES
+    # the tolerance up to which the sign is proved is a constant of linalg
+    assert linalg._SIGN_EPS == 1 / 64
 
 
 # Every call of the public constructors, where scalars become a form:
@@ -329,7 +355,7 @@ def test_scalars_become_forms_only_at_listed_sites():
     assert sorted(calls) == _CONSTRUCTOR_SITES
     # the form is all a value holds: no second, scalar copy
     assert Octonion.__slots__ == ("_form", "_fl")
-    assert Matrix.__slots__ == ("_form", "_fl", "_so8")
+    assert Matrix.__slots__ == ("_form", "_fl", "_so8", "_det_pos")
 
 
 def test_special_orthogonal_predicate():
