@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import chain
-from math import isfinite, lcm
+from math import lcm
 from operator import add, mul, sub
 
 from . import kernel
@@ -329,17 +329,19 @@ def is_orthogonal(m: Matrix) -> bool:
     left factor; the Gram matrix is symmetric term by term, so this is the
     same test at half the work.  Off the diagonal |dot| stands for
     |dot - 0.0|, the same float: x - 0.0 is x for every float x, -0.0 and
-    nan included.
+    nan included.  A nan defect fails, as in ``Matrix.__eq__``, so at a
+    finite eps every matrix with a non-finite entry fails: its column's
+    square norm adds squares, each >= 0, inf or nan, so it is inf or nan.
     """
     if m._fl is not None:
         eps, rows = m._fl
         cols = tuple(zip(*rows))
         for j, cj in enumerate(cols):
             dots = _dots(cols[j:], cj)  # i = j, j + 1, ..., n - 1
-            if abs(dots[0] - 1.0) > eps:
+            if not abs(dots[0] - 1.0) <= eps:
                 return False
             for dot in dots[1:]:
-                if abs(dot) > eps:
+                if not abs(dot) <= eps:
                     return False
         return True
     d, a, b = m._form
@@ -420,8 +422,9 @@ def _so8_verdict(m: Matrix) -> bool:
     DimensionMismatch; this package builds only 8x8 and 16x16 ones.
 
     A float matrix with ``_det_pos``, of size n <= 16, at a tolerance
-    eps <= ``_SIGN_EPS`` = 1/64 and with every entry finite, is decided by
-    the Gram test alone: whenever it passes, the LU would return det > 0.
+    eps <= ``_SIGN_EPS`` = 1/64, is decided by the Gram test alone: whenever
+    it passes, the LU would return det > 0.  Passing it, every entry is
+    finite (``is_orthogonal``), so the sums below are over the reals.
     Proof at n = 8, with the bounds at n = 16 in brackets:
 
     1. The Gram test computes c_i . c_j within gamma_n |c_i||c_j| (an n-term
@@ -460,22 +463,13 @@ def _so8_verdict(m: Matrix) -> bool:
 
        An underflow adds at most 2^-1074 per operation to these bounds.
 
-    The finite entries guard the lemma, whose sums are over the reals: nan
-    passes the Gram test's ``>`` comparisons, and inf times 0 is nan.  A
-    non-finite factor makes a product non-finite (a float sum with an inf or
-    nan term is inf or nan), and a transpose or kmk keeps it so.  A
-    non-finite matrix, like every matrix nothing vouches for and every one
-    at eps > 1/64, runs the LU, so each verdict is the one the LU gives: a
-    nan above the diagonal of an upper-triangular matrix never reaches a
-    pivot, and the LU accepts that matrix.  The lemma is written up to
-    n = 16; a larger float matrix runs the LU.
+    The lemma is written up to n = 16; a larger float matrix runs the LU.
     """
     fl = m._fl
     if fl is None:
         if m.n > 32:
             raise DimensionMismatch(f"exact SO(n) sign is proved up to n = 32, got {m.n}")
-    elif (m._det_pos and fl[0] <= _SIGN_EPS and len(fl[1]) <= 16
-          and all(map(isfinite, chain.from_iterable(fl[1])))):
+    elif m._det_pos and fl[0] <= _SIGN_EPS and len(fl[1]) <= 16:
         return is_orthogonal(m)
     return is_orthogonal(m) and _det_float(m._floats()[1]) > 0
 

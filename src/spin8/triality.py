@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 from math import gcd
+from operator import itemgetter
 
 from .kernel import columns, max_abs, pack, zdot
 from .linalg import Matrix, NotOrthogonal, is_special_orthogonal
@@ -119,6 +120,11 @@ def _packed_columns(rows, w):
     return {1: packed, -1: [-v for v in packed]}
 
 
+# Per TABLE row i, the signed target columns s B e_k over j, e_i e_j = s e_k,
+# picked from B's columns followed by their negations.
+_TARGETS = [itemgetter(*[k if s > 0 else 8 + k for s, k in row]) for row in TABLE]
+
+
 def _triality_defect(acols, bcols, ccols):
     """Worst float deviation over the 64 basis pairs, with its argmax pair.
 
@@ -131,25 +137,32 @@ def _triality_defect(acols, bcols, ccols):
     and abs drops the sign.  The first pair of the largest deviation wins,
     and a nan deviation never does (``>`` is False on it); ``max`` keeps the
     first of equal or nan coordinates, as over any sequence.
+
+    A pair whose eight differences d_r all lie in [-worst, worst] is skipped
+    before abs and max: abs is exact, so then max_r |d_r| <= worst and the
+    pair cannot raise worst.  A nan d_r fails that test, so every pair that
+    could matter takes the full expression and the result is the same bits.
     """
-    neg = [tuple([-v for v in col]) for col in bcols]
-    worst, at = 0.0, (0, 0)
-    for i, row in enumerate(TABLE):
-        x0, x1, x2, x3, x4, x5, x6, x7 = ccols[i]
-        targets = [bcols[k] if s > 0 else neg[k] for s, k in row]
-        pairs = enumerate(zip(acols, targets))
+    signed = (*bcols, *[tuple([-v for v in col]) for col in bcols])
+    worst, lo, at = 0.0, -0.0, (0, 0)
+    for i, (targets, (x0, x1, x2, x3, x4, x5, x6, x7)) in enumerate(zip(_TARGETS, ccols)):
+        pairs = enumerate(zip(acols, targets(signed)))
         for j, ((y0, y1, y2, y3, y4, y5, y6, y7), (t0, t1, t2, t3, t4, t5, t6, t7)) in pairs:
-            r = max(
-                abs(t0 - (0.0 + x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7)),
-                abs(t1 - (0.0 + x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6)),
-                abs(t2 - (0.0 + x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5)),
-                abs(t3 - (0.0 + x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4)),
-                abs(t4 - (0.0 + x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3)),
-                abs(t5 - (0.0 + x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2)),
-                abs(t6 - (0.0 + x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1)),
-                abs(t7 - (0.0 + x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0)))
+            d0 = t0 - (0.0 + x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7)
+            d1 = t1 - (0.0 + x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6)
+            d2 = t2 - (0.0 + x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5)
+            d3 = t3 - (0.0 + x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4)
+            d4 = t4 - (0.0 + x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3)
+            d5 = t5 - (0.0 + x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2)
+            d6 = t6 - (0.0 + x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1)
+            d7 = t7 - (0.0 + x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0)
+            if (lo <= d0 <= worst and lo <= d1 <= worst and lo <= d2 <= worst
+                    and lo <= d3 <= worst and lo <= d4 <= worst and lo <= d5 <= worst
+                    and lo <= d6 <= worst and lo <= d7 <= worst):
+                continue
+            r = max(abs(d0), abs(d1), abs(d2), abs(d3), abs(d4), abs(d5), abs(d6), abs(d7))
             if r > worst:
-                worst, at = r, (i, j)
+                worst, lo, at = r, -r, (i, j)
     return at, worst
 
 
@@ -160,24 +173,36 @@ class TrialityTriple:
     C, then the 64-pair identity, and raises the first failure.  An exact
     translation, product, transpose or kmk carries its SO(8) verdict
     (``linalg.is_special_orthogonal``), so on an exact triple built from
-    those the three SO(8) tests are reads of that verdict.
+    those the three SO(8) tests are reads of that verdict.  The identity is
+    the integer test of ``_triality_holds`` on an exact triple and the float
+    sweep of ``_triality_defect`` on one with a float component, whose
+    (pair, worst) the triple keeps in ``_defect``: ``TrialityViolated`` is
+    raised with it and ``triality_residual`` returns it.
     """
 
     # _inv/_tau/_sigma memoize *freshly verified* images, forward only: a
     # cached value is never fabricated from the cache of its own inverse
     # image, so involution/order tests still exercise real constructions.
-    __slots__ = ("A", "B", "C", "_inv", "_tau", "_sigma")
+    __slots__ = ("A", "B", "C", "_defect", "_inv", "_tau", "_sigma")
     _cached_identity = None
 
     def __init__(self, a: Matrix, b: Matrix, c: Matrix):
         for name, m in (("A", a), ("B", b), ("C", c)):
             if m.n != 8 or not is_special_orthogonal(m):
                 raise NotOrthogonal(f"component {name} is not in SO(8)")
-        if not _triality_holds(a, b, c):
-            raise TrialityViolated(*_triality_defect(*_float_cols(a, b, c)[1]))
+        if a._fl is None and b._fl is None and c._fl is None:
+            defect = None
+            if not _triality_holds(a, b, c):
+                raise TrialityViolated(*_triality_defect(*_float_cols(a, b, c)[1]))
+        else:
+            eps, cols = _float_cols(a, b, c)
+            defect = _triality_defect(*cols)
+            if not defect[1] <= eps:
+                raise TrialityViolated(*defect)
         self.A = a
         self.B = b
         self.C = c
+        self._defect = defect
         self._inv = None
         self._tau = None
         self._sigma = None
@@ -207,8 +232,13 @@ class TrialityTriple:
         return self.A == other.A and self.B == other.B and self.C == other.C
 
     def triality_residual(self) -> float:
-        """Largest float deviation of B(xy) - (Cx)(Ay) over the 64 basis pairs."""
-        return _triality_defect(*_float_cols(self.A, self.B, self.C)[1])[1]
+        """Largest float deviation of B(xy) - (Cx)(Ay) over the 64 basis pairs:
+        the constructor's sweep on a float triple, a fresh one otherwise (an
+        exact triple, or an unverified object with A, B and C)."""
+        defect = getattr(self, "_defect", None)
+        if defect is None:
+            defect = _triality_defect(*_float_cols(self.A, self.B, self.C)[1])
+        return defect[1]
 
     def to_json(self) -> dict:
         return {"A": self.A.to_json(), "B": self.B.to_json(), "C": self.C.to_json()}

@@ -676,6 +676,48 @@ def test_float_verdicts_run_the_lu_only_where_nothing_proves_the_sign(tmp_path, 
     assert counts == {"verdicts": 429, "lus": 5}
 
 
+def test_float_triples_sweep_their_64_pairs_once(tmp_path, capsys, monkeypatch):
+    # A float triple keeps the (pair, worst) of its constructor's sweep:
+    # TrialityViolated raises with it and triality_residual() reads it.  So
+    # the sweep runs once per float triple that reaches the identity, built
+    # or refused, and once per is_g2 test of a diagonal triple.
+    from spin8 import triality
+    from spin8.triality import TrialityTriple, TrialityViolated
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    monkeypatch.setattr(TrialityTriple, "_cached_identity", None)
+    counts = {"built": 0, "refused": 0, "g2": 0, "sweeps": 0}
+    init, holds, defect = (TrialityTriple.__init__, triality._triality_holds,
+                           triality._triality_defect)
+
+    def floats(*mats):
+        return any(m._fl is not None for m in mats)
+
+    def counted_init(self, a, b, c):
+        try:
+            init(self, a, b, c)
+        except TrialityViolated:
+            counts["refused"] += floats(a, b, c)
+            raise
+        counts["built"] += floats(a, b, c)
+
+    def counted_holds(a, b, c):
+        counts["g2"] += floats(a, b, c)  # the constructor's test is exact only
+        return holds(a, b, c)
+
+    def counted_defect(*cols):
+        counts["sweeps"] += 1
+        return defect(*cols)
+
+    monkeypatch.setattr(TrialityTriple, "__init__", counted_init)
+    monkeypatch.setattr(triality, "_triality_holds", counted_holds)
+    monkeypatch.setattr(triality, "_triality_defect", counted_defect)
+    out = str(tmp_path / "rep.json")
+    assert run(capsys, "verify-all", "--backend", "float", "--trials", "2", "--out", out)[0] == 0
+    assert counts["sweeps"] == counts["built"] + counts["refused"] + counts["g2"]
+    assert counts == {"built": 381, "refused": 1, "g2": 2, "sweeps": 384}
+
+
 def test_proved_sign_threshold_keeps_every_verdict(tmp_path, capsys, monkeypatch):
     # linalg._SIGN_EPS at 0 runs the LU on every float verdict.  The reports
     # read the same with and without it: the seed-0 float battery, and

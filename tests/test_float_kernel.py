@@ -8,10 +8,12 @@ product, entrywise ApproxReal comparison, and the ApproxReal constructions of
 translations, sandwich matrices and norms.  The straight-line triality
 defect, partial-pivot LU and Gram test are also held to the code they
 replaced on non-finite input: ``_det_float`` with a ``max(key=...)`` pivot,
-the defect over ``mul_lines`` and the Gram test over ``dot``.  Floats are
-compared by repr, which tells -0.0 from 0.0.  The SO(n) verdict that kappa
-conjugation carries is compared with a fresh one, and the verdict a float
-matrix gets from its proved determinant sign with the LU it skips.
+the defect over ``mul_lines`` and the Gram test over ``dot``, which passed
+a nan defect that the Gram test now fails.  The defect that skips pairs
+within its running worst is held to the straight sweep it replaced.  Floats
+are compared by repr, which tells -0.0 from 0.0.  The SO(n) verdict that
+kappa conjugation carries is compared with a fresh one, and the verdict a
+float matrix gets from its proved determinant sign with the LU it skips.
 """
 
 import ast
@@ -185,18 +187,25 @@ def test_product_lines_follow_table():
 
 def test_defect_lines_follow_table():
     # _triality_defect writes the product lines out again, as
-    # max(abs(t0 - <line 0>), ..., abs(t7 - <line 7>)) with x = C e_i and
-    # y = A e_j: each line, run on symbols, must be TABLE's
+    # d_k = t_k - <line k> with x = C e_i and y = A e_j: each line, run on
+    # symbols, must be TABLE's.  A pair outside the skip test takes
+    # max(abs(d0), ..., abs(d7)), every d_k in order.
     tree = ast.parse(inspect.getsource(triality._triality_defect))
+    lines = {node.targets[0].id: node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id.startswith("d")}
+    assert sorted(lines) == [f"d{k}" for k in range(8)]
+    got = []
+    for k in range(8):
+        value = lines[f"d{k}"]
+        assert isinstance(value, ast.BinOp) and isinstance(value.op, ast.Sub)
+        assert ast.unparse(value.left) == f"t{k}"
+        got.append(eval(compile(ast.Expression(value.right), "<line>", "eval"), {}, SYMBOLS).text)
+    assert got == table_lines(0.0)
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "max"]
-    assert len(calls) == 1 and len(calls[0].args) == 8
-    got = []
-    for k, arg in enumerate(calls[0].args):
-        assert ast.unparse(arg).startswith(f"abs(t{k} - ")
-        line = arg.args[0].right
-        got.append(eval(compile(ast.Expression(line), "<line>", "eval"), {}, SYMBOLS).text)
-    assert got == table_lines(0.0)
+    assert len(calls) == 1
+    assert [ast.unparse(arg) for arg in calls[0].args] == [f"abs(d{k})" for k in range(8)]
 
 
 def test_no_float_path_calls_builtin_sum():
@@ -283,6 +292,47 @@ def list_defect(acols, bcols, ccols):
     return at, worst
 
 
+def straight_defect(acols, bcols, ccols):
+    """_triality_defect as written before it skipped pairs within the
+    running worst: max(abs(t_k - <line k>)) on every pair."""
+    neg = [tuple([-v for v in col]) for col in bcols]
+    worst, at = 0.0, (0, 0)
+    for i, row in enumerate(TABLE):
+        x0, x1, x2, x3, x4, x5, x6, x7 = ccols[i]
+        targets = [bcols[k] if s > 0 else neg[k] for s, k in row]
+        pairs = enumerate(zip(acols, targets))
+        for j, ((y0, y1, y2, y3, y4, y5, y6, y7), (t0, t1, t2, t3, t4, t5, t6, t7)) in pairs:
+            r = max(
+                abs(t0 - (0.0 + x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7)),
+                abs(t1 - (0.0 + x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6)),
+                abs(t2 - (0.0 + x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5)),
+                abs(t3 - (0.0 + x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4)),
+                abs(t4 - (0.0 + x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3)),
+                abs(t5 - (0.0 + x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2)),
+                abs(t6 - (0.0 + x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1)),
+                abs(t7 - (0.0 + x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0)))
+            if r > worst:
+                worst, at = r, (i, j)
+    return at, worst
+
+
+def full_pairs(acols, bcols, ccols):
+    """The pairs whose deviations do not all lie within the running worst
+    (a nan among them): those the sweep must take through abs and max."""
+    worst, count = 0.0, 0
+    for i in range(8):
+        for j in range(8):
+            prod = mul_lines(ccols[i], acols[j], 0.0)
+            s, k = TABLE[i][j]
+            devs = list(map(abs, map(sub if s > 0 else add, bcols[k], prod)))
+            if not all(d <= worst for d in devs):
+                count += 1
+                r = max(devs)
+                if r > worst:
+                    worst = r
+    return count
+
+
 def overflowed(m):
     """m's floats times 1e300, squared by the float kernel: entries that
     overflow to +-inf, and nan where +inf and -inf terms meet."""
@@ -336,6 +386,65 @@ def test_triality_defect_matches_loop(seed):
         assert repr(triality._triality_defect(*cols)) == repr(list_defect(*cols))
     cols = float_columns(*map(overflowed, (g.A, g.B, g.C)))
     assert repr(triality._triality_defect(*cols)) == repr(list_defect(*cols))
+
+
+def edited(cols, edits):
+    """Column sets with entries (column, coordinate, value) replaced."""
+    cols = [list(map(list, m)) for m in cols]
+    for m, col, r, v in edits:
+        cols[m][col][r] = v
+    return [tuple(map(tuple, m)) for m in cols]
+
+
+def defect_cases(rng, g, perm):
+    """Column sets for the sweep: verified, tampered, overflowed and edited
+    ones.  perm's columns are signed basis vectors, so an edit of B there
+    moves the eight pairs with that target by the same amount (ties between
+    pairs), and a nan in coordinate 0 or 5 of a B column puts it first or
+    later among a pair's deviations."""
+    yield float_columns(g.A, g.B, g.C)
+    yield float_columns(perm.A, perm.B, perm.C)
+    for mats in tampered(rng, g):
+        yield float_columns(*mats)
+    for k in range(3):
+        mats = [g.A, g.B, g.C]
+        mats[k] = overflowed(mats[k])
+        yield float_columns(*mats)
+    base = float_columns(perm.A, perm.B, perm.C)
+    k, r = rng.randrange(8), rng.randrange(8)
+    yield edited(base, [(1, k, r, base[1][k][r] + 1.0)])
+    yield edited(base, [(1, k, r, base[1][k][r] - 0.5), (1, (k + 1) % 8, r, 0.5)])
+    yield edited(base, [(1, k, 0, math.nan)])
+    yield edited(base, [(1, k, 5, math.nan), (1, (k + 3) % 8, 2, 2.0)])
+    yield edited(base, [(1, k, r, -base[1][k][r])])  # -0.0 for 0.0, or a sign
+    values = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.nan, math.inf, -math.inf, 1e308)
+    for cols in (base, float_columns(g.A, g.B, g.C)):
+        yield edited(cols, [(rng.randrange(3), rng.randrange(8), rng.randrange(8),
+                             rng.choice(values)) for _ in range(rng.randrange(1, 5))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_skipping_defect_matches_the_straight_sweep(seed):
+    # a pair whose deviations all lie in [-worst, worst] is skipped: the
+    # sweep returns the straight sweep's (pair, worst) by repr, and takes
+    # abs and max on exactly the pairs that could raise worst
+    rng = random.Random(seed)
+    g = spin_from_unit(random_unit_octonion(rng, FB))
+    perm = spin_from_unit(to_backend(Octonion.basis(rng.randrange(1, 9)), FB))
+    maxes = []
+
+    def counted_max(*args):
+        maxes.append(1)
+        return max(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triality, "max", counted_max, raising=False)
+        for cols in defect_cases(rng, g, perm):
+            del maxes[:]
+            got = triality._triality_defect(*cols)
+            assert repr(got) == repr(straight_defect(*cols))
+            assert len(maxes) == full_pairs(*cols)
 
 
 # --- the partial-pivot LU and the Gram test against the loops they replaced --
@@ -405,9 +514,11 @@ def test_lu_and_gram_match_the_loops_they_replaced(seed, n):
     big = [list(r) for r in overflowed(random_rotation(rng, FB, n))._fl[1]]
     for rows in [rotation, big, *lu_cases(rng, n)]:
         assert repr(linalg._det_float(rows)) == repr(pivot_max_det(rows))
+        finite = all(map(math.isfinite, (x for r in rows for x in r)))
         for eps in (EPS, 1e308):
             m = Matrix._of_floats(eps, tuple(map(tuple, rows)))
-            assert linalg.is_orthogonal(m) is loop_gram_test(eps, rows)
+            # a nan defect now fails, so every non-finite matrix does
+            assert linalg.is_orthogonal(m) is (finite and loop_gram_test(eps, rows))
 
 
 # --- the SO(n) verdict carried through kappa conjugation -------------------
@@ -574,9 +685,10 @@ def test_proved_sign_gives_the_lu_verdict(seed, eps):
     assert not random_rotation(rng, FloatBackend(eps))._det_pos
 
 
-def test_non_finite_flagged_matrices_take_the_lu(monkeypatch):
-    # nan passes the Gram test's > comparisons, so a flagged matrix with a
-    # non-finite entry keeps the LU and its verdict, whatever that is
+def test_non_finite_matrices_fail_the_gram_test(monkeypatch):
+    # a nan defect fails the Gram test, and a non-finite entry makes its
+    # column's square norm inf or nan: every non-finite matrix, flagged or
+    # not, gets False from the Gram test, and the LU does not run
     runs = []
     det = linalg._det_float
     monkeypatch.setattr(linalg, "_det_float", lambda rows: runs.append(1) or det(rows))
@@ -594,21 +706,16 @@ def test_non_finite_flagged_matrices_take_the_lu(monkeypatch):
     rng = random.Random(12)
     g = spin_from_unit(random_unit_octonion(rng, FloatBackend(1 / 64)))
     tri = flagged(above)
-    assert linalg.is_orthogonal(tri) and linalg.is_orthogonal(flagged(below))
-    cases = [(tri, True), (flagged(below), False)]
-    assert is_special_orthogonal(tri) and is_special_orthogonal(g.A)
-    cases += [(tri * g.A, None), (g.A * tri, None), (tri.transpose(), None),
-              (_kconj(tri), True)]
-    cases += [(flagged(overflowed(m)._fl[1]), False) for m in (g.A, g.B, g.C)]
-    for m, want in cases:
-        assert m._det_pos
+    cases = [tri, flagged(below), _kconj(tri), tri * g.A, g.A * tri, tri.transpose()]
+    cases += [flagged(overflowed(m)._fl[1]) for m in (g.A, g.B, g.C)]
+    cases += [Matrix._of_floats(1 / 64, m._fl[1]) for m in cases]  # no flag
+    for m in cases:
         assert not all(map(math.isfinite, (x for r in m._fl[1] for x in r)))
         del runs[:]
-        got = linalg._so8_verdict(m)
-        assert runs == [1]
-        assert got is lu_verdict(m)
-        if want is not None:
-            assert got is want
+        assert linalg.is_orthogonal(m) is False
+        assert linalg._so8_verdict(m) is False
+        assert runs == []
+    assert tri._det_pos and _kconj(tri)._det_pos  # the lemma's branch
 
 
 # --- float translations, sandwiches and norms against ApproxReal loops ------

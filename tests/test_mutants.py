@@ -53,10 +53,12 @@ def _sphere_point_takes_any_pair(monkeypatch):
 
 
 def _identity_always_holds(monkeypatch):
-    # the triple constructor stops testing B(xy) = (Cx)(Ay); every triple
-    # the battery builds is genuine but for the rotation pairs of the
-    # clifford control, which only the identity refuses
+    # the triple constructor stops testing B(xy) = (Cx)(Ay): the integer
+    # test of an exact triple holds, and a float triple's sweep finds no
+    # deviation.  Every triple the battery builds is genuine but for the
+    # rotation pairs of the clifford control, which only the identity refuses
     monkeypatch.setattr(triality, "_triality_holds", lambda a, b, c: True)
+    monkeypatch.setattr(triality, "_triality_defect", lambda *cols: ((0, 0), 0.0))
 
 
 def _scan_draws_no_candidates(monkeypatch):

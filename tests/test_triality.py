@@ -431,11 +431,13 @@ def test_exact_verdicts_equal_a_fresh_verdict():
 def test_verdicts_counted(monkeypatch):
     # One sequence on both backends: a triple of fresh matrices computes the
     # verdicts of A, B and C, an exact triple of carried verdicts computes
-    # none, and every constructor, refused or not, runs the identity once.
+    # none, and every constructor, refused or not, runs the identity once:
+    # the integer test on an exact triple, the float sweep on a float one.
+    # A refused exact triple sweeps its floats once more, for the witness.
     rng = random.Random(20)
     g = random_triple(rng, EXACT, max_len=2)
     f = random_triple(rng, FloatBackend(1e-9), max_len=2)
-    calls, holds = [], [0]
+    calls, holds, sweeps = [], [0], [0]
 
     def verdict(m, real=linalg._so8_verdict):
         calls.append(m)
@@ -445,19 +447,29 @@ def test_verdicts_counted(monkeypatch):
         holds[0] += 1
         return real(*args)
 
+    def sweep(*cols, real=triality._triality_defect):
+        sweeps[0] += 1
+        return real(*cols)
+
     monkeypatch.setattr(linalg, "_so8_verdict", verdict)
     monkeypatch.setattr(triality, "_triality_holds", identity)
+    monkeypatch.setattr(triality, "_triality_defect", sweep)
     TrialityTriple(g.A, g.B, g.C)
-    assert calls == [] and holds == [1]
+    assert calls == [] and holds == [1] and sweeps == [0]
     for t in (g, f):
         parts = list(map(_fresh, (t.A, t.B, t.C)))
-        TrialityTriple(*parts)
+        h = TrialityTriple(*parts)
         assert calls == parts and all(m._so8 is True for m in parts)
         calls.clear()
-    assert holds == [3]
+    assert holds == [2] and sweeps == [1]
+    h.triality_residual()  # the constructor's sweep
+    assert sweeps == [1]
     with pytest.raises(TrialityViolated):
         TrialityTriple(g.A, g.B * _R68, g.C)
-    assert holds == [4]
+    assert holds == [3] and sweeps == [2]
+    with pytest.raises(TrialityViolated):
+        TrialityTriple(f.A, f.B * _R68, f.C)
+    assert holds == [3] and sweeps == [3]
 
 
 def _failure(a, b, c):
