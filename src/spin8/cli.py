@@ -132,10 +132,12 @@ def _scalar(obj) -> str:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json spells them
 
 
-def _emit(report: dict, out) -> None:
-    """Write the report to `out`: a path, the FIFO file that ``_probe``
-    kept open (closed once written), or stdout when empty."""
-    text = _render(report) + "\n"
+def _emit(cfg: RunConfig, command: str, key: str, body, out) -> None:
+    """Write the report {"schema": 1, "config": cfg and command, key: body}
+    to `out`: a path, the FIFO file that ``_probe`` kept open (closed once
+    written), or stdout when empty."""
+    config = dict(cfg._asdict(), command=command)
+    text = _render({"schema": 1, "config": config, key: body}) + "\n"
     if not out:
         sys.stdout.write(text)
         return
@@ -150,12 +152,16 @@ def _probe(out: str | None):
     to `out`.  A missing file is created and removed again, an existing one
     opened for appending, so the probe leaves no trace.  That open does not
     block: a FIFO with no reader raises ENXIO instead of waiting for one.
+    A symlink is probed at its target, as "x" refuses every link, even one
+    that names no file yet.
 
     A FIFO's write end is kept, blocking again, and returned as a text file
     for the report: closed here, it would give the reader an end of file
     before any work.  Anything else returns None."""
     if not out:
         return None
+    if os.path.islink(out):
+        out = os.path.realpath(out)
     try:
         open(out, "x").close()
     except FileExistsError:
@@ -178,22 +184,11 @@ def _summarize(results) -> None:
         )
 
 
-def _config_dict(cfg: RunConfig, command: str) -> dict:
-    d = cfg.to_dict()
-    d["command"] = command
-    return d
-
-
-def cmd_checks(cfg: RunConfig, command: str, names=None) -> int:
+def cmd_checks(cfg: RunConfig, command: str, out, names=None) -> int:
     """Run the battery, or the named checks, and report them under `command`."""
     results = run_checks(cfg, names)
     _summarize(results)
-    report = {
-        "schema": 1,
-        "config": _config_dict(cfg, command),
-        "checks": [r.to_dict() for r in results],
-    }
-    _emit(report, cfg.out)
+    _emit(cfg, command, "checks", [r._asdict() for r in results], out)
     failed = [r for r in results if not r.passed]
     print(
         f"{len(results) - len(failed)}/{len(results)} checks passed",
@@ -268,7 +263,7 @@ def _antipodal_section(cfg: RunConfig, v, backend):
     return section, line, ok
 
 
-def _sections(cfg: RunConfig, literal: str, command: str, section,
+def _sections(cfg: RunConfig, literal: str, command: str, section, out,
               workers=None) -> int:
     """Report `section(cfg, v, backend)` for each backend under `command`.
 
@@ -299,12 +294,11 @@ def _sections(cfg: RunConfig, literal: str, command: str, section,
         print(line, file=sys.stderr)
         sections.append(body)
         ok = ok and passed
-    _emit({"schema": 1, "config": _config_dict(cfg, command), command: sections},
-          cfg.out)
+    _emit(cfg, command, command, sections, out)
     return 0 if ok else 1
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(cfg: RunConfig, out) -> int:
     rows = table_rows()
     header = [f"e{i}" for i in range(1, 9)]
     width = 4
@@ -312,9 +306,8 @@ def cmd_table(cfg: RunConfig) -> int:
     for name, row in zip(header, rows):
         lines.append(f"{name:>4} " + " ".join(f"{c:>{width}}" for c in row))
     print("\n".join(lines))
-    if cfg.out:
-        _emit({"schema": 1, "config": _config_dict(cfg, "table"), "table": rows},
-              cfg.out)
+    if out:
+        _emit(cfg, "table", "table", rows, out)
     return 0
 
 
@@ -325,33 +318,26 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = RunConfig(
-            seed=args.seed,
-            trials=args.trials,
-            eps=args.eps,
-            backend=args.backend,
-            out=args.out,
-        )
+        cfg = RunConfig(args.seed, args.trials, args.eps, args.backend)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fifo = None
     try:
-        fifo = _probe(cfg.out)
-        if fifo is not None:  # the report goes through the probed write end
-            cfg.out = fifo
+        fifo = _probe(args.out)
+        out = fifo or args.out  # a FIFO's report goes through the probed write end
         if args.command == "verify-all":
-            return cmd_checks(cfg, "verify-all")
+            return cmd_checks(cfg, "verify-all", out)
         if args.command == "fixset":
             # a fixset section takes 1-3 ms, less than forking a worker and
             # sending its result back (about 6 ms on a 2-core host): both run
             # in this process
-            return _sections(cfg, args.v, "fixset", _fixset_section, workers=0)
+            return _sections(cfg, args.v, "fixset", _fixset_section, out, workers=0)
         if args.command == "antipodal":
-            return _sections(cfg, args.v, "antipodal", _antipodal_section)
+            return _sections(cfg, args.v, "antipodal", _antipodal_section, out)
         if args.command == "kai":
-            return cmd_checks(cfg, "kai", names=["kai-property"])
-        return cmd_table(cfg)
+            return cmd_checks(cfg, "kai", out, names=["kai-property"])
+        return cmd_table(cfg, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

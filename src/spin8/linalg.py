@@ -159,18 +159,6 @@ class Matrix:
             out._so8 = True
         return out
 
-    def apply_floats(self, eps: float, vec):
-        """(tolerance, floats) of M v for v given as floats at tolerance eps
-        (0.0 for exact v); M is read as floats when exact."""
-        meps, rows = self._floats()
-        return max(eps, meps), tuple(_dots(rows, vec))
-
-    def apply_form(self, d, a, b):
-        """Reduced kernel form of M v for exact M and v = (a + b sqrt 3)/d."""
-        md, ma, mb = self._form
-        pa, pb = kernel.zmul(kernel.matmul, (ma, mb), ([a], b and [b]))
-        return kernel.reduce(md * d, pa, pb)
-
     def __neg__(self):
         if self._fl is not None:
             return Matrix._of_floats(self._fl[0], tuple(_times(self._fl[1], -1)))
@@ -494,8 +482,8 @@ def trace_inner_product(a: Matrix, b: Matrix):
     return ApproxReal._fast(dot * (1 / a.n), max(ea, eb))
 
 
-def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:
-    """Random element of SO(n) as a product of plane rotations.
+def random_rotation(rng, backend, n: int = 8) -> Matrix:
+    """Random element of SO(n) as a product of 12 plane rotations.
 
     Each factor uses the rational circle parametrization
     (cos, sin) = ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), so exact-backend output
@@ -503,7 +491,7 @@ def random_rotation(rng, backend, n: int = 8, steps: int = 12) -> Matrix:
     p^2 + q^2, reduced).  A float 1 + t^2 within eps of 0 raises NotOrthogonal.
     """
     m = Matrix.identity(n)
-    for _ in range(steps):
+    for _ in range(12):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:

@@ -339,10 +339,14 @@ def ensure_imaginary_unit(v: Octonion) -> Octonion:
 
 
 def transform(m: Matrix, x: Octonion) -> Octonion:
-    """The octonion m x for an 8x8 matrix m, computed on the forms of both."""
+    """The octonion m x for an 8x8 matrix m, computed on the forms of both:
+    ``_dots`` at the larger tolerance (m read as floats when exact), or kernel."""
     if m._fl is not None or x._fl is not None:
-        return Octonion._of_floats(*m.apply_floats(*x._floats()))
-    return Octonion._of_form(m.apply_form(*x._form))
+        (ex, v), (em, rows) = x._floats(), m._floats()
+        return Octonion._of_floats(max(ex, em), tuple(_dots(rows, v)))
+    (md, ma, mb), (d, a, b) = m._form, x._form
+    pa, pb = kernel.zmul(kernel.matmul, (ma, mb), ([a], b and [b]))
+    return Octonion._of_form(kernel.reduce(md * d, pa, pb))
 
 
 def _translation(x: Octonion, layout) -> Matrix:

@@ -246,8 +246,6 @@ def maximality_scan(v: Octonion, trials: int, rng) -> list:
     random.Random, on the backend of v: exact, or floats at the tolerance of
     v's float form.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     backend = EXACT if v._fl is None else FloatBackend(v._fl[0])
     s = cube_root_of_unity(v)
     sc = s.conj()

@@ -233,12 +233,9 @@ class TrialityTriple:
 
     def triality_residual(self) -> float:
         """Largest float deviation of B(xy) - (Cx)(Ay) over the 64 basis pairs:
-        the constructor's sweep on a float triple, a fresh one otherwise (an
-        exact triple, or an unverified object with A, B and C)."""
-        defect = getattr(self, "_defect", None)
-        if defect is None:
-            defect = _triality_defect(*_float_cols(self.A, self.B, self.C)[1])
-        return defect[1]
+        the constructor's sweep on a float triple, and 0.0 on an exact one,
+        which satisfies the identity exactly."""
+        return 0.0 if self._defect is None else self._defect[1]
 
     def to_json(self) -> dict:
         return {"A": self.A.to_json(), "B": self.B.to_json(), "C": self.C.to_json()}

@@ -193,6 +193,20 @@ def test_config_validation():
     assert [b.name for b in RunConfig(backend="both").backends()] == ["exact", "float"]
 
 
+def test_config_is_a_validated_value():
+    cfg = RunConfig(seed=3, trials=2, eps=1e-6, backend="float")
+    assert cfg == RunConfig(3, 2, 1e-6, "float") and cfg != RunConfig(seed=3, trials=2)
+    assert hash(cfg) == hash(RunConfig(3, 2, 1e-6, "float"))
+    assert cfg._asdict() == {"seed": 3, "trials": 2, "eps": 1e-6, "backend": "float"}
+    again = pickle.loads(pickle.dumps(cfg))
+    assert again == cfg and type(again) is RunConfig
+    # loading calls __new__, so a config that skipped the validation
+    # cannot come back through pickle
+    unchecked = tuple.__new__(RunConfig, (3, 0, 1e-6, "float"))
+    with pytest.raises(ValueError, match="trials"):
+        pickle.loads(pickle.dumps(unchecked))
+
+
 def test_subset_selection():
     cfg = RunConfig(seed=1, trials=2, backend="exact")
     results = run_checks(cfg, names=["octonion-axioms", "fixed-sets"])
@@ -202,7 +216,7 @@ def test_subset_selection():
 def test_result_dict_shape():
     cfg = RunConfig(seed=1, trials=2, backend="exact")
     r = run_checks(cfg, names=["fixed-sets"])[0]
-    d = r.to_dict()
+    d = r._asdict()
     assert set(d) == {"name", "claim", "backend", "status", "max_residual",
                       "trials", "seed"}
     assert isinstance(r, CheckResult)

@@ -1,9 +1,11 @@
+import ast
 import builtins
 import glob
 import hashlib
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -41,6 +43,21 @@ def test_table_json(tmp_path, capsys):
     rep = json.loads(out_path.read_text())
     assert rep["schema"] == 1
     assert rep["table"][1][2] == "e4"
+
+
+def test_only_emit_builds_a_report():
+    # every report is {"schema": 1, "config": ..., key: body}, built in one
+    # place: the literal "schema" occurs once in the package, in cli._emit
+    hits = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so inner ones win
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((n, fn.name) for n in ast.walk(fn))
+        hits += [(path.name, owner.get(n)) for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and n.value == "schema"]
+    assert hits == [("cli.py", "_emit")]
 
 
 def test_fixset_canonical(capsys):
@@ -208,17 +225,12 @@ with open(sys.argv[1], "rb") as fh:
 """
 
 
-def test_out_fifo_reader_gets_the_report(tmp_path):
-    # the probe keeps the FIFO's write end and the report goes through it,
-    # so the reader sees one writer from the probe to the end of the report
-    # and no end of file before it.  Both sides are subprocesses with a
-    # timeout, so a hang fails the test instead of stalling the suite.
-    import subprocess
-
+def _report_through_fifo(fifo, out):
+    """The report of a one-trial verify-all run with --out `out`, as a
+    reader holding `fifo` open gets it.  Both sides are subprocesses with a
+    timeout, so a hang fails the test instead of stalling the suite."""
     import spin8
 
-    fifo = tmp_path / "rep.fifo"
-    os.mkfifo(fifo)
     src = os.path.dirname(os.path.dirname(spin8.__file__))
     reader = subprocess.Popen([sys.executable, "-c", _FIFO_READER, str(fifo)],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -226,7 +238,7 @@ def test_out_fifo_reader_gets_the_report(tmp_path):
         assert reader.stderr.readline() == b"ready\n"
         done = subprocess.run(
             [sys.executable, "-m", "spin8.cli", "verify-all", "--trials", "1",
-             "--out", str(fifo)],
+             "--out", str(out)],
             capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
         got, _ = reader.communicate(timeout=30)
     finally:
@@ -237,6 +249,52 @@ def test_out_fifo_reader_gets_the_report(tmp_path):
     report = json.loads(got)
     assert report["config"]["command"] == "verify-all"
     assert len(report["checks"]) == 2 * len(checks.CHECKS)
+
+
+def test_out_fifo_reader_gets_the_report(tmp_path):
+    # the probe keeps the FIFO's write end and the report goes through it,
+    # so the reader sees one writer from the probe to the end of the report
+    # and no end of file before it
+    fifo = tmp_path / "rep.fifo"
+    os.mkfifo(fifo)
+    _report_through_fifo(fifo, fifo)
+
+
+def test_out_symlink_to_a_fifo_reaches_its_reader(tmp_path):
+    fifo, link = tmp_path / "rep.fifo", tmp_path / "link"
+    os.mkfifo(fifo)
+    link.symlink_to(fifo)
+    _report_through_fifo(fifo, link)
+
+
+def test_out_through_a_dangling_symlink_writes_its_target(tmp_path, capsys):
+    # open(link, "w") creates a link's missing target, so the probe checks
+    # the target, and leaves no trace there either
+    target, link = tmp_path / "target.json", tmp_path / "link"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "fixset", "[1,2]", "--out", str(link))
+    assert code == 2
+    assert link.is_symlink() and not target.exists()
+    plain = tmp_path / "plain.json"
+    for out in (link, plain):
+        code, stdout, _ = run(capsys, "fixset", "[0,1,0,0,0,0,0,0]", "--out", str(out))
+        assert code == 0 and stdout == ""
+    assert link.is_symlink() and target.read_bytes() == plain.read_bytes()
+
+
+def test_unwritable_symlink_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*a):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "fix_tau_point", refuse)
+    into_missing, loop = tmp_path / "into-missing", tmp_path / "loop"
+    into_missing.symlink_to(tmp_path / "missing" / "rep.json")
+    loop.symlink_to(loop)
+    for link in (into_missing, loop):
+        code, stdout, err = run(capsys, "fixset", "[0,1,0,0,0,0,0,0]", "--out", str(link))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: cannot write report")
+    assert sorted(os.listdir(tmp_path)) == ["into-missing", "loop"]
 
 
 # SHA-256 of reports taken before the octonions computed on kernel forms.

@@ -23,7 +23,6 @@ import pathlib
 import random
 from fractions import Fraction
 from operator import add, sub
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +44,7 @@ from spin8.octonion import (
     right_translation,
     sandwich_matrix,
     to_backend,
+    transform,
 )
 from spin8.scalars import EXACT, ApproxReal, FloatBackend
 from spin8.triality import (
@@ -265,7 +265,7 @@ def test_matrix_kernel_matches_entrywise_loops(seed, kind):
         assert all(e.eps == EPS for row in got.rows for e in row)
     v = [rng.choice((0.0, -0.0, rng.uniform(-1, 1))) for _ in range(8)]
     for m, rows in ((a, ra), (i8, floats_of(i8))):
-        eps, out = m.apply_floats(EPS, tuple(v))
+        eps, out = transform(m, Octonion._of_floats(EPS, tuple(v)))._floats()
         assert eps == EPS and reprs(out) == reprs(loop_apply(rows, v))
     # equality and residual as entrywise ApproxReal comparison would give them
     near = approx_matrix([[x + rng.choice((0.0, 0.5e-9, 2e-9)) for x in row] for row in ra])
@@ -368,9 +368,9 @@ def test_triality_defect_matches_loop(seed):
         assert repr(t.triality_residual()) == repr(worst)
     for a, b, c in tampered(rng, g):
         pair, worst = loop_defect(floats_of(a), floats_of(b), floats_of(c))
-        # the method on an unverified (A, B, C): the constructor would refuse it
-        unverified = SimpleNamespace(A=a, B=b, C=c)
-        assert repr(TrialityTriple.triality_residual(unverified)) == repr(worst)
+        # the sweep on an unverified (A, B, C): the constructor would refuse it
+        cols = triality._float_cols(a, b, c)[1]
+        assert repr(triality._triality_defect(*cols)[1]) == repr(worst)
         if worst > EPS and all(map(is_special_orthogonal, (a, b, c))):
             with pytest.raises(TrialityViolated) as exc:
                 TrialityTriple(a, b, c)

@@ -314,6 +314,23 @@ def test_float_residual_is_small():
     assert g.triality_residual() < 1e-12
 
 
+def test_a_triple_owns_its_residual(monkeypatch):
+    # an exact triple satisfies the 64-pair identity exactly: its residual
+    # is 0.0 without a sweep; a float triple's is its constructor's sweep
+    rng = random.Random(17)
+    exact = random_triple(rng, EXACT, max_len=3)
+    fl = random_triple(rng, FloatBackend(1e-9), max_len=3)
+    fresh = triality._triality_defect(*triality._float_cols(fl.A, fl.B, fl.C)[1])
+    assert fl._defect == fresh
+
+    def refuse(*cols):
+        raise AssertionError("swept again")
+
+    monkeypatch.setattr(triality, "_triality_defect", refuse)
+    assert repr(exact.triality_residual()) == "0.0"
+    assert repr(fl.triality_residual()) == repr(fresh[1])
+
+
 def test_triple_json_round_trip():
     rng = random.Random(16)
     g = random_triple(rng, EXACT, max_len=2)
@@ -385,7 +402,7 @@ def test_verification_agrees_with_pairwise_check():
     ]
     for g in valid:
         assert _pairwise_triality(g.A, g.B, g.C)
-        r = random_rotation(rng, EXACT, steps=3)
+        r = random_rotation(rng, EXACT)
         # the Galois conjugate of B keeps every rational part of the right
         # side and flips its sqrt-3 parts
         galois = Matrix([[QuadExt(x.a, -x.b) if isinstance(x, QuadExt) else x
