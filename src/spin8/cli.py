@@ -135,10 +135,10 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json s
 def _emit(cfg: RunConfig, command: str, key: str, body, out) -> None:
     """Write the report {"schema": 1, "config": cfg and command, key: body}
     to `out`: a path, the FIFO file that ``_probe`` kept open (closed once
-    written), or stdout when empty."""
+    written), or stdout when None."""
     config = dict(cfg._asdict(), command=command)
     text = _render({"schema": 1, "config": config, key: body}) + "\n"
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     if isinstance(out, str):
@@ -157,8 +157,9 @@ def _probe(out: str | None):
 
     A FIFO's write end is kept, blocking again, and returned as a text file
     for the report: closed here, it would give the reader an end of file
-    before any work.  Anything else returns None."""
-    if not out:
+    before any work.  Anything else returns None.  Only None means stdout:
+    an empty path names no file and raises, as a missing directory does."""
+    if out is None:
         return None
     if os.path.islink(out):
         out = os.path.realpath(out)
@@ -306,7 +307,7 @@ def cmd_table(cfg: RunConfig, out) -> int:
     for name, row in zip(header, rows):
         lines.append(f"{name:>4} " + " ".join(f"{c:>{width}}" for c in row))
     print("\n".join(lines))
-    if out:
+    if out is not None:
         _emit(cfg, "table", "table", rows, out)
     return 0
 

@@ -3,7 +3,8 @@
 Basis convention: e1 is the multiplicative unit, e2, e3, e4 span a quaternion
 subalgebra (i, j, ij), and e5..e8 are l, i*l, j*l, (ij)*l for a doubling
 generator l orthogonal to the quaternions.  The 8x8 unit product table is
-generated once at import time by Cayley-Dickson doubling
+generated once at import time by doubling R three times (R, C, H, O) with
+the Cayley-Dickson rule
 
     (a, b)(c, d) = (a*c - conj(d)*b,  d*a + b*conj(c))
 
@@ -49,39 +50,20 @@ class NotImaginaryUnit(CheckFailed):
 
 # --- unit multiplication table ---------------------------------------------
 
-_QUAT_CYCLE = {
-    (1, 2): (1, 3), (2, 1): (-1, 3),
-    (2, 3): (1, 1), (3, 2): (-1, 1),
-    (3, 1): (1, 2), (1, 3): (-1, 2),
-}
-
-
-def _quat_mul(a: int, b: int) -> tuple[int, int]:
-    # 0-based quaternion units 0=1, 1=i, 2=j, 3=k
-    if a == 0:
-        return (1, b)
-    if b == 0:
-        return (1, a)
-    if a == b:
-        return (-1, 0)
-    return _QUAT_CYCLE[(a, b)]
-
-
-def _unit_mul(i: int, j: int) -> tuple[int, int]:
-    # 0-based octonion units as quaternion pairs: m<4 -> (q_m, 0), else (0, q_{m-4})
-    hi, lo_i = (i >= 4), i % 4
-    hj, lo_j = (j >= 4), j % 4
-    if not hi and not hj:
-        return _quat_mul(lo_i, lo_j)
-    if not hi and hj:                      # (a,0)(0,d) = (0, d*a)
-        s, k = _quat_mul(lo_j, lo_i)
-        return (s, k + 4)
-    if hi and not hj:                      # (0,b)(c,0) = (0, b*conj(c))
-        s, k = _quat_mul(lo_i, lo_j)
-        return (s if lo_j == 0 else -s, k + 4)
-    # (0,b)(0,d) = (-conj(d)*b, 0)
-    s, k = _quat_mul(lo_j, lo_i)
-    return (-s if lo_j == 0 else s, k)
+def _unit_mul(i: int, j: int, n: int = 8) -> tuple[int, int]:
+    # e_i e_j = s e_k (0-based) in the n-dimensional algebra, each unit being
+    # a pair over the n/2-dimensional one: m < n/2 is (e_m, 0), else
+    # (0, e_{m-n/2}); conj(e_m) = -e_m unless m = 0.  R (n = 1) ends it.
+    if n == 1:
+        return (1, 0)
+    h = n // 2
+    (hi, p), (hj, q) = divmod(i, h), divmod(j, h)
+    conj = 1 if q == 0 else -1
+    if not hj:  # (a,0)(c,0) = (ac, 0); (0,b)(c,0) = (0, b conj(c))
+        s, k = _unit_mul(p, q, h)
+        return (s * conj if hi else s, k + h * hi)
+    s, k = _unit_mul(q, p, h)  # (a,0)(0,d) = (0, da); (0,b)(0,d) = (-conj(d) b, 0)
+    return (-s * conj if hi else s, k + h * (1 - hi))
 
 
 # TABLE[i][j] = (sign, k) with e_{i+1} * e_{j+1} = sign * e_{k+1} (0-based i, j, k)

@@ -43,6 +43,10 @@ def test_table_json(tmp_path, capsys):
     rep = json.loads(out_path.read_text())
     assert rep["schema"] == 1
     assert rep["table"][1][2] == "e4"
+    # the report's body is TABLE itself; not a REPORT_DIGESTS pin, since
+    # `table` also prints the table on stdout, where those pins read JSON
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "b550078fb8d85d369575e7bb2fb0a720d6d619ec431d0954ff8d981bed471cf2")
 
 
 def test_only_emit_builds_a_report():
@@ -154,7 +158,7 @@ def test_fixset_rejects_non_finite_float_literal(capsys):
     ["kai", "--trials", "1", "--backend", "float"],
 ])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, args):
-    for out in (tmp_path / "missing" / "rep.json", tmp_path):
+    for out in (tmp_path / "missing" / "rep.json", tmp_path, ""):
         code, _, err = run(capsys, *args, "--out", str(out))
         assert code == 2, out
         assert "error: cannot write report" in err
@@ -176,7 +180,7 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, arg
 
     for name in ("run_checks", "antipodal_set", "fix_tau_point"):
         monkeypatch.setattr(cli, name, refuse)
-    for out in (tmp_path / "missing" / "rep.json", tmp_path):
+    for out in (tmp_path / "missing" / "rep.json", tmp_path, ""):
         code, stdout, err = run(capsys, *args, "--out", str(out))
         assert code == 2, out
         assert stdout == ""

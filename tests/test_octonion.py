@@ -12,6 +12,7 @@ from spin8.octonion import (
     Octonion,
     TABLE,
     _draw,
+    _unit_mul,
     cube_root_of_unity,
     ensure_imaginary_unit,
     ensure_unit,
@@ -61,6 +62,20 @@ def test_table_matches_hand_oracle():
         for j in range(8):
             s, k = TABLE[i][j]
             assert s * (k + 1) == HAND_TABLE[i][j], (i, j)
+
+
+def test_the_doubling_rule_builds_each_level():
+    # C: i*i = -1
+    assert [[_unit_mul(i, j, 2) for j in range(2)] for i in range(2)] == [
+        [(1, 0), (1, 1)], [(1, 1), (-1, 0)]]
+    # H: ij = k, jk = i, ki = j, and the negatives when the factors swap
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        assert _unit_mul(a, b, 4) == (1, c)
+        assert _unit_mul(b, a, 4) == (-1, c)
+    # each level is the upper-left block of the next, so of TABLE
+    for n in (2, 4):
+        assert [list(row[:n]) for row in TABLE[:n]] == [
+            [_unit_mul(i, j, n) for j in range(n)] for i in range(n)]
 
 
 def test_table_rows_strings():

@@ -1,22 +1,24 @@
 """Which functions of the package the command line reaches.
 
-One fixed matrix of CLI runs goes through ``cli.main`` in this process,
-under ``sys.setprofile``, with one CPU in the affinity mask so that no check
-worker forks.  Every function the package defines with ``def`` must be
-called by it, or be in ``UNREACHED`` with the reason it is kept; a function
-that the matrix stops reaching is code that only tests reach, and one on the
-list that it starts reaching has lost its reason.
+One fixed matrix of CLI runs goes through ``cli.main`` in a fresh
+interpreter, under ``sys.setprofile`` set before ``spin8.cli`` is imported,
+with one CPU in the affinity mask so that no check worker forks.  What runs
+at import therefore counts as reached.  Every function the package defines
+with ``def`` must be called by the import or the matrix, or be in
+``UNREACHED`` with the reason it is kept; a function that they stop reaching
+is code that only tests reach, and one on the list that they start reaching
+has lost its reason.
 """
 
 import ast
+import json
 import os
 import pathlib
+import subprocess
 import sys
 
 import spin8
-from spin8.cli import main
 
-_IMPORT = "runs at import, before any command"
 _WORKER = "runs only in a forked check worker"
 _PERFBENCH = "perfbench times or counts it"
 _ORACLE = "a test oracle for the scalar and octonion kernels"
@@ -24,9 +26,6 @@ _JSON = "a JSON round trip kept for failure witnesses (ROADMAP item 1)"
 _REPR = "for debugging and failure messages"
 
 UNREACHED = {
-    ("octonion", "_quat_mul"): _IMPORT,
-    ("octonion", "_unit_mul"): _IMPORT,
-    ("octonion", "_layouts"): _IMPORT,
     ("checks", "_fork_worker"): _WORKER,
     ("checks", "_read_to_eof"): _WORKER,
     ("octonion", "mul_coeffs"): _PERFBENCH,
@@ -96,26 +95,37 @@ def defined() -> dict:
     return names
 
 
-def test_the_command_line_reaches_every_function_not_listed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    codes = set()
+# the child: profile from before the import, run the matrix with its stdout
+# discarded, print each exit code and the (file, first line, name) of every
+# code object called
+_CHILD = """
+import json, os, sys
+codes = set()
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+os.sched_getaffinity = lambda pid: {0}
+sys.setprofile(profile)
+import spin8.cli
+sys.stdout = open(os.devnull, "w")
+exits = [spin8.cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+print(json.dumps([exits, [[c.co_filename, c.co_firstlineno, c.co_name] for c in codes]]),
+      file=sys.__stdout__)
+"""
 
-    def profile(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
 
-    exits, previous = [], sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        for argv, _ in MATRIX:
-            exits.append(main([a.format(tmp=tmp_path) for a in argv]))
-    finally:
-        sys.setprofile(previous)
-    capsys.readouterr()
+def test_the_command_line_reaches_every_function_not_listed(tmp_path):
+    argvs = [[a.format(tmp=tmp_path) for a in argv] for argv, _ in MATRIX]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    child = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr
+    exits, codes = json.loads(child.stdout)
     assert exits == [code for _, code in MATRIX]
     names = defined()
-    reached = {names.get((pathlib.Path(c.co_filename).stem, c.co_firstlineno, c.co_name))
-               for c in codes if pathlib.Path(c.co_filename).parent == SRC}
+    reached = {names.get((pathlib.Path(f).stem, line, name))
+               for f, line, name in codes if pathlib.Path(f).parent == SRC}
     assert set(UNREACHED) <= set(names.values()), "listed but not defined"
     unreached = set(names.values()) - reached
     assert sorted(unreached - set(UNREACHED)) == [], "reached only by tests"
