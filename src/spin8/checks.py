@@ -69,6 +69,7 @@ from .triality import (
     apply_sigma,
     apply_tau,
     is_g2,
+    spin_from_unit,
     triple_from_pair,
 )
 
@@ -247,6 +248,18 @@ def _check_closure(j, backend, rng, trials):
         inv = gh.inverse()
         j.eq(gh * inv, TrialityTriple.identity())
         j.eq(inv, h.inverse() * g.inverse())
+    if backend.exact:
+        # controls on the last product, drawing nothing (a hostile float eps
+        # would make M and -M, or 2A and a rotation, equal).  The central
+        # z = (-I, -I, I) = spin_from_unit(-1) and tau^2(z) = (I, -I, -I) keep
+        # the identity, (-B)(xy) = (Cx)((-A)y) = ((-C)x)(Ay), so gh z and
+        # gh tau^2(z) are verified and each differs from gh in two components
+        # (M != -M).  (2A, 2B, C) keeps it too, 2B(xy) = (Cx)(2Ay), but 2A is
+        # not orthogonal, so only the SO(8) tests refuse it.
+        z = spin_from_unit(-Octonion.one())
+        j.differ(gh, gh * z)
+        j.differ(gh, gh * apply_tau(apply_tau(z)))
+        j.refuses(NotOrthogonal, TrialityTriple, gh.A.scale(2), gh.B.scale(2), gh.C)
     return trials
 
 

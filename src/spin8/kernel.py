@@ -5,7 +5,7 @@ denominator d.  With rational entries that is one integer list ``a``, entry
 i being a[i]/d.  Once sqrt 3 enters, a second list ``b`` holds the sqrt-3
 parts and entry i is (a[i] + b[i]*sqrt 3)/d, an element of Z[sqrt 3] over d.
 Products and Gram matrices then run on Python ints, where a dot product is
-one ``sum(map(mul, ...))`` and no gcd is taken per operation; comparisons
+one expression (``matmul``) and no gcd is taken per operation; comparisons
 become cross-multiplied integer equalities.  No exact determinant is taken:
 the sign an SO(n) verdict needs is read from floats (``linalg._so8_verdict``).
 
@@ -24,14 +24,14 @@ integer has at most one expansion sum(u_t X^t) with every |u_t| < X/2 (the
 lowest digit is its residue mod X taken in (-X/2, X/2), and the rest is the
 expansion of (N - u_0)/X), so the two packed integers are equal iff every
 u_t = v_t, provided each side's digits lie below X/2 in absolute value.  The
-one caller, ``triality._triality_holds``, derives w from bounds on the
-entries, so the test is exact for every input, and the packing turns many
-short dot products into a few long multiplications carried out in C.
+one caller, ``triality._triality_holds``, takes w from the denominators of
+its orthogonal matrices, which bound every entry's numerator, so the test is
+exact without reading an entry, and the packing turns many short dot
+products into a few long multiplications carried out in C.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 
@@ -130,8 +130,13 @@ def shaped(d, a, b, n):
 
 
 def matmul(rows, cols):
-    """Row-major entries of the integer product (rows) x (cols)."""
-    return [sum(map(mul, r, c)) for r in rows for c in cols]
+    """Row-major entries of the integer product (rows) x (cols), written out
+    for vectors of length 8 (triples, octonions), by ``sum`` for the rest."""
+    if len(rows[0]) != 8:
+        return [sum(map(mul, r, c)) for r in rows for c in cols]
+    return [a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3 + a4 * c4 + a5 * c5 + a6 * c6 + a7 * c7
+            for a0, a1, a2, a3, a4, a5, a6, a7 in rows
+            for c0, c1, c2, c3, c4, c5, c6, c7 in cols]
 
 
 def zmul(f, x, y):
@@ -175,13 +180,8 @@ def columns(rows):
 
 
 def pack(values, width):
-    """sum(v_t * 2^(width*t)) over the values v_0, v_1, ..."""
-    acc = 0
-    for v in reversed(values):
-        acc = (acc << width) + v
-    return acc
-
-
-def max_abs(a, b=None):
-    """Largest absolute entry of the integer row lists a and b (b may be None)."""
-    return max(map(abs, chain.from_iterable(a if b is None else a + b)))
+    """sum(v_t * 2^(width*t)) over the eight values v_0..v_7, by Horner's rule
+    (``+`` binds before ``<<``)."""
+    v0, v1, v2, v3, v4, v5, v6, v7 = values
+    return (((((((v7 << width) + v6 << width) + v5 << width) + v4 << width)
+              + v3 << width) + v2 << width) + v1 << width) + v0

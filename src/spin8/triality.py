@@ -28,7 +28,7 @@ from itertools import repeat
 from math import gcd
 from operator import itemgetter
 
-from .kernel import columns, max_abs, pack, zdot
+from .kernel import columns, pack, zdot
 from .linalg import Matrix, NotOrthogonal, is_special_orthogonal
 from .octonion import (
     Octonion,
@@ -64,7 +64,9 @@ def _float_cols(*mats):
 
 
 def _triality_holds(a: Matrix, b: Matrix, c: Matrix) -> bool:
-    """B(e_i e_j) = (C e_i)(A e_j) on all 64 basis pairs.
+    """B(e_i e_j) = (C e_i)(A e_j) on all 64 basis pairs, for orthogonal A, B
+    and C: the constructor calls it after its SO(8) tests, ``is_g2`` on a
+    verified triple.
 
     Floats pass within the triple's tolerance.  Exact triples are checked on
     their kernel forms A'/da, B'/db, C'/dc: with e_i e_j = s e_k, the pair
@@ -75,10 +77,12 @@ def _triality_holds(a: Matrix, b: Matrix, c: Matrix) -> bool:
     pair (i, j) at digit 8 j + r.  The left side packs as
     sum_p C'[p][i] N_p with N_p = sum_j e_p (A' e_j) at digits 8 j + r;
     since e_p e_q = s e_r, N_p is a signed sum of the rows of A' packed at
-    digits 8 j and shifted by r digits.  Each left digit is a sum of 8
-    products of a C' entry and an A' entry, so at most
-    32 * max|C'| * max|A'| over both parts before the factor db/g; that and
-    max|B'| * dc*da/g on the right bound the digit width.
+    digits 8 j and shifted by r digits.  The digit width comes from the
+    denominators: an entry (x + y sqrt 3)/d of an orthogonal matrix has
+    |x|, |y sqrt 3| <= d (``linalg._so8_verdict``, step 1), so each part of
+    a left digit, 8 terms x y + 3 x' y' or x y' + x' y with x, x' from C'
+    and y, y' from A', is at most 32 dc da before the factor db/g, and a
+    right digit at most db dc*da/g, both below 32 dc*da db/g < 2^(w-1).
     """
     if a._fl is not None or b._fl is not None or c._fl is not None:
         eps, cols = _float_cols(a, b, c)
@@ -89,36 +93,32 @@ def _triality_holds(a: Matrix, b: Matrix, c: Matrix) -> bool:
     f = dc * da
     g = gcd(f, db)
     fa, fb = db // g, f // g
-    w = max(32 * max_abs(ca, cb) * max_abs(aa, ab) * fa,
-            max_abs(ba, bb) * fb).bit_length() + 1
-    n = (_packed_products(aa, w), _packed_products(ab, w))
-    bcols = (_packed_columns(ba, w), _packed_columns(bb, w))
-    for cola, colb, row in zip(columns(ca), columns(cb) or repeat(None), TABLE):
+    w = (32 * f * fa).bit_length() + 1
+    # N_p of each integer part of A', from its signed packed rows
+    n = [None if rows is None else [pack(factors(rows), w) for factors in _FACTORS]
+         for rows in (_signed(aa, 8 * w), _signed(ab, 8 * w))]
+    bcols = (_signed(columns(ba), w), _signed(columns(bb), w))
+    for cola, colb, targets in zip(columns(ca), columns(cb) or repeat(None), _TARGETS):
         for lhs, cols in zip(zdot((cola, colb), n), bcols):
-            rhs = 0 if cols is None else sum(
-                cols[s][k] << 8 * w * j for j, (s, k) in enumerate(row))
+            rhs = 0 if cols is None else pack(targets(cols), 8 * w)
             if lhs * fa != rhs * fb:
                 return False
     return True
 
 
-def _packed_products(rows, w):
-    """N_p for p = 0..7 from the rows of one integer part of A' (None: zero)."""
-    if rows is None:
+def _signed(vectors, w):
+    """The integer vectors packed at width w, then their negations (None: zero)."""
+    if vectors is None:
         return None
-    packed = [pack(r, 8 * w) for r in rows]
-    signed = {1: packed, -1: [-v for v in packed]}
-    return [sum(signed[s][q] << w * r for q, (s, r) in enumerate(row))
+    packed = [pack(v, w) for v in vectors]
+    return packed + [-v for v in packed]
+
+
+# Per TABLE row p, the packed rows q of A' signed by s in the order of r,
+# e_p e_q = s e_r, picked from those rows followed by their negations.
+_FACTORS = [itemgetter(*[t for _, t in sorted((r, q if s > 0 else 8 + q)
+                                              for q, (s, r) in enumerate(row))])
             for row in TABLE]
-
-
-def _packed_columns(rows, w):
-    """Columns of one integer part of B' packed at digits r, by sign (None: zero)."""
-    if rows is None:
-        return None
-    packed = [pack(col, w) for col in zip(*rows)]
-    return {1: packed, -1: [-v for v in packed]}
-
 
 # Per TABLE row i, the signed target columns s B e_k over j, e_i e_j = s e_k,
 # picked from B's columns followed by their negations.

@@ -116,7 +116,7 @@ CONTROL_ROWS = {
     for name in ("clifford-embedding", "s3-relations", "g2-fixed-group",
                  "isotropy-at-base", "fixed-sets")
     for backend in ("exact", "float")
-}
+} | {("triality-closure", "exact")}
 
 
 def test_controls_only_grow(monkeypatch):

@@ -534,18 +534,21 @@ def test_exact_triples_arrive_decided(tmp_path, capsys, monkeypatch):
     # Every triple runs one sequence: SO(8) of A, B and C, then the 64-pair
     # identity.  An exact triple of the battery or of an antipodal section
     # is built from translations by products, transposes and kmk, which
-    # carry their SO(8) verdicts, so the only verdict computed inside an
-    # exact constructor is the identity triple's: Matrix.identity(8) is built
-    # from rows, and A, B and C are that one matrix.  The 64-pair identity
-    # runs once in every exact constructor, failures included (the clifford
-    # control's rotation pairs are refused by it).
+    # carry their SO(8) verdicts, so the only verdicts computed inside an
+    # exact constructor are the identity triple's (Matrix.identity(8) is
+    # built from rows, and A, B and C are that one matrix) and that of 2A in
+    # the triality-closure row's (2A, 2B, C) control, which the SO(8) test of
+    # A refuses.  The 64-pair identity runs once in every exact constructor
+    # that passes its SO(8) tests, failures included (the clifford control's
+    # rotation pairs are refused by it).
     from spin8 import linalg, triality
-    from spin8.linalg import Matrix
+    from spin8.linalg import Matrix, NotOrthogonal
     from spin8.triality import TrialityTriple, TrialityViolated
 
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
     monkeypatch.setattr(TrialityTriple, "_cached_identity", None)
     exact, verdicts, built, refused, holds = [], [], [0], [0], [0]
+    unorthogonal = [0]
 
     def verdict(m, real=linalg._so8_verdict):
         if exact and exact[-1]:
@@ -564,6 +567,9 @@ def test_exact_triples_arrive_decided(tmp_path, capsys, monkeypatch):
         except TrialityViolated:
             refused[0] += exact[-1]
             raise
+        except NotOrthogonal:
+            unorthogonal[0] += exact[-1]
+            raise
         finally:
             exact.pop()
 
@@ -575,9 +581,10 @@ def test_exact_triples_arrive_decided(tmp_path, capsys, monkeypatch):
                  ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--backend", "exact",
                   "--trials", "20"]):
         assert run(capsys, *args, "--out", out)[0] == 0
-    assert built[0] and refused[0]
-    assert verdicts == [Matrix.identity(8)]
-    assert holds[0] == built[0]
+    assert built[0] and refused[0] and unorthogonal == [1]
+    assert [m for m in verdicts if linalg.is_orthogonal(m)] == [Matrix.identity(8)]
+    assert len(verdicts) == 2
+    assert holds[0] == built[0] - unorthogonal[0]
 
 
 def test_antipodal(capsys):

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -592,3 +593,29 @@ def test_float_trace_form_adds_zero_products_as_nothing(n, seed):
         if x and y:
             fold += x * y
     assert repr(trace_inner_product(a, b).value) == repr(fold * (1 / n))
+
+
+def test_straight_line_matmul_matches_sum():
+    # length-8 vectors take the straight-line expression, other lengths a
+    # sum; both give the exact integer dot products, signs and entries
+    # above 2^64 included
+    rng = random.Random(31)
+
+    def draw(n):
+        return tuple(rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 70, 200)))
+                     for _ in range(n))
+
+    for n in (8, 8, 8, 3, 16):
+        rows = [draw(n) for _ in range(n)]
+        cols = [draw(n) for _ in range(rng.choice((1, n)))]
+        assert kernel.matmul(rows, cols) == [sum(map(operator.mul, r, c))
+                                             for r in rows for c in cols]
+
+
+def test_horner_pack_matches_the_shifted_sum():
+    rng = random.Random(31)
+    for _ in range(50):
+        width = rng.randrange(1, 300)
+        values = [rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 2 * width))
+                  for _ in range(8)]
+        assert kernel.pack(values, width) == sum(v << width * t for t, v in enumerate(values))

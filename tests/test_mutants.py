@@ -61,6 +61,26 @@ def _identity_always_holds(monkeypatch):
     monkeypatch.setattr(triality, "_triality_defect", lambda *cols: ((0, 0), 0.0))
 
 
+def _triple_takes_any_8x8(monkeypatch):
+    # the SO(8) precondition of the triple constructor weakened to
+    # `m.n != 8 and not is_special_orthogonal(m)`, which passes every 8x8
+    # matrix; closure's (2A, 2B, C) control must see it
+    monkeypatch.setattr(triality, "is_special_orthogonal", lambda m: True)
+
+
+def _triple_eq(first_or):
+    # TrialityTriple.__eq__ with one of its two `and`s as `or`; closure's
+    # (A, -B, -C) control sees the first, its (-A, -B, C) control the second
+    def eq(self, other):
+        if not isinstance(other, TrialityTriple):
+            return NotImplemented
+        if first_or:
+            return self.A == other.A or self.B == other.B and self.C == other.C
+        return self.A == other.A and self.B == other.B or self.C == other.C
+
+    return lambda monkeypatch: monkeypatch.setattr(TrialityTriple, "__eq__", eq)
+
+
 def _scan_draws_no_candidates(monkeypatch):
     # M2: the maximality scan keeps its three closed-form rows, which accept
     # o, p and q, and drops every random candidate
@@ -74,8 +94,12 @@ def _scan_draws_no_candidates(monkeypatch):
     (_sphere_point_takes_any_pair, {"fixed-sets"}, ["exact"]),
     (_identity_always_holds, {"clifford-embedding"}, ["exact", "float"]),
     (_scan_draws_no_candidates, {"antipodal-triple"}, ["exact", "float"]),
+    (_triple_takes_any_8x8, {"triality-closure"}, ["exact"]),
+    (_triple_eq(True), {"triality-closure"}, ["exact"]),
+    (_triple_eq(False), {"triality-closure"}, ["exact"]),
 ], ids=["matmul-off-by-one", "left-rows-swapped", "sphere-point-takes-any-pair",
-        "identity-always-holds", "scan-draws-no-candidates"])
+        "identity-always-holds", "scan-draws-no-candidates", "triple-takes-any-8x8",
+        "triple-eq-a-or-bc", "triple-eq-ab-or-c"])
 def test_battery_kills_mutant(tmp_path, capsys, monkeypatch, mutate, rows, backends):
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # the mutant is in this process
     # an identity triple built under the mutant must not outlive the test

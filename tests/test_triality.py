@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spin8.kernel as kernel
 import spin8.linalg as linalg
 import spin8.triality as triality
 from spin8.linalg import Matrix, NotOrthogonal, is_special_orthogonal, random_rotation
@@ -548,3 +550,84 @@ def test_exact_failures_match_the_full_test(kind, residual):
         fl = _failure(*map(_float_copy, parts))
         assert type(fl) is type(exc) and str(fl) == str(exc)
         assert getattr(fl, "pair", None) == getattr(exc, "pair", None)
+
+
+def _oracle_holds(a, b, c):
+    # B(e_i e_j) = (C e_i)(A e_j) on all 64 pairs, entry by entry over
+    # Q(sqrt 3): an entry is a pair (x, y) of Fractions for x + y sqrt 3,
+    # read off the kernel form, and the product is summed from TABLE
+    def entries(m):
+        d, ra, rb = m._form
+        return [[(Fraction(x, d), Fraction(y, d)) for x, y in zip(r, s)]
+                for r, s in zip(ra, rb or [[0] * 8] * 8)]
+
+    def times(u, v):
+        return u[0] * v[0] + 3 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    ea, eb, ec = entries(a), entries(b), entries(c)
+    for i in range(8):
+        for j in range(8):
+            lhs = [[Fraction(0), Fraction(0)] for _ in range(8)]
+            for p in range(8):
+                for q in range(8):
+                    s, r = TABLE[p][q]
+                    x, y = times(ec[p][i], ea[q][j])
+                    lhs[r][0] += s * x
+                    lhs[r][1] += s * y
+            s, k = TABLE[i][j]
+            if any(lhs[r] != [s * eb[r][k][0], s * eb[r][k][1]] for r in range(8)):
+                return False
+    return True
+
+
+def _oracle_triples():
+    # rational words, cube-root Q(sqrt 3) translations (of a basis unit and
+    # of a random rational unit), each role-swapped as (B, A, C), and the
+    # improper triple of each word (A k, L(c) A k, R(conj a1) B): orthogonal
+    # with det -1, so the identity fails on it
+    rng = random.Random(31)
+    words = [random_triple(rng, EXACT, max_len=3) for _ in range(3)]
+    cubes = [spin_from_unit(cube_root_of_unity(e(3))),
+             spin_from_unit(cube_root_of_unity(random_imaginary_unit(rng, EXACT)))]
+    one = Octonion.one()
+    out = []
+    for g in words + cubes:
+        out += [(g.A, g.B, g.C), (g.B, g.A, g.C)]
+        a = g.A * KAPPA
+        b = left_translation(transform(g.C, one)) * a
+        out.append((a, b, right_translation(transform(a, one).conj()) * b))
+    return out
+
+
+def test_packed_identity_matches_a_fraction_evaluation():
+    verdicts = []
+    for a, b, c in _oracle_triples():
+        assert all(map(linalg.is_orthogonal, (a, b, c)))
+        verdicts.append(_triality_holds(a, b, c))
+        assert verdicts[-1] == _oracle_holds(a, b, c)
+    # each verified triple holds and each improper one fails
+    assert verdicts[0::3] == [True] * 5 and verdicts[2::3] == [False] * 5
+
+
+def test_denominator_width_covers_the_entry_scan(monkeypatch):
+    # the width from the denominators, the least width ``_triality_holds``
+    # packs at, is at least the one a scan of the entries gives:
+    # 32 max|C'| max|A'| db/g on the left and max|B'| dc*da/g on the right,
+    # over both integer parts
+    widths = []
+    monkeypatch.setattr(triality, "pack",
+                        lambda v, width: widths.append(width) or kernel.pack(v, width))
+
+    def largest(form):
+        d, ra, rb = form
+        return max(abs(x) for r in ra + (rb or []) for x in r)
+
+    for a, b, c in _oracle_triples():
+        (da, _, _), (db, _, _), (dc, _, _) = a._form, b._form, c._form
+        g = gcd(dc * da, db)
+        scanned = max(32 * largest(c._form) * largest(a._form) * (db // g),
+                      largest(b._form) * (dc * da // g)).bit_length() + 1
+        widths.clear()
+        _triality_holds(a, b, c)
+        assert min(widths) >= scanned
+        assert min(widths) == (32 * dc * da * (db // g)).bit_length() + 1
