@@ -30,10 +30,11 @@ from .clifford import (
     clifford_embed,
     recover_vector,
 )
-from .linalg import Matrix, NotOrthogonal, random_rotation, trace_inner_product
+from .linalg import Matrix, NotOrthogonal, join, random_rotation, trace_inner_product
 from .octonion import (
     NotUnit,
     Octonion,
+    cube_root_of_unity,
     deviation,
     left_translation,
     random_imaginary_unit,
@@ -236,6 +237,14 @@ def _check_clifford(j, backend, rng, trials):
         # the group and ad_conjugate would send embed(x) to embed(Cx),
         # against the control above
         j.refuses(TrialityViolated, triple_from_pair, a, b)
+    # controls on exact constants, drawing nothing: join(I, 0, I, 0) has a
+    # nonzero block in each pair, so it is neither even nor odd, and
+    # join(0, -I, I, I) has the off-diagonal blocks of embed(1) but a
+    # nonzero diagonal block
+    i8 = Matrix.identity(8)
+    z8 = i8.scale(0)
+    j.expect(classify_parity(join(i8, z8, i8, z8)) == "mixed")
+    j.refuses(NotVectorShaped, recover_vector, join(z8, -i8, i8, i8))
     return n
 
 
@@ -323,6 +332,9 @@ def _check_g2(j, backend, rng, trials):
         # is_g2 first tests the same A == B and A == C, so on correct code
         # it agrees with `diagonal` at any eps
         j.expect(is_g2(g) == diagonal)
+    # an exact control, drawing nothing: z = (-I, -I, I) has A = B, A != C
+    z = spin_from_unit(-Octonion.one())
+    j.expect(is_g2(z) == (z.A == z.B and z.A == z.C))
     return n
 
 
@@ -381,6 +393,13 @@ def _check_fixed_sets(j, backend, rng, trials):
         j.expect(is_fixed_by_tau(pt) == tau_fixed_characterization(pt))
     j.expect(is_fixed_by_tau(o) and tau_fixed_characterization(o))
     j.eq(sigma_sphere(o), o)
+    # exact controls, drawing nothing: (1, e2) and (1, -e2) share x and
+    # differ in y; tau sends (e2, -e2) to (e2, -1), and there y = conj x
+    # but x^2 = -1 != y, so neither side holds
+    e2 = Octonion.basis(2)
+    j.differ(SpherePoint(o.x, e2), SpherePoint(o.x, -e2))
+    pt = SpherePoint(e2, -e2)
+    j.expect(is_fixed_by_tau(pt) == tau_fixed_characterization(pt))
     return n
 
 
@@ -402,6 +421,16 @@ def _check_kai(j, backend, rng, trials):
             el2 = phi_x(other, w)
             for pt in grid[:3]:
                 j.eq(act_semidirect(el1, pt), act_semidirect(el2, pt))
+    # an exact control, drawing nothing: the tau-symmetry at p = g_p(o),
+    # g_p = spin_from_unit(s) for s = cube_root_of_unity(e2), moves
+    # y = (s', conj s') = fix_tau_point(e3).  It is g_p tau g_p^-1, so it
+    # fixes y only if g_p^-1 y = (conj(s) s', s conj(s')) is tau-fixed,
+    # which needs s and conj(s') to commute; their imaginary parts, along
+    # e2 and e3, anticommute.  A phi_x that ignored its witness would give
+    # tau itself, which fixes y.
+    y = fix_tau_point(Octonion.basis(3))
+    s = cube_root_of_unity(Octonion.basis(2))
+    j.differ(act_semidirect(phi_x(spin_from_unit(s), GammaElement.tau()), y), y)
     return trials
 
 

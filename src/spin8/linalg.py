@@ -57,7 +57,8 @@ class Matrix:
     holds the verdict of ``is_special_orthogonal`` once known (None before).
     ``_det_pos`` is True on a float matrix built so that its determinant is
     proved positive once it passes the Gram test at a tolerance up to
-    ``_SIGN_EPS`` (see ``_so8_verdict``); False on every other matrix.
+    ``_SIGN_EPS`` (see ``_so8_verdict``); False on every other matrix.  A
+    construction that proves either passes it to the constructor.
     """
 
     __slots__ = ("_form", "_fl", "_so8", "_det_pos")
@@ -75,22 +76,22 @@ class Matrix:
         self._form = None if eps else kernel.shaped(*kernel.scale(flat), n)
 
     @classmethod
-    def _of_form(cls, form) -> "Matrix":
+    def _of_form(cls, form, *, so8=None) -> "Matrix":
         m = object.__new__(cls)
         m._form = form
         m._fl = None
-        m._so8 = None
+        m._so8 = so8
         m._det_pos = False
         return m
 
     @classmethod
-    def _of_floats(cls, eps: float, rows) -> "Matrix":
+    def _of_floats(cls, eps: float, rows, *, so8=None, det_pos=False) -> "Matrix":
         """A float matrix from its tolerance and rows of floats (tuples)."""
         m = object.__new__(cls)
         m._form = None
         m._fl = (eps, rows)
-        m._so8 = None
-        m._det_pos = False
+        m._so8 = so8
+        m._det_pos = det_pos
         return m
 
     @property
@@ -122,16 +123,12 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if self._fl is not None:
             eps, rows = self._fl
-            out = Matrix._of_floats(eps, tuple(zip(*rows)))
             # det M^t = det M, positive for a True verdict (``_so8_verdict``)
-            out._det_pos = self._so8 is True
-            return out
+            return Matrix._of_floats(eps, tuple(zip(*rows)), det_pos=self._so8 is True)
         d, a, b = self._form
-        out = Matrix._of_form((d, columns(a), columns(b)))
         # the exact verdict carries: for square M, M^t M = I iff M M^t = I
         # (a one-sided inverse is two-sided), and det M^t = det M
-        out._so8 = self._so8
-        return out
+        return Matrix._of_form((d, columns(a), columns(b)), so8=self._so8)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -139,25 +136,20 @@ class Matrix:
         n = self.n
         if other.n != n:
             raise DimensionMismatch(f"cannot multiply {n}x{n} by {other.n}x{other.n}")
+        both = self._so8 is True and other._so8 is True
         if self._fl is not None or other._fl is not None:
             ea, a = self._floats()
             eb, b = other._floats()
-            # column j of the product: a_i . b_col_j over the rows a_i
-            out = Matrix._of_floats(max(ea, eb), tuple(zip(*[_dots(a, c) for c in zip(*b)])))
-            # within rounding of AB, and det AB = det A det B > 0 for two True
-            # verdicts (``_so8_verdict``)
-            if self._so8 and other._so8:
-                out._det_pos = True
-            return out
+            # column j: a_i . b_col_j over the rows a_i; within rounding of AB,
+            # and det AB = det A det B > 0 for two True verdicts (``_so8_verdict``)
+            cols = [_dots(a, c) for c in zip(*b)]
+            return Matrix._of_floats(max(ea, eb), tuple(zip(*cols)), det_pos=both)
         da, a, ab = self._form
         db, b, bb = other._form
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
-        out = _reduced(da * db, pa, pb, n)
         # SO(n) is a group: (AB)^t AB = B^t (A^t A) B = I and det AB =
         # det A det B = 1; any other pair of verdicts leaves AB's unknown
-        if self._so8 and other._so8:
-            out._so8 = True
-        return out
+        return _reduced(da * db, pa, pb, n, so8=both or None)
 
     def __neg__(self):
         if self._fl is not None:
@@ -207,9 +199,9 @@ class Matrix:
         return f"<Matrix {self.n}x{self.n}>"
 
 
-def _reduced(d, a, b, n) -> Matrix:
+def _reduced(d, a, b, n, *, so8=None) -> Matrix:
     """The exact n x n matrix of the flat form (d, a, b), reduced."""
-    return Matrix._of_form(kernel.shaped(*kernel.reduce(d, a, b), n))
+    return Matrix._of_form(kernel.shaped(*kernel.reduce(d, a, b), n), so8=so8)
 
 
 def _flat(rows):
@@ -346,17 +338,17 @@ def is_special_orthogonal(m: Matrix) -> bool:
     matrix, see ``_so8_verdict``).
 
     The verdict is computed once per matrix object and kept in ``m._so8``;
-    matrices are immutable, so it cannot go stale.  Four places set it
-    without this test, each with its proof beside it: an exact L(x) or R(x)
-    gets ``x.is_unit()`` (``octonion._translation``); an exact product of
-    two True factors is True (``Matrix.__mul__``); an exact transpose copies
-    it (``Matrix.transpose``); and ``triality._kconj`` copies it to kmk, on
-    both backends.  Float translations, sandwiches, products and transposes
-    carry no verdict: a tolerance verdict on m says nothing bit-exact about
-    the floats of a rounded product or of m^t.  Five places give a float
-    matrix the sign of its determinant instead, ``_det_pos``, so that its
-    verdict runs the Gram test without the LU (``_so8_verdict``): a float
-    L(x) or R(x) (``octonion._translation``), a float sandwich
+    matrices are immutable, so it cannot go stale.  Four constructions pass
+    it to the constructor (``so8=``), each with its proof beside it: an
+    exact L(x) or R(x) gets ``x.is_unit()`` (``octonion._translation``); an
+    exact product of two True factors is True (``Matrix.__mul__``); an exact
+    transpose copies it (``Matrix.transpose``); and kmk copies it on both
+    backends (``triality._kconj``).  Float translations, sandwiches,
+    products and transposes carry no verdict: a tolerance verdict on m says
+    nothing bit-exact about the floats of a rounded product or of m^t.  Five
+    pass a float matrix the sign of its determinant instead (``det_pos=``),
+    so that its verdict runs the Gram test without the LU: a float L(x) or
+    R(x) (``octonion._translation``), a float sandwich
     (``octonion.sandwich_matrix``), a float product of two True factors
     (``Matrix.__mul__``), a float transpose of a True matrix
     (``Matrix.transpose``), and kmk, which copies it (``triality._kconj``).
@@ -427,7 +419,7 @@ def _so8_verdict(m: Matrix) -> bool:
     3. M is within delta < 1e-13 (2-norm) of a real matrix M0 whose
        determinant is >= 0 by construction.  By Weyl every matrix on the
        segment from M0 to M has singular values >= 0.93 - delta > 0
-       [0.86 - delta], so det M0 > 0 and det M > 0.  The constructions:
+       [0.86 - delta], so det M0 > 0 and det M > 0.  Built with ``det_pos``:
 
        * a float L(x) or R(x) (``octonion._translation``): M0 = M is the
          translation of x's floats, det = |x|^8 by ``_translation``'s proof,

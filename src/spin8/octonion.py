@@ -98,11 +98,13 @@ def _layouts():
 _LEFT, _RIGHT = _layouts()
 
 
-def _placed(x, layout):
-    """Rows of L(x) or R(x) for an integer 8-vector x (None stays None)."""
+def _placed(x, layout, zero=0):
+    """Rows of L(x) or R(x) for an 8-vector x (None stays None): integers,
+    or floats with zero=0.0, every zero (-0.0 and the int 0 too) as `zero`."""
     if x is None:
         return None
-    signed = x + [-v for v in x]
+    signed = [v or zero for v in x]
+    signed += [-v or zero for v in signed]
     return [get(signed) for get in layout]
 
 
@@ -337,26 +339,20 @@ def _translation(x: Octonion, layout) -> Matrix:
 
     A float octonion gives a float matrix at its form's tolerance, with +0.0
     for every zero; an exact one gives the kernel form, whose signed and
-    permuted entries stay reduced, and which carries its SO(8) verdict:
+    permuted entries stay reduced, built with its SO(8) verdict:
     x.is_unit().  Proof: |xy| = |x||y| gives L(x)^t L(x) = R(x)^t R(x) =
     |x|^2 I, so |det L(x)| = |det R(x)| = |x|^8; the determinant is
     continuous and nonzero on the nonzero octonions, a connected set, and 1
     at x = 1, so det L(x) = det R(x) = |x|^8, and the matrix is in SO(8) iff
     |x|^2 = 1.  The float matrix is exactly the translation of x's floats,
-    so the same proof gives det = |x|^8 >= 0: it carries ``_det_pos``
+    so the same proof gives det = |x|^8 >= 0: it is built with ``det_pos``
     (``linalg._so8_verdict``).
     """
     if x._fl is not None:
         eps, fl = x._fl
-        f = [v if v else 0.0 for v in fl]
-        signed = f + [-v if v else 0.0 for v in f]
-        m = Matrix._of_floats(eps, tuple([get(signed) for get in layout]))
-        m._det_pos = True
-        return m
+        return Matrix._of_floats(eps, tuple(_placed(fl, layout, 0.0)), det_pos=True)
     d, a, b = x._form
-    m = Matrix._of_form((d, _placed(a, layout), _placed(b, layout)))
-    m._so8 = x.is_unit()
-    return m
+    return Matrix._of_form((d, _placed(a, layout), _placed(b, layout)), so8=x.is_unit())
 
 
 def left_translation(x: Octonion) -> Matrix:
@@ -373,20 +369,19 @@ def sandwich_matrix(l: Octonion, r: Octonion) -> Matrix:
     """Matrix of x -> l (x r); column j is l (e_j r).
 
     Exact input gives the kernel product L(l) R(r).  On float input column j
-    is ``mul_lines`` of l and column j of R(r), at the largest tolerance of
-    l and r: the floats the octonion product computes for l (e_j r), since
-    e_j r is a signed copy of r and ``mul_lines`` gives the same bits for
-    +0.0 and -0.0 inputs.  Within rounding of L(l) R(r), whose determinant
-    is |l|^8 |r|^8 >= 0, it carries ``_det_pos`` (``linalg._so8_verdict``).
+    is ``mul_lines`` of l and column j of R(r) (``_placed`` on r's floats),
+    at the largest tolerance of l and r: the floats the octonion product
+    computes for l (e_j r), since e_j r is a signed copy of r, rounding is
+    symmetric, and ``mul_lines`` gives the same bits for +0.0 and -0.0
+    inputs.  Within rounding of L(l) R(r), whose determinant is
+    |l|^8 |r|^8 >= 0, it gets ``det_pos`` (``linalg._so8_verdict``).
     """
     if l._fl is None and r._fl is None:
         return left_translation(l) * right_translation(r)
-    el, lf = l._floats()
-    cols = zip(*right_translation(r)._floats()[1])
-    eps = max(el, r._floats()[0])
-    m = Matrix._of_floats(eps, tuple(zip(*[mul_lines(lf, col, 0.0) for col in cols])))
-    m._det_pos = True
-    return m
+    (el, lf), (er, rf) = l._floats(), r._floats()
+    cols = zip(*_placed(rf, _RIGHT, 0.0))
+    rows = tuple(zip(*[mul_lines(lf, col, 0.0) for col in cols]))
+    return Matrix._of_floats(max(el, er), rows, det_pos=True)
 
 
 def to_backend(x: Octonion, backend) -> Octonion:

@@ -258,7 +258,7 @@ def _kconj(m: Matrix) -> Matrix:
 
     Entries with exactly one index in the e1 slot are negated, on the
     matrix's float or kernel form.  The verdict of ``is_special_orthogonal``
-    on kmk equals the one on m, so once known it is copied, not recomputed:
+    on kmk equals the one on m, so kmk is built with m's, not recomputed:
 
     * exact: k is orthogonal with det k = +-1, so (kmk)^t (kmk) = k m^t m k
       is I iff m^t m is, and det(kmk) = det(k)^2 det(m) = det(m);
@@ -276,18 +276,14 @@ def _kconj(m: Matrix) -> Matrix:
       det(D_r) det(D_c) = det(D)^2 = 1, and a zero pivot is zero in both.
       So the determinant's float, and its sign, are unchanged.
 
-    ``_det_pos`` is copied too: kmk is k M0 k at m's distance from M0, and
-    det(k M0 k) = det M0 (``linalg._so8_verdict``).
+    A float kmk is built with m's ``_det_pos`` too: kmk is k M0 k at m's
+    distance from M0, and det(k M0 k) = det M0 (``linalg._so8_verdict``).
     """
     if m._fl is not None:
         eps, rows = m._fl
-        out = Matrix._of_floats(eps, _kconj_rows(rows))
-    else:
-        d, a, b = m._form
-        out = Matrix._of_form((d, _kconj_rows(a), b and _kconj_rows(b)))
-    out._so8 = m._so8
-    out._det_pos = m._det_pos
-    return out
+        return Matrix._of_floats(eps, _kconj_rows(rows), so8=m._so8, det_pos=m._det_pos)
+    d, a, b = m._form
+    return Matrix._of_form((d, _kconj_rows(a), b and _kconj_rows(b)), so8=m._so8)
 
 
 def _kconj_rows(rows):

@@ -114,7 +114,7 @@ def test_judge_refuses():
 CONTROL_ROWS = {
     (name, backend)
     for name in ("clifford-embedding", "s3-relations", "g2-fixed-group",
-                 "isotropy-at-base", "fixed-sets")
+                 "isotropy-at-base", "fixed-sets", "kai-property")
     for backend in ("exact", "float")
 } | {("triality-closure", "exact")}
 

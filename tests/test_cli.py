@@ -906,9 +906,9 @@ def test_a_float_run_has_one_tolerance(tmp_path, capsys, monkeypatch):
     def record(cls, name, at):  # eps is argument `at` of cls.name
         real = getattr(cls, name).__func__
 
-        def build(cls, *args):
+        def build(cls, *args, **kwargs):
             seen.append(args[at])
-            return real(cls, *args)
+            return real(cls, *args, **kwargs)
         monkeypatch.setattr(cls, name, classmethod(build))
 
     def init(self, value, eps=1e-9, real=ApproxReal.__init__):

@@ -773,8 +773,13 @@ def test_translations_match_approx_loops(x):
     same_matrix(right_translation(x), loop_translation(x, right=True), form_eps(x))
 
 
+# exact octonions with sqrt-3 parts: a float l with such an r reads R(r)'s
+# rows from r's floats, signed copies of them
+cube_roots = st.integers(2, 8).map(lambda k: cube_root_of_unity(Octonion.basis(k)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(octonions, mixed), st.one_of(octonions, mixed))
+@given(st.one_of(octonions, mixed), st.one_of(octonions, mixed, cube_roots))
 def test_sandwich_matches_approx_products(l, r):
     same_matrix(sandwich_matrix(l, r), loop_sandwich(l, r))
 

@@ -244,40 +244,46 @@ def test_float_translations_products_and_transposes_carry_no_verdict():
     assert (a * left_translation(random_unit_octonion(rng, EXACT)))._so8 is None
 
 
-# Every site that writes an SO(n) verdict, with the value it writes.  Each
-# one but the constructors' None and the memo of is_special_orthogonal
+# Every site that writes an SO(n) verdict, with the value it writes: an
+# assignment to ._so8, written as its value, or a constructor keyword so8=.
+# Each one but the constructors' None and the memo of is_special_orthogonal
 # carries its proof beside it; a new site fails the test below until its
 # proof is written and it is listed here.
-_VERDICT_SITES = {
+_VERDICT_SITES = sorted([
     ("linalg", "Matrix.__init__", "None"),
-    ("linalg", "Matrix._of_form", "None"),
-    ("linalg", "Matrix._of_floats", "None"),
-    ("linalg", "Matrix.transpose", "self._so8"),
-    ("linalg", "Matrix.__mul__", "True"),
+    ("linalg", "Matrix._of_form", "so8"),
+    ("linalg", "Matrix._of_floats", "so8"),
+    ("linalg", "Matrix.transpose", "so8=self._so8"),
+    ("linalg", "Matrix.__mul__", "so8=both or None"),
+    ("linalg", "_reduced", "so8=so8"),
     ("linalg", "is_special_orthogonal", "_so8_verdict(m)"),
-    ("octonion", "_translation", "x.is_unit()"),
-    ("triality", "_kconj", "m._so8"),
-}
+    ("octonion", "_translation", "so8=x.is_unit()"),
+    ("triality", "_kconj", "so8=m._so8"),  # float
+    ("triality", "_kconj", "so8=m._so8"),  # exact
+])
 
 
 # Every site that writes a float matrix's proved determinant sign, with the
-# value it writes.  Each one but the constructors' False carries its proof
-# in linalg._so8_verdict; a new site fails the test below until its proof is
-# written there and it is listed here.
-_SIGN_SITES = {
+# value it writes (an assignment to ._det_pos or a keyword det_pos=).  Each
+# one but the constructors' False carries its proof in linalg._so8_verdict;
+# a new site fails the test below until its proof is written there and it
+# is listed here.
+_SIGN_SITES = sorted([
     ("linalg", "Matrix.__init__", "False"),
     ("linalg", "Matrix._of_form", "False"),
-    ("linalg", "Matrix._of_floats", "False"),
-    ("linalg", "Matrix.transpose", "self._so8 is True"),
-    ("linalg", "Matrix.__mul__", "True"),
-    ("octonion", "_translation", "True"),
-    ("octonion", "sandwich_matrix", "True"),
-    ("triality", "_kconj", "m._det_pos"),
-}
+    ("linalg", "Matrix._of_floats", "det_pos"),
+    ("linalg", "Matrix.transpose", "det_pos=self._so8 is True"),
+    ("linalg", "Matrix.__mul__", "det_pos=both"),
+    ("octonion", "_translation", "det_pos=True"),
+    ("octonion", "sandwich_matrix", "det_pos=True"),
+    ("triality", "_kconj", "det_pos=m._det_pos"),
+])
 
 
 def _verdict_writes(tree, module, attr="_so8"):
-    """(module, qualified name, value) of each assignment to an .<attr>."""
+    """(module, qualified name, value) of each assignment to an .<attr>, and
+    (module, qualified name, "key=value") of each call keyword named <attr>
+    without its underscore."""
     found = []
 
     def visit(node, scope):
@@ -287,6 +293,9 @@ def _verdict_writes(tree, module, attr="_so8"):
             for t in ast.walk(target):
                 if isinstance(t, ast.Attribute) and t.attr == attr:
                     found.append((module, ".".join(scope), ast.unparse(node.value)))
+        for kw in node.keywords if isinstance(node, ast.Call) else ():
+            if kw.arg == attr[1:]:
+                found.append((module, ".".join(scope), ast.unparse(kw)))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -294,22 +303,42 @@ def _verdict_writes(tree, module, attr="_so8"):
     return found
 
 
-def test_every_verdict_site_is_listed():
+def _src_trees():
     src = Path(linalg.__file__).parent
-    writes = []
-    for path in sorted(src.glob("*.py")):
-        writes += _verdict_writes(ast.parse(path.read_text()), path.stem)
-    assert len(writes) == len(set(writes)) and set(writes) == _VERDICT_SITES
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+
+
+def test_every_verdict_site_is_listed():
+    writes = [w for module, tree in _src_trees() for w in _verdict_writes(tree, module)]
+    assert sorted(writes) == _VERDICT_SITES
 
 
 def test_every_sign_site_is_listed():
-    src = Path(linalg.__file__).parent
-    writes = []
-    for path in sorted(src.glob("*.py")):
-        writes += _verdict_writes(ast.parse(path.read_text()), path.stem, "_det_pos")
-    assert len(writes) == len(set(writes)) and set(writes) == _SIGN_SITES
+    writes = [w for module, tree in _src_trees()
+              for w in _verdict_writes(tree, module, "_det_pos")]
+    assert sorted(writes) == _SIGN_SITES
     # the tolerance up to which the sign is proved is a constant of linalg
     assert linalg._SIGN_EPS == 1 / 64
+
+
+def test_only_linalg_assigns_a_verdict_slot():
+    # a construction outside linalg that proves a verdict or a sign passes it
+    # to the constructor; no other module writes ._so8 or ._det_pos, by
+    # assignment, augmented or annotated assignment, or setattr
+    slots = {"_so8", "_det_pos"}
+    for module, tree in _src_trees():
+        if module == "linalg":
+            continue
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for t in (t for target in targets for t in ast.walk(target)):
+                assert not (isinstance(t, ast.Attribute) and t.attr in slots), \
+                    (module, node.lineno)
+            if isinstance(node, ast.Call) and "setattr" in ast.unparse(node.func):
+                assert not {a.value for a in node.args if isinstance(a, ast.Constant)} & slots, \
+                    (module, node.lineno)
 
 
 # Every call of the public constructors, where scalars become a form:

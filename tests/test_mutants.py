@@ -11,8 +11,9 @@ import json
 
 import pytest
 
-from spin8 import checks, kernel, octonion, symspace, triality
+from spin8 import checks, clifford, kernel, octonion, symspace, triality
 from spin8.cli import main
+from spin8.symspace import SpherePoint
 from spin8.triality import TrialityTriple
 
 # every exact row but octonion-axioms and fixed-sets, which compute on
@@ -81,6 +82,74 @@ def _triple_eq(first_or):
     return lambda monkeypatch: monkeypatch.setattr(TrialityTriple, "__eq__", eq)
 
 
+# The mutants below replace the body of a function that checks imports by
+# name, by swapping its __code__, so checks keeps calling the object it
+# holds.  A replacement body names only globals of the function's own
+# module, which it keeps.
+
+def _parity_even_by_or(m):
+    # classify_parity with `or` in its even test
+    if m.n != 16:
+        raise DimensionMismatch("expected a 16x16 matrix")
+    tl, tr, bl, br = m.blocks()
+    if tr == _Z8 or bl == _Z8:
+        return EVEN
+    if tl == _Z8 and br == _Z8:
+        return ODD
+    return MIXED
+
+
+def _parity_odd_by_or(m):
+    # classify_parity with `or` in its odd test
+    if m.n != 16:
+        raise DimensionMismatch("expected a 16x16 matrix")
+    tl, tr, bl, br = m.blocks()
+    if tr == _Z8 and bl == _Z8:
+        return EVEN
+    if tl == _Z8 or br == _Z8:
+        return ODD
+    return MIXED
+
+
+def _recover_diagonal_by_or(m):
+    # recover_vector with `or` in its diagonal-block test
+    tl, tr, bl, br = m.blocks()
+    if not (tl == _Z8 or br == _Z8):
+        raise NotVectorShaped("matrix has nonzero diagonal blocks")
+    w = transform(bl, Octonion.one())
+    if bl != left_translation(w):
+        raise NotVectorShaped("lower-left block is not a left translation")
+    if tr != -left_translation(w.conj()):
+        raise NotVectorShaped("upper-right block does not match the conjugate")
+    return w
+
+
+def _sphere_point_eq_by_or(self, other):
+    # SpherePoint.__eq__ with `or`
+    if not isinstance(other, SpherePoint):
+        return NotImplemented
+    return self.x == other.x or self.y == other.y
+
+
+def _tau_fixed_by_or(pt):
+    # tau_fixed_characterization with `or`
+    return pt.y == pt.x.conj() or pt.y == pt.x * pt.x
+
+
+def _is_g2_by_or(g):
+    # is_g2 with its first `and` as `or`
+    return g.A == g.B or g.A == g.C and _triality_holds(g.A, g.A, g.A)
+
+
+def _phi_x_ignores_witness(witness, w):
+    # M6: the point symmetry of every point is the one at o
+    return SemidirectElement(TrialityTriple.identity(), w)
+
+
+def _body(fn, replacement):
+    return lambda monkeypatch: monkeypatch.setattr(fn, "__code__", replacement.__code__)
+
+
 def _scan_draws_no_candidates(monkeypatch):
     # M2: the maximality scan keeps its three closed-form rows, which accept
     # o, p and q, and drops every random candidate
@@ -97,9 +166,23 @@ def _scan_draws_no_candidates(monkeypatch):
     (_triple_takes_any_8x8, {"triality-closure"}, ["exact"]),
     (_triple_eq(True), {"triality-closure"}, ["exact"]),
     (_triple_eq(False), {"triality-closure"}, ["exact"]),
+    (_body(clifford.classify_parity, _parity_even_by_or), {"clifford-embedding"},
+     ["exact", "float"]),
+    (_body(clifford.classify_parity, _parity_odd_by_or), {"clifford-embedding"},
+     ["exact", "float"]),
+    (_body(clifford.recover_vector, _recover_diagonal_by_or), {"clifford-embedding"},
+     ["exact", "float"]),
+    (lambda monkeypatch: monkeypatch.setattr(SpherePoint, "__eq__", _sphere_point_eq_by_or),
+     {"fixed-sets"}, ["exact", "float"]),
+    (_body(symspace.tau_fixed_characterization, _tau_fixed_by_or), {"fixed-sets"},
+     ["exact", "float"]),
+    (_body(triality.is_g2, _is_g2_by_or), {"g2-fixed-group"}, ["exact", "float"]),
+    (_body(symspace.phi_x, _phi_x_ignores_witness), {"kai-property"}, ["exact", "float"]),
 ], ids=["matmul-off-by-one", "left-rows-swapped", "sphere-point-takes-any-pair",
         "identity-always-holds", "scan-draws-no-candidates", "triple-takes-any-8x8",
-        "triple-eq-a-or-bc", "triple-eq-ab-or-c"])
+        "triple-eq-a-or-bc", "triple-eq-ab-or-c", "parity-even-by-or", "parity-odd-by-or",
+        "recover-diagonal-by-or", "sphere-point-eq-by-or", "tau-fixed-by-or", "is-g2-by-or",
+        "phi-x-ignores-witness"])
 def test_battery_kills_mutant(tmp_path, capsys, monkeypatch, mutate, rows, backends):
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # the mutant is in this process
     # an identity triple built under the mutant must not outlive the test
