@@ -75,6 +75,13 @@ from .triality import (
 )
 
 
+# The largest --trials.  The maximality scan keeps each row until the report
+# is written, about 1.9 KiB a row on exact and 1.6 KiB on floats, and
+# verify-all scans 10 x trials rows per backend, both backends at once on two
+# CPUs: about 3.3 GiB of rows at this bound, and 33 GiB at 10^6 trials.
+MAX_TRIALS = 100_000
+
+
 class RunConfig(namedtuple("RunConfig", "seed trials eps backend")):
     """What a check reads of a run, validated in __new__ (``_replace`` skips it)."""
 
@@ -84,6 +91,8 @@ class RunConfig(namedtuple("RunConfig", "seed trials eps backend")):
                 backend: str = "both"):
         if trials < 1:
             raise ValueError("trials must be >= 1")
+        if trials > MAX_TRIALS:
+            raise ValueError(f"trials must be <= {MAX_TRIALS}")
         if not (eps > 0 and math.isfinite(eps)):
             raise ValueError("eps must be a positive finite number")
         if backend not in ("exact", "float", "both"):
@@ -181,6 +190,10 @@ def _check_octonion_axioms(j, backend, rng, trials):
         j.eq((x * y).conj(), y.conj() * x.conj())
         j.eq((x * y) * x, x * (y * x))
         j.eq(x.conj() * (x * y), (x.conj() * x) * y)
+    # an exact control, drawing nothing: by TABLE (e2 e3) e5 = e4 e5 = e8
+    # but e2 (e3 e5) = e2 e7 = -e8, so three generators need not associate
+    e2, e3, e5 = Octonion.basis(2), Octonion.basis(3), Octonion.basis(5)
+    j.differ((e2 * e3) * e5, e2 * (e3 * e5))
     return n
 
 
@@ -201,6 +214,10 @@ def _check_sandwich(j, backend, rng, trials):
         y = random_octonion(rng, backend)
         j.eq((x * y.conj()).conj(), y * x.conj())
         j.eq(transform(right_translation(x.conj()), y), y * x.conj())
+    # an exact control, drawing nothing: on e5, L(e2) L(e3) gives
+    # e2 (e3 e5) = -e8 and L(e2 e3) gives (e2 e3) e5 = e8 (octonion-axioms)
+    e2, e3 = Octonion.basis(2), Octonion.basis(3)
+    j.differ(left_translation(e2) * left_translation(e3), left_translation(e2 * e3))
     return n
 
 
@@ -284,6 +301,12 @@ def _check_outer(apply, order, j, backend, rng, trials):
         if k % 4 == 0:
             h = random_triple(rng, backend, max_len=1)
             j.eq(apply(g * h), apply(g) * apply(h))
+    # an exact control, drawing nothing: g = spin_from_unit(e2) has
+    # A = L(e2).  tau(g) has A = k L(-e2) k = R(e2), as k L(x) k y =
+    # conj(x conj y) = y conj x, and sigma(g) has A = L(conj e2) = L(-e2);
+    # both differ from L(e2), since on e3 it gives e2 e3 = e4 = -e3 e2
+    g = spin_from_unit(Octonion.basis(2))
+    j.differ(apply(g), g)
     return trials
 
 
@@ -367,6 +390,10 @@ def _check_descent(j, backend, rng, trials):
                 gamma_sphere(w, act(g, pt)),
                 act(apply_gamma(w, g), gamma_sphere(w, pt)),
             )
+    # an exact control, drawing nothing: tau(e2, 1) = (conj 1, e2 conj 1) =
+    # (1, e2), which differs from (e2, 1)
+    pt = SpherePoint(Octonion.basis(2), Octonion.one())
+    j.differ(tau_sphere(pt), pt)
     return trials
 
 

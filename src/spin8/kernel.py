@@ -7,7 +7,7 @@ parts and entry i is (a[i] + b[i]*sqrt 3)/d, an element of Z[sqrt 3] over d.
 Products and Gram matrices then run on Python ints, where a dot product is
 one expression (``matmul``) and no gcd is taken per operation; comparisons
 become cross-multiplied integer equalities.  No exact determinant is taken:
-the sign an SO(n) verdict needs is read from floats (``linalg._so8_verdict``).
+the sign an SO(8) verdict needs is read from floats (``linalg._so8_verdict``).
 
 A form (d, a, b) is *reduced* when gcd(d, a..., b...) = 1 and b is None
 whenever every sqrt-3 part is zero.  Then d is the least common denominator

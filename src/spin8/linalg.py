@@ -1,6 +1,9 @@
 """Dense square matrices over any scalar backend.
 
-Sized for the 8x8 rotation and 16x16 block work here, but generic in n.
+Matrices are generic in n (8x8 rotations and 16x16 Clifford blocks here),
+but the one group decided is SO(8): ``is_special_orthogonal`` is False on
+every matrix of another size.
+
 Matrices are immutable; rows are tuples of scalars.  Each matrix computes
 through one form of its backend, and the form decides the backend:
 
@@ -20,7 +23,7 @@ too) is ``_dots``: products added one by one in index order onto +0.0, never
 the builtin ``sum``, whose float algorithm depends on the Python version.
 
 The one determinant is ``_det_float``, partial-pivot LU on floats.  It gives
-the sign of every SO(n) verdict that nothing proves, exact ones included: an
+the sign of every SO(8) verdict that nothing proves, exact ones included: an
 exactly orthogonal matrix is far enough from singular that the float sign is
 exact.  A float matrix whose construction proves det > 0 (``_det_pos``) skips
 it at a tolerance up to ``_SIGN_EPS``, where the LU is proved to return that
@@ -36,7 +39,7 @@ from operator import add, mul, sub
 
 from . import kernel
 from .kernel import columns
-from .scalars import ApproxReal, CheckFailed, approx_eps, format_scalar
+from .scalars import ApproxReal, CheckFailed, approx_eps
 
 
 class DimensionMismatch(ValueError):
@@ -147,7 +150,7 @@ class Matrix:
         da, a, ab = self._form
         db, b, bb = other._form
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
-        # SO(n) is a group: (AB)^t AB = B^t (A^t A) B = I and det AB =
+        # SO(8) is a group: (AB)^t AB = B^t (A^t A) B = I and det AB =
         # det A det B = 1; any other pair of verdicts leaves AB's unknown
         return _reduced(da * db, pa, pb, n, so8=both or None)
 
@@ -185,15 +188,6 @@ class Matrix:
         d, a, b = self._form
         return tuple(_reduced(d, _flat(x), _flat(y), h)
                      for x, y in zip(_quarters(a, h), _quarters(b, h) if b else [None] * 4))
-
-    def to_json(self) -> list[list[str]]:
-        """Row-major nested arrays of scalar literals."""
-        return [[format_scalar(e) for e in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, rows, backend) -> "Matrix":
-        """The matrix of ``to_json``'s nested arrays of scalar literals."""
-        return cls([[backend.parse(e) for e in row] for row in rows])
 
     def __repr__(self):
         return f"<Matrix {self.n}x{self.n}>"
@@ -333,9 +327,10 @@ def is_orthogonal(m: Matrix) -> bool:
 
 
 def is_special_orthogonal(m: Matrix) -> bool:
-    """m^t m = I (exact, or within tolerance) and det > 0, the sign read from
-    the float LU of ``_det_float`` on both backends (exact for an exact
-    matrix, see ``_so8_verdict``).
+    """m is in SO(8): m is 8x8, m^t m = I (exact, or within tolerance) and
+    det > 0, the sign read from the float LU of ``_det_float`` on both
+    backends (exact for an exact matrix, see ``_so8_verdict``).  No matrix
+    of another size is in SO(8).
 
     The verdict is computed once per matrix object and kept in ``m._so8``;
     matrices are immutable, so it cannot go stale.  Four constructions pass
@@ -364,13 +359,13 @@ _SIGN_EPS = 1 / 64
 
 
 def _so8_verdict(m: Matrix) -> bool:
-    """m^t m = I, then the sign of the float LU determinant of m's floats,
-    unless how m was built proves that sign.
+    """False unless m is 8x8; then m^t m = I, and the sign of the float LU
+    determinant of m's floats, unless how m was built proves that sign.
 
     A float matrix reads its own float rows.  An exact matrix is first tested
     exactly (``is_orthogonal``); only an orthogonal one is read as
     floats (``kernel.to_floats``), and for it the float sign is the sign of
-    det M.  Proof, u = 2^-53 the unit roundoff, gamma_k = k u / (1 - k u)
+    det M.  Proof, n = 8, u = 2^-53 the unit roundoff, gamma_k = k u / (1 - k u)
     (N. Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.):
 
     1. M^t M = I, so every singular value of M is 1 and |m_ij| <= 1.  Over
@@ -384,42 +379,35 @@ def _so8_verdict(m: Matrix) -> bool:
        multiplier is m_ik * (1/m_kk), two roundings).  Partial pivoting keeps
        |l^_ij| <= 1 and |u^_ij| <= 2^(n-1) max|f_ij| (1 + O(u)), so every entry
        of |L^||U^| is at most n 2^(n-1) (1 + O(u)), and P^t L^U^ = M + E with
-       ||E||_2 <= n^2 2^(n-1) gamma_(n+1) (1 + O(u)) + n * 5u: about 8e-12 at
-       n = 8, 2e-8 at n = 16 and 8e-3 at n = 32.  A
-       multiplier that underflows to 0 skips an update below 2^-1022, which
-       is inside the same bound.
+       ||E||_2 <= n^2 2^(n-1) gamma_(n+1) (1 + O(u)) + n * 5u, about 8e-12.
+       A multiplier that underflows to 0 skips an update below 2^-1022,
+       which is inside the same bound.
     4. Weyl: every M + tE, t in [0, 1], has singular values >= 1 - ||E|| > 0,
        so det(M + tE) never vanishes and det(M + E) = det(P) prod u^_kk has
        the sign of det M.  In particular no computed pivot is 0.
     5. ``_det_float`` returns +-prod u^_kk rounded after each factor, and a
        rounding keeps the sign of a normal number.  No partial product
-       leaves the normal range: each |u^_kk| <= 2^(n-1) (1 + O(u)) and the
-       whole product is at least (1 - ||E||)^n, so a partial product (the
-       whole one over at most n - 1 pivots) lies between about
-       (1 - ||E||)^n 2^(-(n-1)^2) and 2^(n(n-1)): 2^-962 .. 2^992 at n = 32.
+       leaves the normal range: each |u^_kk| <= 2^7 (1 + O(u)) and the
+       whole product is at least (1 - ||E||)^8, so a partial product (the
+       whole one over at most 7 pivots) lies between about 2^-49 and 2^56.
 
-    Step 3's bound passes 1 beyond n = 32, so a larger exact matrix raises
-    DimensionMismatch; this package builds only 8x8 and 16x16 ones.
-
-    A float matrix with ``_det_pos``, of size n <= 16, at a tolerance
-    eps <= ``_SIGN_EPS`` = 1/64, is decided by the Gram test alone: whenever
-    it passes, the LU would return det > 0.  Passing it, every entry is
-    finite (``is_orthogonal``), so the sums below are over the reals.
-    Proof at n = 8, with the bounds at n = 16 in brackets:
+    A float matrix with ``_det_pos``, at a tolerance eps <= ``_SIGN_EPS`` =
+    1/64, is decided by the Gram test alone: whenever it passes, the LU
+    would return det > 0.  Passing it, every entry is finite
+    (``is_orthogonal``), so the sums below are over the reals:
 
     1. The Gram test computes c_i . c_j within gamma_n |c_i||c_j| (an n-term
        dot onto 0.0), so passing it at eps gives |c_i|^2 <= 1.016 and
-       ||M^t M - I||_2 <= n (eps + gamma_n 1.07) < 0.13 [0.26].  So every
-       singular value of M lies in [0.93, 1.07] [[0.86, 1.13]], and
-       |m_ij| <= 1.07.
+       ||M^t M - I||_2 <= n (eps + gamma_n 1.07) < 0.13.  So every singular
+       value of M lies in [0.93, 1.07], and |m_ij| <= 1.07.
     2. Steps 3 to 5 above for M's own floats (no conversion term), with
        singular values >= 0.93 in place of 1: the LU's backward error is at
-       most n^2 2^(n-1) gamma_(n+1) 1.07, about 9e-12 [2e-8], so the LU
-       returns the sign of det M.
+       most n^2 2^(n-1) gamma_(n+1) 1.07, about 9e-12, so the LU returns the
+       sign of det M.
     3. M is within delta < 1e-13 (2-norm) of a real matrix M0 whose
        determinant is >= 0 by construction.  By Weyl every matrix on the
-       segment from M0 to M has singular values >= 0.93 - delta > 0
-       [0.86 - delta], so det M0 > 0 and det M > 0.  Built with ``det_pos``:
+       segment from M0 to M has singular values >= 0.93 - delta > 0, so
+       det M0 > 0 and det M > 0.  Built with ``det_pos``:
 
        * a float L(x) or R(x) (``octonion._translation``): M0 = M is the
          translation of x's floats, det = |x|^8 by ``_translation``'s proof,
@@ -432,24 +420,20 @@ def _so8_verdict(m: Matrix) -> bool:
        * a float product AB of two True factors (``Matrix.__mul__``):
          M0 = AB over the factors' floats, and |fl(AB) - AB| <=
          gamma_n |A||B| gives delta <= gamma_n ||A||_F ||B||_F <=
-         1.13 n gamma_n [1.26 n gamma_n] < 1e-13.  The product's tolerance
-         is the larger of the factors', so each factor passed the Gram test
-         at eps <= 1/64 and has det > 0: by step 2 where its LU ran, by this
-         lemma where it did not, and by the exact proof for an exact factor.
+         1.13 n gamma_n < 1e-13.  The product's tolerance is the larger of
+         the factors', so each factor passed the Gram test at eps <= 1/64
+         and has det > 0: by step 2 where its LU ran, by this lemma where
+         it did not, and by the exact proof for an exact factor.
        * a float transpose of a True matrix A (``Matrix.transpose``): it is
          A^t exactly, and det A^t = det A > 0 as for a factor; delta = 0.
        * kmk (``triality._kconj``): k M0 k at the same distance, and
          det(k M0 k) = det M0.
 
        An underflow adds at most 2^-1074 per operation to these bounds.
-
-    The lemma is written up to n = 16; a larger float matrix runs the LU.
     """
-    fl = m._fl
-    if fl is None:
-        if m.n > 32:
-            raise DimensionMismatch(f"exact SO(n) sign is proved up to n = 32, got {m.n}")
-    elif m._det_pos and fl[0] <= _SIGN_EPS and len(fl[1]) <= 16:
+    if m.n != 8:
+        return False
+    if m._det_pos and m._fl[0] <= _SIGN_EPS:
         return is_orthogonal(m)
     return is_orthogonal(m) and _det_float(m._floats()[1]) > 0
 
@@ -474,18 +458,18 @@ def trace_inner_product(a: Matrix, b: Matrix):
     return ApproxReal._fast(dot * (1 / a.n), max(ea, eb))
 
 
-def random_rotation(rng, backend, n: int = 8) -> Matrix:
-    """Random element of SO(n) as a product of 12 plane rotations.
+def random_rotation(rng, backend) -> Matrix:
+    """Random element of SO(8) as a product of 12 plane rotations.
 
     Each factor uses the rational circle parametrization
     (cos, sin) = ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)), so exact-backend output
     is an exactly orthogonal rational matrix (t = p/q: (q^2 - p^2, 2pq) over
     p^2 + q^2, reduced).  A float 1 + t^2 within eps of 0 raises NotOrthogonal.
     """
-    m = Matrix.identity(n)
+    m = Matrix.identity(8)
     for _ in range(12):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
+        i = rng.randrange(8)
+        j = rng.randrange(7)
         if j >= i:
             j += 1
         if backend.exact:
@@ -497,10 +481,10 @@ def random_rotation(rng, backend, n: int = 8) -> Matrix:
                 raise NotOrthogonal("1 + t^2 indistinguishable from zero")
             den = 1.0 / (t * t + 1.0)
             d, zero, c, s = 1.0, 0.0, (1.0 - t * t) * den, t * 2.0 * den
-        g = [[d if a == b else zero for b in range(n)] for a in range(n)]
+        g = [[d if a == b else zero for b in range(8)] for a in range(8)]
         g[i][i] = g[j][j] = c
         g[i][j], g[j][i] = -s, s
-        g = (_reduced(d, _flat(g), None, n) if backend.exact
+        g = (_reduced(d, _flat(g), None, 8) if backend.exact
              else Matrix._of_floats(backend.eps, tuple(map(tuple, g))))
         m = g * m
     return m

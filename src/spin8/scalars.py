@@ -3,7 +3,7 @@ tolerance-aware floats.
 
 Scalars are boundary values.  Matrices and octonions compute on the integer
 or float forms of ``kernel``; scalars are what parsing produces, what
-``Matrix.rows`` and ``Octonion.coeffs`` read back, and what ``to_json``
+``Matrix.rows`` and ``Octonion.coeffs`` read back, and what ``format_scalar``
 formats.  So a scalar supports only +, *, unary minus, == and float(), with
 semantics fixed by its backend: exact equality for ``Rational`` and
 ``QuadExt``, absolute-tolerance equality for ``ApproxReal``.  Plain
@@ -117,7 +117,7 @@ class ApproxReal:
 
     __slots__ = ("value", "eps")
 
-    def __init__(self, value, eps: float = 1e-9):
+    def __init__(self, value, eps: float):
         if not 0 < eps < math.inf:
             raise ValueError("tolerance must be positive and finite")
         self.value = float(value)
@@ -268,7 +268,7 @@ class FloatBackend:
     name = "float"
     exact = False
 
-    def __init__(self, eps: float = 1e-9):
+    def __init__(self, eps: float):
         if not 0 < eps < math.inf:
             raise ValueError("tolerance must be positive and finite")
         self.eps = float(eps)

@@ -31,7 +31,6 @@ from .octonion import (
     deviation,
     ensure_unit,
     format_octonion,
-    parse_octonion,
     random_imaginary_unit,
     to_backend,
     transform,
@@ -70,12 +69,6 @@ class SpherePoint:
 
     def to_json(self) -> dict:
         return {"x": format_octonion(self.x), "y": format_octonion(self.y)}
-
-    @classmethod
-    def from_json(cls, obj: dict, backend) -> "SpherePoint":
-        return cls(
-            parse_octonion(obj["x"], backend), parse_octonion(obj["y"], backend)
-        )
 
     def __repr__(self):
         return f"SpherePoint({format_octonion(self.x)}, {format_octonion(self.y)})"

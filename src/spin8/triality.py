@@ -188,7 +188,7 @@ class TrialityTriple:
 
     def __init__(self, a: Matrix, b: Matrix, c: Matrix):
         for name, m in (("A", a), ("B", b), ("C", c)):
-            if m.n != 8 or not is_special_orthogonal(m):
+            if not is_special_orthogonal(m):
                 raise NotOrthogonal(f"component {name} is not in SO(8)")
         if a._fl is None and b._fl is None and c._fl is None:
             defect = None
@@ -237,24 +237,12 @@ class TrialityTriple:
         which satisfies the identity exactly."""
         return 0.0 if self._defect is None else self._defect[1]
 
-    def to_json(self) -> dict:
-        return {"A": self.A.to_json(), "B": self.B.to_json(), "C": self.C.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict, backend) -> "TrialityTriple":
-        """Parse {"A": mat, "B": mat, "C": mat}; the triple is re-verified."""
-        return cls(
-            Matrix.from_json(obj["A"], backend),
-            Matrix.from_json(obj["B"], backend),
-            Matrix.from_json(obj["C"], backend),
-        )
-
     def __repr__(self):
         return "<TrialityTriple>"
 
 
 def _kconj(m: Matrix) -> Matrix:
-    """k m k for k = diag(1, -1, ..., -1), carrying m's SO(n) verdict.
+    """k m k for k = diag(1, -1, ..., -1), carrying m's SO(8) verdict.
 
     Entries with exactly one index in the e1 slot are negated, on the
     matrix's float or kernel form.  The verdict of ``is_special_orthogonal``
@@ -328,9 +316,6 @@ class GammaElement(namedtuple("GammaElement", "s t")):
     def all_elements(cls) -> list["GammaElement"]:
         """The six words in the order e, t, t2, s, st, st2."""
         return [cls(s, t) for s in (0, 1) for t in (0, 1, 2)]
-
-    def word(self) -> str:
-        return "s" * self.s + ("", "t", "t2")[self.t] or "e"
 
     def act(self, x, tau, sigma):
         """x under this word, for tau and sigma acting on x's kind of value."""

@@ -113,8 +113,9 @@ def test_judge_refuses():
 # (ROADMAP item 1, "Guard").
 CONTROL_ROWS = {
     (name, backend)
-    for name in ("clifford-embedding", "s3-relations", "g2-fixed-group",
-                 "isotropy-at-base", "fixed-sets", "kai-property")
+    for name in ("octonion-axioms", "left-translation-sandwich", "clifford-embedding",
+                 "tau-order-three", "sigma-involution", "s3-relations", "g2-fixed-group",
+                 "isotropy-at-base", "sphere-descent", "fixed-sets", "kai-property")
     for backend in ("exact", "float")
 } | {("triality-closure", "exact")}
 

@@ -1013,31 +1013,75 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
-@settings(max_examples=60, deadline=None,
+@pytest.mark.parametrize("args", [
+    ["verify-all"],
+    ["fixset", "[0,1,0,0,0,0,0,0]"],
+    ["antipodal", "[0,1,0,0,0,0,0,0]"],
+    ["kai"],
+    ["table"],
+])
+def test_trials_beyond_the_bound_fail_before_any_work(tmp_path, capsys, monkeypatch, args):
+    def refuse(*a, **kw):
+        raise AssertionError("work started before --trials was checked")
+
+    for name in ("run_checks", "antipodal_set", "fix_tau_point", "table_rows", "_probe"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "rep.json"
+    code, stdout, err = run(capsys, *args, "--trials", "100001", "--out", str(out))
+    assert (code, stdout, err) == (2, "", "error: trials must be <= 100000\n")
+    assert not out.exists()
+    assert RunConfig(trials=100000).trials == 100000
+
+
+_OUT = {"file": "{tmp}/rep.json", "empty": "", "missing": "{tmp}/missing/rep.json"}
+
+
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(["fixset", "antipodal"]),
-       backend=st.sampled_from(["exact", "float"]),
-       eps=st.sampled_from(["1e-9", "1e-16", "1e-20"]),
+@given(command=st.sampled_from(["verify-all", "fixset", "antipodal", "kai", "table"]),
        literal=st.one_of(
            st.text(),
            st.sampled_from(["[0,1,0,0,0,0,0,0]", "[0,3/5,4/5,0,0,0,0,0]",
                             "[0,0.6,-0.0,-0.8,0,0,0,0]", "[0,1/3,2/3,2/3,0,0,0,0]"]),
            st.lists(st.sampled_from(["0", "1", "-1", "3/5", "4/5", "1/0", "r3",
                                      "nan", "inf", "1e-3", "1e400", "x", "",
-                                     "_", "1_0", "1E5_0", "\u0663/5"]),
+                                     "_", "1_0", "1E5_0", "\u0663/5", "2.5E-3",
+                                     " 1/2 ", "1/2 * r3", "4 /5", "9" * 5000]),
                     min_size=7, max_size=9).map(lambda xs: f"[{','.join(xs)}]"),
-       ))
-def test_any_literal_keeps_the_exit_code_contract(capsys, command, backend, eps, literal):
-    # exit 0 pass, 1 check failed, 2 usage or parse error; never a traceback
-    code = main([command, literal, "--trials", "1", "--backend", backend, "--eps", eps])
+       ),
+       seed=st.one_of(st.none(), st.integers(-2**70, -1), st.integers(2**64, 2**80)),
+       # runnable trials stay at 1 or 2, so that an example takes at most 0.1 s
+       trials=st.one_of(st.integers(-2**70, 0), st.integers(1, 2),
+                        st.integers(checks.MAX_TRIALS + 1, 2**70)),
+       eps=st.sampled_from([None, "1e-9", "1e-16", "1e-20", "nan", "inf", "-0.0",
+                            "5e-324", "1e308"]),
+       backend=st.sampled_from(["exact", "float", "both"]),
+       out=st.sampled_from([None, *_OUT]))
+def test_any_literal_keeps_the_exit_code_contract(tmp_path, capsys, command, literal, seed,
+                                                  trials, eps, backend, out):
+    # exit 0 pass, 1 check failed, 2 usage or parse error with an error line;
+    # never a traceback
+    argv = [command] + ([literal] if command in ("fixset", "antipodal") else [])
+    argv += ["--trials", str(trials), "--backend", backend]
+    argv += [] if seed is None else ["--seed", str(seed)]
+    argv += [] if eps is None else ["--eps", eps]
+    argv += [] if out is None else ["--out", _OUT[out].format(tmp=tmp_path)]
+    code = main(argv)
     _, err = capsys.readouterr()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    assert code != 2 or "error:" in err
+    if not (1 <= trials <= 2 and out in (None, "file") and eps not in ("nan", "inf", "-0.0")):
+        assert code == 2
+        return
+    if command not in ("fixset", "antipodal"):
+        assert code != 2
+        return
     # 2 exactly when the literal is not a unit imaginary octonion at that eps
-    # (argparse reads a leading "-" as an option)
-    (parsing,) = RunConfig(backend=backend, eps=float(eps)).backends()
+    # on every backend (argparse reads a leading "-" as an option)
     try:
-        ensure_imaginary_unit(parse_octonion(literal, parsing))
+        for parsing in RunConfig(backend=backend, eps=float(eps or "1e-9")).backends():
+            ensure_imaginary_unit(parse_octonion(literal, parsing))
         valid = True
     except (ParseError, NotImaginaryUnit):
         valid = False

@@ -505,12 +505,12 @@ def lu_cases(rng, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32), st.sampled_from([8, 16, 3]))
-def test_lu_and_gram_match_the_loops_they_replaced(seed, n):
+@given(st.integers(0, 2**32))
+def test_lu_and_gram_match_the_loops_they_replaced(seed):
     rng = random.Random(seed)
-    rotation = [list(r) for r in random_rotation(rng, FB, n)._fl[1]]
-    big = [list(r) for r in overflowed(random_rotation(rng, FB, n))._fl[1]]
-    for rows in [rotation, big, *lu_cases(rng, n)]:
+    rotation = [list(r) for r in random_rotation(rng, FB)._fl[1]]
+    big = [list(r) for r in overflowed(random_rotation(rng, FB))._fl[1]]
+    for rows in [rotation, big, *lu_cases(rng, 8)]:
         assert repr(linalg._det_float(rows)) == repr(pivot_max_det(rows))
         finite = all(map(math.isfinite, (x for r in rows for x in r)))
         for eps in (EPS, 1e308):
@@ -602,8 +602,8 @@ def test_so8_test_runs_once_per_matrix(monkeypatch):
     calls.clear()
     g * g
     g.inverse()
-    TrialityTriple.from_json(g.to_json(), FB)
-    assert len(calls) == 9  # products, transposes and parsed matrices are tested
+    TrialityTriple(Matrix(g.A.rows), Matrix(g.B.rows), Matrix(g.C.rows))
+    assert len(calls) == 9  # products, transposes and rebuilt matrices are tested
 
 
 def test_reflection_never_enters_a_triple():

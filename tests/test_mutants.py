@@ -3,8 +3,9 @@
 Each test applies one fault to the model in process, runs
 ``verify-all --trials 3`` on the exact backend, or on both, with every job in
 this process, and asserts exit 1 with the named rows failing on each backend
-run.  No mutant touches ``checks``.  The short-scan mutant must also fail the
-``antipodal`` command, which reads the same verdict.
+run.  No mutant changes the code of ``checks``; two rebind a name it
+imports, so only its own calls see them.  The short-scan mutant must also
+fail the ``antipodal`` command, which reads the same verdict.
 """
 
 import json
@@ -63,9 +64,8 @@ def _identity_always_holds(monkeypatch):
 
 
 def _triple_takes_any_8x8(monkeypatch):
-    # the SO(8) precondition of the triple constructor weakened to
-    # `m.n != 8 and not is_special_orthogonal(m)`, which passes every 8x8
-    # matrix; closure's (2A, 2B, C) control must see it
+    # the SO(8) precondition of the triple constructor passes every matrix;
+    # closure's (2A, 2B, C) control must see it
     monkeypatch.setattr(triality, "is_special_orthogonal", lambda m: True)
 
 
@@ -150,6 +150,13 @@ def _body(fn, replacement):
     return lambda monkeypatch: monkeypatch.setattr(fn, "__code__", replacement.__code__)
 
 
+def _outer_is_identity(name):
+    # the tau or sigma that checks calls returns its triple; the order and
+    # homomorphism tests hold for the identity, and only the row's control
+    # on spin_from_unit(e2) sees it
+    return lambda monkeypatch: monkeypatch.setattr(checks, name, lambda g: g)
+
+
 def _scan_draws_no_candidates(monkeypatch):
     # M2: the maximality scan keeps its three closed-form rows, which accept
     # o, p and q, and drops every random candidate
@@ -178,11 +185,13 @@ def _scan_draws_no_candidates(monkeypatch):
      ["exact", "float"]),
     (_body(triality.is_g2, _is_g2_by_or), {"g2-fixed-group"}, ["exact", "float"]),
     (_body(symspace.phi_x, _phi_x_ignores_witness), {"kai-property"}, ["exact", "float"]),
+    (_outer_is_identity("apply_tau"), {"tau-order-three"}, ["exact", "float"]),
+    (_outer_is_identity("apply_sigma"), {"sigma-involution"}, ["exact", "float"]),
 ], ids=["matmul-off-by-one", "left-rows-swapped", "sphere-point-takes-any-pair",
         "identity-always-holds", "scan-draws-no-candidates", "triple-takes-any-8x8",
         "triple-eq-a-or-bc", "triple-eq-ab-or-c", "parity-even-by-or", "parity-odd-by-or",
         "recover-diagonal-by-or", "sphere-point-eq-by-or", "tau-fixed-by-or", "is-g2-by-or",
-        "phi-x-ignores-witness"])
+        "phi-x-ignores-witness", "tau-is-identity", "sigma-is-identity"])
 def test_battery_kills_mutant(tmp_path, capsys, monkeypatch, mutate, rows, backends):
     monkeypatch.setattr(checks, "_cpus", lambda: 1)  # the mutant is in this process
     # an identity triple built under the mutant must not outlive the test

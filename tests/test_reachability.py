@@ -22,7 +22,6 @@ import spin8
 _WORKER = "runs only in a forked check worker"
 _PERFBENCH = "perfbench times or counts it"
 _ORACLE = "a test oracle for the scalar and octonion kernels"
-_JSON = "a JSON round trip kept for failure witnesses (ROADMAP item 1)"
 _REPR = "for debugging and failure messages"
 
 UNREACHED = {
@@ -38,11 +37,6 @@ UNREACHED = {
     ("scalars", "QuadExt.__hash__"): _ORACLE,
     ("scalars", "QuadExt.__neg__"): _ORACLE,
     ("scalars", "QuadExt.__str__"): _ORACLE,
-    ("linalg", "Matrix.to_json"): _JSON,
-    ("linalg", "Matrix.from_json"): _JSON,
-    ("symspace", "SpherePoint.from_json"): _JSON,
-    ("triality", "TrialityTriple.to_json"): _JSON,
-    ("triality", "TrialityTriple.from_json"): _JSON,
     ("linalg", "Matrix.__repr__"): _REPR,
     ("octonion", "Octonion.__repr__"): _REPR,
     ("scalars", "ApproxReal.__repr__"): _REPR,
@@ -53,7 +47,6 @@ UNREACHED = {
     ("triality", "TrialityTriple.__repr__"): _REPR,
     ("triality", "TrialityViolated.__reduce__"):
         "pickles a failure a forked worker sends back",
-    ("triality", "GammaElement.word"): "names a word when debugging",
 }
 
 # (argv, exit code): every subcommand, both backends, a run failed by a

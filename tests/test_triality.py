@@ -3,7 +3,6 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import spin8.kernel as kernel
 import spin8.linalg as linalg
@@ -195,12 +194,11 @@ def test_gamma_words():
     assert ge("s") * ge("t") * ge("s") == ge("t2")
     for w in GammaElement.all_elements():
         assert w * w.inverse() == ge("e")
-        assert ge(w.word()) == w
     assert GammaElement(3, 4) == GammaElement(1, 1)
     words = GammaElement.all_elements()
     assert len(set(words)) == 6
     # s3-relations draws its triples over the words in this order
-    assert [w.word() for w in words] == ["e", "t", "t2", "s", "st", "st2"]
+    assert words == list(WORDS.values())
 
 
 def test_gamma_group_is_associative():
@@ -333,43 +331,11 @@ def test_a_triple_owns_its_residual(monkeypatch):
     assert repr(fl.triality_residual()) == repr(fresh[1])
 
 
-def test_triple_json_round_trip():
+def test_swapped_components_are_refused():
     rng = random.Random(16)
     g = random_triple(rng, EXACT, max_len=2)
-    again = TrialityTriple.from_json(g.to_json(), EXACT)
-    assert again == g
-    # tampered components no longer verify
-    obj = g.to_json()
-    obj["C"], obj["B"] = obj["B"], obj["C"]
     with pytest.raises((TrialityViolated, NotOrthogonal)):
-        TrialityTriple.from_json(obj, EXACT)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32), st.sampled_from(["word", "cube"]),
-       st.sampled_from([EXACT, FloatBackend(1e-9)]))
-def test_json_round_trip_properties(seed, kind, backend):
-    # rational (or float) words, and the Q(sqrt 3) generator triples of cube
-    # roots: from_json inverts to_json, and to_json is idempotent
-    rng = random.Random(seed)
-    if kind == "word":
-        g = random_triple(rng, backend, max_len=3)
-    else:
-        g = spin_from_unit(cube_root_of_unity(random_imaginary_unit(rng, backend)))
-    obj = g.to_json()
-    h = TrialityTriple.from_json(obj, backend)
-    assert h == g
-    assert h.to_json() == obj
-    for m, n in ((g.A, h.A), (g.B, h.B), (g.C, h.C)):
-        back = Matrix.from_json(m.to_json(), backend)
-        assert back == m
-        assert back.to_json() == m.to_json()
-        for got in (n, back):
-            if backend.exact:
-                assert got._form == m._form
-            else:
-                assert [[repr(float(e)) for e in row] for row in got.rows] == \
-                    [[repr(float(e)) for e in row] for row in m.rows]
+        TrialityTriple(g.A, g.C, g.B)
 
 
 def _pairwise_triality(a, b, c):
