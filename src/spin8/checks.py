@@ -605,10 +605,10 @@ def run_checks(cfg: RunConfig, names=None) -> list[CheckResult]:
 
 # The two largest jobs of the float battery and of the default run: by the
 # CPU of each job run in one process at seed 0 (least of 5 runs),
-# kai-property and triality-closure take 30% and 18% of the float battery,
-# and 17% + 14% (kai, exact + float) and 9% + 8% (closure) of the default
-# run.  On verify-all --backend exact --trials 6 they take 26% and 13%, and
-# s3-relations (20%) has passed closure there.  Started last, as in report
+# kai-property and triality-closure take 30% and 17% of the float battery,
+# and 16% + 15% (kai, exact + float) and 8% + 9% (closure) of the default
+# run.  On verify-all --backend exact --trials 6 they take 27% and 14%, and
+# s3-relations (19%) has passed closure there.  Started last, as in report
 # order, kai outlasts the rest of the battery on the other CPU: on 2 CPUs
 # the float battery (seed 7, median of 3 runs) once took 3.55 s serially,
 # 2.72 s dispatched in report order and 2.04 s with these two first.

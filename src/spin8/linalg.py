@@ -19,8 +19,11 @@ the plane rotations of ``random_rotation`` run on the forms alone.  Float
 results are bit-identical to entrywise ``ApproxReal`` arithmetic: the same
 float operations run in the same order, and a run's tolerances are uniform
 and combine as the max.  Every float dot product (norms and the trace form
-too) is ``_dots``: products added one by one in index order onto +0.0, never
-the builtin ``sum``, whose float algorithm depends on the Python version.
+too) is ``_dots``, or has its bits: products added one by one in index order
+onto +0.0, never the builtin ``sum``, whose float algorithm depends on the
+Python version.  Two hot 8 x 8 paths write that expression out in place
+instead of calling ``_dots``: the float product (``Matrix.__mul__``) and the
+float Gram test (``is_orthogonal``); a test pins both copies to ``_dots``.
 
 The one determinant is ``_det_float``, partial-pivot LU on floats.  It gives
 the sign of every SO(8) verdict that nothing proves, exact ones included: an
@@ -143,10 +146,18 @@ class Matrix:
         if self._fl is not None or other._fl is not None:
             ea, a = self._floats()
             eb, b = other._floats()
-            # column j: a_i . b_col_j over the rows a_i; within rounding of AB,
-            # and det AB = det A det B > 0 for two True verdicts (``_so8_verdict``)
-            cols = [_dots(a, c) for c in zip(*b)]
-            return Matrix._of_floats(max(ea, eb), tuple(zip(*cols)), det_pos=both)
+            # entry (i, j): a_i . b_col_j, written out at n = 8 with the bits
+            # of ``_dots``; within rounding of AB, and det AB = det A det B > 0
+            # for two True verdicts (``_so8_verdict``)
+            if n == 8:
+                bc = tuple(zip(*b))
+                rows = tuple([tuple([0.0 + v0*w0 + v1*w1 + v2*w2 + v3*w3
+                                     + v4*w4 + v5*w5 + v6*w6 + v7*w7
+                                     for w0, w1, w2, w3, w4, w5, w6, w7 in bc])
+                              for v0, v1, v2, v3, v4, v5, v6, v7 in a])
+            else:
+                rows = tuple(zip(*[_dots(a, c) for c in zip(*b)]))
+            return Matrix._of_floats(max(ea, eb), rows, det_pos=both)
         da, a, ab = self._form
         db, b, bb = other._form
         pa, pb = kernel.zmul(kernel.matmul, (a, ab), (columns(b), columns(bb)))
@@ -249,6 +260,8 @@ def _dots(vs, w):
     the Python version (3.12 made ``sum`` of floats compensated).  n = 8,
     every rotation and octonion here, runs straight-line; any other n
     (16 x 16 Clifford matrices, 7-dim draws, trace forms) folds with ``reduce``.
+    ``Matrix.__mul__`` and ``is_orthogonal`` write the n = 8 line out again
+    at their 8 x 8 float sites, with these bits.
     """
     if len(w) == 8:
         w0, w1, w2, w3, w4, w5, w6, w7 = w
@@ -306,16 +319,28 @@ def is_orthogonal(m: Matrix) -> bool:
     nan included.  A nan defect fails, as in ``Matrix.__eq__``, so at a
     finite eps every matrix with a non-finite entry fails: its column's
     square norm adds squares, each >= 0, inf or nan, so it is inf or nan.
+
+    At n = 8, the size of every SO(8) verdict, the test is one pass: for
+    j = 0, 1, ..., 7 the dot c_j . c_j, then c_i . c_j for i = j + 1, ..., 7,
+    each written out with the expression of ``_dots`` (v = c_i, w = c_j)
+    and compared as soon as it is computed.  These are the floats and the
+    comparisons of ``_dots(cols[j:], c_j)`` per column, which other sizes
+    (identity matrices in tests) still call, so the verdict is the same;
+    returning at the first failure changes no verdict.
     """
     if m._fl is not None:
         eps, rows = m._fl
         cols = tuple(zip(*rows))
-        for j, cj in enumerate(cols):
-            dots = _dots(cols[j:], cj)  # i = j, j + 1, ..., n - 1
-            if not abs(dots[0] - 1.0) <= eps:
+        if len(cols) != 8:  # the dots c_i . c_j for i = j, j + 1, ..., n - 1
+            return all(abs(dot - (i == j)) <= eps for j, cj in enumerate(cols)
+                       for i, dot in enumerate(_dots(cols[j:], cj), j))
+        for j, (w0, w1, w2, w3, w4, w5, w6, w7) in enumerate(cols):
+            if not abs(0.0 + w0*w0 + w1*w1 + w2*w2 + w3*w3
+                       + w4*w4 + w5*w5 + w6*w6 + w7*w7 - 1.0) <= eps:
                 return False
-            for dot in dots[1:]:
-                if not abs(dot) <= eps:
+            for v0, v1, v2, v3, v4, v5, v6, v7 in cols[j + 1:]:
+                if not abs(0.0 + v0*w0 + v1*w1 + v2*w2 + v3*w3
+                           + v4*w4 + v5*w5 + v6*w6 + v7*w7) <= eps:
                     return False
         return True
     d, a, b = m._form

@@ -118,9 +118,9 @@ def mul_lines(x, y, zero=0):
     coordinate has the loop's bits.  A zero term, which such a loop may skip,
     leaves a nonzero sum unchanged and a zero sum at +0.0; starting floats
     from +0.0 keeps -0.0, which formats as "-0.0", out of the result.
-    ``triality._triality_defect`` writes these lines out once more, each
-    subtracted from its target coordinate of B, and a test pins that copy to
-    the table as well.
+    ``triality._triality_defect`` writes these lines out once more without
+    the 0.0 start, each subtracted from its target coordinate of B, and a
+    test pins that copy to the table as well.
     """
     x0, x1, x2, x3, x4, x5, x6, x7 = x
     y0, y1, y2, y3, y4, y5, y6, y7 = y

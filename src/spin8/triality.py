@@ -130,13 +130,27 @@ def _triality_defect(acols, bcols, ccols):
 
     Pair (i, j), e_i e_j = s e_k, deviates by max_r |t_r - p_r|: t = s B e_k
     and p = (C e_i)(A e_j), whose coordinates are the lines of ``mul_lines``
-    for x = C e_i, y = A e_j and zero = 0.0, written out again here (a test
-    pins this copy to TABLE too).  The signed column t is -b for s = -1, and
-    |-b - p| is |b + p| bit for bit: IEEE rounding is symmetric, so
-    (-b) - p = -(b + p) exactly, a nan operand passes through either way,
-    and abs drops the sign.  The first pair of the largest deviation wins,
-    and a nan deviation never does (``>`` is False on it); ``max`` keeps the
-    first of equal or nan coordinates, as over any sequence.
+    for x = C e_i, y = A e_j and zero = 0.0, written out again here without
+    their 0.0 start (a test pins this copy to TABLE too).
+
+    Precondition: every operand is a float.  Float matrices hold floats, and
+    ``_float_cols`` reads an exact matrix through ``kernel.to_floats``.  So
+    each term is a float p, and 0.0 + p is p unless p is -0.0, when it is
+    +0.0.  Two partial sums that differ only in the sign of a zero stay so
+    after the same float is added (x + z is x for a nonzero x and a zero z,
+    and a zero plus a zero is a zero); t_r minus either is then t_r or a
+    zero.  Dropping the start can so change a line or a d_r only in the sign
+    of a zero, nan and inf included (they pass through a 0.0 start
+    unchanged).  Every test below, the skip test, abs and ``>``, is blind to
+    that sign, so (pair, worst) keeps its bits.  ``mul_lines`` keeps its
+    start: its floats are printed, and -0.0 must stay out of reports.
+
+    The signed column t is -b for s = -1, and |-b - p| is |b + p| bit for
+    bit: IEEE rounding is symmetric, so (-b) - p = -(b + p) exactly, a nan
+    operand passes through either way, and abs drops the sign.  The first
+    pair of the largest deviation wins, and a nan deviation never does
+    (``>`` is False on it); ``max`` keeps the first of equal or nan
+    coordinates, as over any sequence.
 
     A pair whose eight differences d_r all lie in [-worst, worst] is skipped
     before abs and max: abs is exact, so then max_r |d_r| <= worst and the
@@ -148,14 +162,14 @@ def _triality_defect(acols, bcols, ccols):
     for i, (targets, (x0, x1, x2, x3, x4, x5, x6, x7)) in enumerate(zip(_TARGETS, ccols)):
         pairs = enumerate(zip(acols, targets(signed)))
         for j, ((y0, y1, y2, y3, y4, y5, y6, y7), (t0, t1, t2, t3, t4, t5, t6, t7)) in pairs:
-            d0 = t0 - (0.0 + x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7)
-            d1 = t1 - (0.0 + x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6)
-            d2 = t2 - (0.0 + x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5)
-            d3 = t3 - (0.0 + x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4)
-            d4 = t4 - (0.0 + x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3)
-            d5 = t5 - (0.0 + x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2)
-            d6 = t6 - (0.0 + x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1)
-            d7 = t7 - (0.0 + x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0)
+            d0 = t0 - (x0*y0 - x1*y1 - x2*y2 - x3*y3 - x4*y4 - x5*y5 - x6*y6 - x7*y7)
+            d1 = t1 - (x0*y1 + x1*y0 + x2*y3 - x3*y2 + x4*y5 - x5*y4 - x6*y7 + x7*y6)
+            d2 = t2 - (x0*y2 - x1*y3 + x2*y0 + x3*y1 + x4*y6 + x5*y7 - x6*y4 - x7*y5)
+            d3 = t3 - (x0*y3 + x1*y2 - x2*y1 + x3*y0 + x4*y7 - x5*y6 + x6*y5 - x7*y4)
+            d4 = t4 - (x0*y4 - x1*y5 - x2*y6 - x3*y7 + x4*y0 + x5*y1 + x6*y2 + x7*y3)
+            d5 = t5 - (x0*y5 + x1*y4 - x2*y7 + x3*y6 - x4*y1 + x5*y0 - x6*y3 + x7*y2)
+            d6 = t6 - (x0*y6 + x1*y7 + x2*y4 - x3*y5 - x4*y2 + x5*y3 + x6*y0 - x7*y1)
+            d7 = t7 - (x0*y7 - x1*y6 + x2*y5 + x3*y4 - x4*y3 - x5*y2 + x6*y1 + x7*y0)
             if (lo <= d0 <= worst and lo <= d1 <= worst and lo <= d2 <= worst
                     and lo <= d3 <= worst and lo <= d4 <= worst and lo <= d5 <= worst
                     and lo <= d6 <= worst and lo <= d7 <= worst):

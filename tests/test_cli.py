@@ -9,6 +9,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -787,6 +788,38 @@ def test_float_triples_sweep_their_64_pairs_once(tmp_path, capsys, monkeypatch):
     assert counts == {"built": 381, "refused": 1, "g2": 2, "sweeps": 384}
 
 
+def test_float_matrices_hold_floats_only(tmp_path, capsys, monkeypatch):
+    # triality._triality_defect drops the 0.0 start of its lines on the
+    # precondition that every operand is a float, never the int 0 that float
+    # octonion forms may hold: every float matrix a float run builds holds
+    # floats only, and so does every column set the sweep reads
+    from spin8 import triality
+    from spin8.linalg import Matrix
+
+    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
+    made, swept = [], []
+    of_floats, defect = Matrix._of_floats, triality._triality_defect
+
+    def checked_of_floats(cls, eps, rows, **kw):
+        made.append(all(type(x) is float for r in rows for x in r))
+        return of_floats(eps, rows, **kw)
+
+    def checked_defect(*cols):
+        swept.append(all(type(x) is float for m in cols for c in m for x in c))
+        return defect(*cols)
+
+    monkeypatch.setattr(Matrix, "_of_floats", classmethod(checked_of_floats))
+    monkeypatch.setattr(triality, "_triality_defect", checked_defect)
+    out = str(tmp_path / "rep.json")
+    for args in (["verify-all", "--backend", "float", "--trials", "2"],
+                 ["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--backend", "float",
+                  "--trials", "2"]):
+        del made[:], swept[:]
+        assert run(capsys, *args, "--out", out)[0] == 0
+        assert made and all(made), args
+        assert swept and all(swept), args
+
+
 def test_proved_sign_threshold_keeps_every_verdict(tmp_path, capsys, monkeypatch):
     # linalg._SIGN_EPS at 0 runs the LU on every float verdict.  The reports
     # read the same with and without it: the seed-0 float battery, and
@@ -1060,14 +1093,19 @@ _OUT = {"file": "{tmp}/rep.json", "empty": "", "missing": "{tmp}/missing/rep.jso
 def test_any_literal_keeps_the_exit_code_contract(tmp_path, capsys, command, literal, seed,
                                                   trials, eps, backend, out):
     # exit 0 pass, 1 check failed, 2 usage or parse error with an error line;
-    # never a traceback
+    # never a traceback; and every command line finishes in at most 5 s (the
+    # slowest drawn, verify-all --backend both --trials 2, takes under 0.2 s
+    # on 2 cores)
     argv = [command] + ([literal] if command in ("fixset", "antipodal") else [])
     argv += ["--trials", str(trials), "--backend", backend]
     argv += [] if seed is None else ["--seed", str(seed)]
     argv += [] if eps is None else ["--eps", eps]
     argv += [] if out is None else ["--out", _OUT[out].format(tmp=tmp_path)]
+    start = time.perf_counter()
     code = main(argv)
+    elapsed = time.perf_counter() - start
     _, err = capsys.readouterr()
+    assert elapsed <= 5.0, (argv, elapsed)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert code != 2 or "error:" in err

@@ -21,6 +21,7 @@ import inspect
 import math
 import pathlib
 import random
+import textwrap
 from fractions import Fraction
 from operator import add, sub
 
@@ -166,13 +167,18 @@ SYMBOLS = {f"{v}{i}": Sym(f"{v}{i}") for v in "xy" for i in range(8)}
 
 
 def table_lines(zero):
-    """Line k adds +-x[p]*y[q], e_p e_q = +-e_k, in ascending p onto zero."""
+    """Line k adds +-x[p]*y[q], e_p e_q = +-e_k, in ascending p onto zero;
+    with zero None it starts from the p = 0 term, x0*y_k (e_1 e_k = +e_k)."""
     lines = []
     for k in range(8):
-        want = repr(zero)
+        want = None if zero is None else repr(zero)
         for p, row in enumerate(TABLE):
             (q, s), = [(q, s) for q, (s, kk) in enumerate(row) if kk == k]
-            want = f"({want}{'+' if s > 0 else '-'}x{p}*y{q})"
+            if want is None:
+                assert s > 0
+                want = f"x{p}*y{q}"
+            else:
+                want = f"({want}{'+' if s > 0 else '-'}x{p}*y{q})"
         lines.append(want)
     return lines
 
@@ -188,8 +194,10 @@ def test_product_lines_follow_table():
 def test_defect_lines_follow_table():
     # _triality_defect writes the product lines out again, as
     # d_k = t_k - <line k> with x = C e_i and y = A e_j: each line, run on
-    # symbols, must be TABLE's.  A pair outside the skip test takes
-    # max(abs(d0), ..., abs(d7)), every d_k in order.
+    # symbols, must be TABLE's, without the 0.0 start (its docstring proves
+    # the bits of (pair, worst) the same; test_skipping_defect_matches_the_
+    # straight_sweep holds it to the sweep with the start).  A pair outside
+    # the skip test takes max(abs(d0), ..., abs(d7)), every d_k in order.
     tree = ast.parse(inspect.getsource(triality._triality_defect))
     lines = {node.targets[0].id: node.value for node in ast.walk(tree)
              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
@@ -201,11 +209,40 @@ def test_defect_lines_follow_table():
         assert isinstance(value, ast.BinOp) and isinstance(value.op, ast.Sub)
         assert ast.unparse(value.left) == f"t{k}"
         got.append(eval(compile(ast.Expression(value.right), "<line>", "eval"), {}, SYMBOLS).text)
-    assert got == table_lines(0.0)
+    assert got == table_lines(None)
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "max"]
     assert len(calls) == 1
     assert [ast.unparse(arg) for arg in calls[0].args] == [f"abs(d{k})" for k in range(8)]
+
+
+def _headed_dots(function, names):
+    """Every whole sum in a function's source that starts from 0.0, run on
+    the symbols in names."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    sums = []
+    for node in ast.walk(tree):
+        start = node
+        while isinstance(start, ast.BinOp) and isinstance(start.op, ast.Add):
+            start = start.left
+        if node is not start and isinstance(start, ast.Constant) and start.value == 0.0:
+            sums.append(node)
+    inner = {id(node.left) for node in sums}
+    return sorted(eval(compile(ast.Expression(node), "<dot>", "eval"), {}, names).text
+                  for node in sums if id(node) not in inner)
+
+
+def test_written_out_dots_are_the_dots_of_linalg():
+    # Matrix.__mul__ and is_orthogonal write the 8-term dot of _dots out in
+    # place: each copy, run on symbols, must add v_k*w_k in index order onto
+    # 0.0 as _dots does (the Gram test's diagonal dot c_j . c_j has v = w)
+    v = [Sym(f"v{k}") for k in range(8)]
+    w = [Sym(f"w{k}") for k in range(8)]
+    names = {s.text: s for s in v + w}
+    vw, ww = linalg._dots([v], w)[0].text, linalg._dots([w], w)[0].text
+    assert vw == "(" * 8 + "0.0" + "".join(f"+v{k}*w{k})" for k in range(8))
+    assert _headed_dots(Matrix.__mul__, names) == [vw]
+    assert _headed_dots(linalg.is_orthogonal, names) == sorted([vw, ww])
 
 
 def test_no_float_path_calls_builtin_sum():
