@@ -603,24 +603,31 @@ def run_checks(cfg: RunConfig, names=None) -> list[CheckResult]:
     return _run_jobs(jobs, _dispatch_order(pairs))
 
 
-# The two largest jobs of the float battery and of the default run: by the
-# CPU of each job run in one process at seed 0 (least of 5 runs),
-# kai-property and triality-closure take 30% and 17% of the float battery,
-# and 16% + 15% (kai, exact + float) and 8% + 9% (closure) of the default
-# run.  On verify-all --backend exact --trials 6 they take 27% and 14%, and
-# s3-relations (19%) has passed closure there.  Started last, as in report
-# order, kai outlasts the rest of the battery on the other CPU: on 2 CPUs
-# the float battery (seed 7, median of 3 runs) once took 3.55 s serially,
-# 2.72 s dispatched in report order and 2.04 s with these two first.
-_HEAVIEST_FIRST = ("kai-property", "triality-closure")
+# Every check, longest job first.  By the CPU of each job run in one
+# process at seed 0 (least of 5 runs), the float battery is kai-property
+# 31%, triality-closure 17%, s3-relations 9%, tau-order-three 8%,
+# sigma-involution 7%, antipodal-triple 6%, and each of the rest 5% or less;
+# the default run is kai 17% + 15% (exact + float), closure 7% + 9%,
+# s3-relations 4% + 5%, antipodal-triple 5% + 3%, and each of the rest 7%
+# or less for both backends.  The order is the default run's down to
+# g2-fixed-group; the five smallest, each under 5% of either run, follow
+# the float battery.  On verify-all --backend exact --trials 6
+# s3-relations (19%) passes closure (13%), after kai (26%).  Started last,
+# as in report order, kai outlasts the rest of the battery on the other CPU:
+# on 2 CPUs the float battery (seed 7, median of 3 runs) once took 3.55 s
+# serially, 2.72 s dispatched in report order and 2.04 s with kai and
+# closure first.  Small jobs last fill the gaps the large ones leave.
+_HEAVIEST_FIRST = ("kai-property", "triality-closure", "s3-relations", "antipodal-triple",
+                   "tau-order-three", "sigma-involution", "clifford-embedding",
+                   "g2-fixed-group", "octonion-axioms", "sphere-descent", "isotropy-at-base",
+                   "left-translation-sandwich", "fixed-sets")
 
 
 def _dispatch_order(pairs) -> list[int]:
-    """Indices of (check, backend) pairs: the heaviest checks first, then the
-    rest in report order."""
+    """Indices of (check, backend) pairs, heaviest check first, the backends
+    of a check in report order."""
     rank = {name: r for r, name in enumerate(_HEAVIEST_FIRST)}
-    return sorted(range(len(pairs)),
-                  key=lambda i: rank.get(pairs[i][0].name, len(rank)))
+    return sorted(range(len(pairs)), key=lambda i: rank[pairs[i][0].name])
 
 
 def _cpus() -> int:
@@ -628,6 +635,12 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
+
+
+def _processes() -> int:
+    """How many processes share a run's jobs: one per CPU, or the calling
+    process alone where there is no os.fork."""
+    return _cpus() if hasattr(os, "fork") else 1
 
 
 def _pull(queue_fd: int):
@@ -668,7 +681,7 @@ def _run_jobs(jobs, order=None, workers=None) -> list:
     if order is None:
         order = range(len(jobs))
     if workers is None:
-        workers = min(_cpus(), len(jobs)) - 1 if hasattr(os, "fork") else 0
+        workers = min(_processes(), len(jobs)) - 1
     pending = object()
     results = [pending] * len(jobs)
     queue_r, queue_w = os.pipe()

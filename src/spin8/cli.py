@@ -12,6 +12,11 @@ Reports are JSON objects {"schema": 1, "config": {...}, ...} written to
 --out or stdout; a human summary goes to stderr.  Identical configurations
 (including --seed) produce byte-identical reports.  Exit codes: 0 all checks
 pass, 1 a check failed, 2 usage or parse error.
+
+verify-all and kai share their (check, backend) jobs, and antipodal the row
+ranges of each backend's maximality scan, between this process and forked
+workers, one process per CPU (checks._run_jobs); the report, the summary
+lines and the exit code do not depend on how many there are.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii as _string
 
+from . import checks
 from .checks import RunConfig, _run_jobs, derive_seed, run_checks
 from .octonion import (
     NotImaginaryUnit,
@@ -34,10 +40,12 @@ from .octonion import (
 )
 from .scalars import CheckFailed, ParseError
 from .symspace import (
-    antipodal_set,
     base_point,
+    certify_antipodal,
     fix_tau_point,
     is_fixed_by_tau,
+    maximality_scan,
+    maximality_verdict,
     sigma_sphere,
     tau_fixed_characterization,
     tau_sphere,
@@ -210,7 +218,7 @@ def _read_v(literal: str, backend):
         raise ParseError(str(exc)) from None
 
 
-def _fixset_section(cfg: RunConfig, v, backend):
+def _fixset_section(v, backend):
     pt = fix_tau_point(v)
     fixed = is_fixed_by_tau(pt) and tau_fixed_characterization(pt)
     orbit_closed = tau_sphere(tau_sphere(tau_sphere(pt))) == pt
@@ -228,72 +236,110 @@ def _fixset_section(cfg: RunConfig, v, backend):
     return section, line, ok
 
 
-def _candidates(rows, ind) -> list:
-    """The scan's rows, each as _render writes its dict {"t", "candidate":
-    {"x", "y"}, "accepted", "residual"} in a list at depth `ind`: one
-    template that _render made, filled per row, so no row dict is built."""
+def _candidates(rows, ind) -> _Rendered:
+    """The scan's rows as _render writes them as members of a list at depth
+    `ind`, less the brackets: one list element whose text is the rows in
+    their places, so a list of such elements renders as the list of all
+    their rows.  Each row is {"t", "candidate": {"x", "y"}, "accepted",
+    "residual"}, from one template that _render made, filled per row, so no
+    row dict is built."""
     slot = _Rendered("%s")  # filled in key order
     row = _render({"accepted": slot, "candidate": {"x": slot, "y": slot},
                    "residual": slot, "t": slot}, ind + "  ")
-    return [_Rendered(row % (_scalar(r.accepted), _string(format_octonion(r.candidate.x)),
-                             _string(format_octonion(r.candidate.y)), _scalar(r.residual),
-                             _string(format_octonion(r.t))))
-            for r in rows]
+    return _Rendered(("," + ind + "  ").join([
+        row % (_scalar(r.accepted), _string(format_octonion(r.candidate.x)),
+               _string(format_octonion(r.candidate.y)), _scalar(r.residual),
+               _string(format_octonion(r.t)))
+        for r in rows]))
 
 
-def _antipodal_section(cfg: RunConfig, v, backend):
+def _antipodal_part(cfg: RunConfig, v, backend, start, stop):
+    """Rows [start, stop) of one backend's antipodal scan, as one process
+    runs them: the certificates if the range starts the scan (raising if one
+    fails), else None; the rows as one element of the candidates list; the
+    accepted candidates; the number of rows."""
+    cert = certify_antipodal(v) if start == 0 else None
     rng = random.Random(derive_seed(cfg.seed, "antipodal-cmd", backend.name))
-    aset = antipodal_set(v, cfg.trials, rng)  # raises if a certificate fails
-    accepted = sum(r.accepted for r in aset.rows)
-    section = {
-        "backend": backend.name,
-        "v": format_octonion(v),
-        "points": [x.to_json() for x in aset.points],
-        "sigma_swaps_pair": aset.sigma_swaps,
-        "polar_intersections": aset.polar_intersections,
-        "maximality": {
-            "trials": cfg.trials,
-            "accepted": accepted,
-            "extra_acceptances": aset.extra,
-            "candidates": _candidates(aset.rows, _SECTION + "    "),
-        },
-    }
-    ok = aset.sigma_swaps and aset.polar_intersections and aset.maximal
-    line = (f"{'PASS' if ok else 'FAIL'} antipodal [{backend.name}] "
-            f"accepted={accepted} of {len(aset.rows)} candidates")
-    return section, line, ok
+    rows = maximality_scan(v, cfg.trials, rng, start, stop)
+    return (cert, _candidates(rows, _SECTION + "    "),
+            [r.candidate for r in rows if r.accepted], len(rows))
 
 
-def _sections(cfg: RunConfig, literal: str, command: str, section, out,
-              workers=None) -> int:
-    """Report `section(cfg, v, backend)` for each backend under `command`.
+def _antipodal_sections(cfg: RunConfig, vs):
+    """(section, summary line, verdict) of each backend, in backend order.
 
-    v is read and checked on every backend before any work.  The sections
-    then run as one job per backend on the shared runner (with `workers`
-    forked workers, by default one per further CPU), and the summary
-    lines, the failure raised and the report are those of running them one
+    Each backend's scan is split into one row range per runner process (no
+    more ranges than rows, and at most 256 jobs), run as jobs on it: the
+    exact ranges first, and each backend's later range first, as it also
+    replays the draws of the rows before it.  The ranges' rows are the whole
+    scan's (``maximality_scan``), spliced in order, and one
+    ``maximality_verdict`` judges them all, so the report is that of the
+    whole scan in one process; with one CPU it is that run.
+    """
+    backends, rows = cfg.backends(), cfg.trials + 3
+    n = min(checks._processes(), rows, 256 // len(backends))
+    bounds = [rows * k // n for k in range(n + 1)]
+
+    def part(v, backend, k):
+        try:
+            return _antipodal_part(cfg, v, backend, bounds[k], bounds[k + 1])
+        except CheckFailed as exc:  # raised below, in backend order
+            return exc
+
+    jobs = [partial(part, v, b, k) for v, b in zip(vs, backends) for k in range(n)]
+    order = [i + k for i in range(0, len(jobs), n) for k in reversed(range(n))]
+    outcomes = _run_jobs(jobs, order)
+    for i, (v, backend) in enumerate(zip(vs, backends)):
+        parts = outcomes[i * n:(i + 1) * n]
+        failed = [p for p in parts if isinstance(p, CheckFailed)]
+        if failed:  # raise what one process raises: the whole scan tests
+            # every draw before any row, so its first failure need not be
+            # the first range's
+            _antipodal_part(cfg, v, backend, 0, rows)
+            raise failed[0]
+        certs, texts, accepted, counts = zip(*parts)
+        cert, accepted, scanned = certs[0], [c for a in accepted for c in a], sum(counts)
+        extra, maximal = maximality_verdict(cert.points, accepted, scanned, cfg.trials)
+        section = {
+            "backend": backend.name,
+            "v": format_octonion(v),
+            "points": [x.to_json() for x in cert.points],
+            "sigma_swaps_pair": cert.sigma_swaps,
+            "polar_intersections": cert.polar_intersections,
+            "maximality": {
+                "trials": cfg.trials,
+                "accepted": len(accepted),
+                "extra_acceptances": extra,
+                "candidates": [t for t in texts if t],  # a short scan's can be empty
+            },
+        }
+        ok = cert.sigma_swaps and cert.polar_intersections and maximal
+        line = (f"{'PASS' if ok else 'FAIL'} antipodal [{backend.name}] "
+                f"accepted={len(accepted)} of {scanned} candidates")
+        yield section, line, ok
+
+
+def _sections(cfg: RunConfig, literal: str, command: str, out) -> int:
+    """Report a `command` section for each backend.
+
+    v is read and checked on every backend before any work.  A fixset
+    section takes 1-3 ms, less than forking a worker and sending its result
+    back (about 6 ms on a 2-core host), so both run here; the antipodal
+    sections come from ``_antipodal_sections``.  The summary lines, the
+    failure raised and the report are those of running the sections one
     after another: lines in backend order, and the first section's failure
     (a CheckFailed) raised after the lines of the sections before it.
     """
     backends = cfg.backends()
     vs = [_read_v(literal, backend) for backend in backends]
-
-    def job(v, backend):
-        try:
-            body, line, passed = section(cfg, v, backend)
-        except CheckFailed as exc:  # raised below, in backend order
-            return exc
-        # rendered here, so a worker sends back one string
-        return _Rendered(_render(body, _SECTION)), line, passed
-
+    if command == "fixset":
+        made = (_fixset_section(v, b) for v, b in zip(vs, backends))
+    else:
+        made = _antipodal_sections(cfg, vs)
     sections, ok = [], True
-    jobs = [partial(job, v, b) for v, b in zip(vs, backends)]
-    for outcome in _run_jobs(jobs, workers=workers):
-        if isinstance(outcome, Exception):
-            raise outcome
-        body, line, passed = outcome
+    for section, line, passed in made:
         print(line, file=sys.stderr)
-        sections.append(body)
+        sections.append(section)
         ok = ok and passed
     _emit(cfg, command, command, sections, out)
     return 0 if ok else 1
@@ -329,13 +375,8 @@ def main(argv=None) -> int:
         out = fifo or args.out  # a FIFO's report goes through the probed write end
         if args.command == "verify-all":
             return cmd_checks(cfg, "verify-all", out)
-        if args.command == "fixset":
-            # a fixset section takes 1-3 ms, less than forking a worker and
-            # sending its result back (about 6 ms on a 2-core host): both run
-            # in this process
-            return _sections(cfg, args.v, "fixset", _fixset_section, out, workers=0)
-        if args.command == "antipodal":
-            return _sections(cfg, args.v, "antipodal", _antipodal_section, out)
+        if args.command in ("fixset", "antipodal"):
+            return _sections(cfg, args.v, args.command, out)
         if args.command == "kai":
             return cmd_checks(cfg, "kai", out, names=["kai-property"])
         return cmd_table(cfg, out)

@@ -12,9 +12,10 @@ runs over the nontrivial cube roots of unity; Fix(sigma) is the diagonal, and
 the two intersect only in o.  The point-symmetry groups transported from o
 make Y the polar of o, and the three-point configuration {o, (s, conj s),
 (conj s, s)} the unique maximal antipodal set through o for the order-3
-structure.  ``antipodal_set`` builds the order-3 group at each of the three
-points, as a list of two ``phi_x`` elements, and decides every verdict on
-the set.
+structure.  ``certify_antipodal`` builds the order-3 group at each of the
+three points, as a list of two ``phi_x`` elements, and decides the
+certificates; ``maximality_verdict`` decides maximality from the rows of
+``maximality_scan``, whole or in ranges; ``antipodal_set`` runs all three.
 
 (The abstract construction also assumes a right-invariant metric upstairs;
 that hypothesis has no computational counterpart here and only the group
@@ -146,13 +147,25 @@ def kai_sides(
     return lhs, rhs
 
 
-AntipodalSet = namedtuple(
-    "AntipodalSet", "points sigma_swaps polar_intersections rows extra maximal")
+Certified = namedtuple("Certified", "points sigma_swaps polar_intersections")
+AntipodalSet = namedtuple("AntipodalSet", Certified._fields + ("rows", "extra", "maximal"))
 
 
 def antipodal_set(v: Octonion, trials: int, rng) -> AntipodalSet:
+    """The set {o, p, q} of v with its certificates (``certify_antipodal``),
+    the rows of the whole ``maximality_scan(v, trials, rng)`` and their
+    ``maximality_verdict``: all the antipodal-triple check reads.  The
+    antipodal command makes the same three calls itself, its scan in row
+    ranges, and reads the same verdicts."""
+    cert = certify_antipodal(v)
+    rows = maximality_scan(v, trials, rng)
+    accepted = [r.candidate for r in rows if r.accepted]
+    return AntipodalSet(*cert, rows, *maximality_verdict(cert.points, accepted, len(rows), trials))
+
+
+def certify_antipodal(v: Octonion) -> Certified:
     """The three-point set {o, p, q} = {o, (s, conj s), (conj s, s)} with
-    certificates, and the verdict of its maximality scan.
+    certificates.
 
     The witnesses (the identity, L(s)-type and L(conj s)-type triples) must
     transport o to o, p and q.  The order-3 group at each point is the list
@@ -172,12 +185,6 @@ def antipodal_set(v: Octonion, trials: int, rng) -> AntipodalSet:
     cube_root_of_unity(-v) negates each coefficient of sqrt 3 v / 2 as conj
     does, so fix_tau_point(-v) builds q's floats or reduced form.  Both flags
     stay because the report keys and the benchmark goldens hold them.
-
-    Then `maximality_scan(v, trials, rng)` runs, and its `rows` are kept.
-    `extra` counts the accepted candidates that are none of o, p and q;
-    `maximal` holds when there are none, each of o, p and q is accepted, and
-    the scan has its `trials + 3` rows.  Every caller reads these flags, so
-    maximality is decided here and nowhere else.
     """
     s = cube_root_of_unity(v)
     o = base_point()
@@ -201,21 +208,29 @@ def antipodal_set(v: Octonion, trials: int, rng) -> AntipodalSet:
         for target in points:
             if any(act_semidirect(el, target) != target for el in group):
                 raise AntipodalityViolated(f"symmetry at {base!r} moves {target!r}")
-    rows = maximality_scan(v, trials, rng)
-    accepted = [r.candidate for r in rows if r.accepted]
+    return Certified(points, sigma_sphere(p) == q and sigma_sphere(q) == p,
+                     q == fix_tau_point(-v))
+
+
+def maximality_verdict(points, accepted, scanned: int, trials: int) -> tuple:
+    """(extra, maximal) for a scan of `trials` random candidates that gave
+    `scanned` rows and accepted the candidates `accepted`.  `extra` counts
+    the accepted candidates that are none of the `points` o, p and q;
+    `maximal` holds when there are none, each of o, p and q is accepted, and
+    the scan has its `trials + 3` rows.  Every caller reads these, so
+    maximality is decided here and nowhere else."""
     extra = sum(not any(c == x for x in points) for c in accepted)
-    maximal = (extra == 0 and len(rows) == trials + 3
-               and all(any(c == x for c in accepted) for x in points))
-    return AntipodalSet(points, sigma_sphere(p) == q and sigma_sphere(q) == p,
-                        q == fix_tau_point(-v), rows, extra, maximal)
+    return extra, (extra == 0 and scanned == trials + 3
+                   and all(any(c == x for c in accepted) for x in points))
 
 
 ScanRow = namedtuple("ScanRow", "t candidate accepted residual")
 
 
-def maximality_scan(v: Octonion, trials: int, rng) -> list:
+def maximality_scan(v: Octonion, trials: int, rng, start: int = 0, stop=None) -> list:
     """Scan for points of Y that could extend {o, p, q}: one ScanRow per
-    candidate, for ``antipodal_set`` to judge.
+    candidate, for ``maximality_verdict`` to judge.  Rows [start, stop) of
+    the scan are returned, by default all ``trials + 3``.
 
     Candidates are (s*t, conj(s)*conj(t)) for cube roots of unity t: the three
     closed-form ones (t = 1, s, conj s from w = v, -v) plus cube roots built
@@ -238,14 +253,29 @@ def maximality_scan(v: Octonion, trials: int, rng) -> list:
     ``deviation``.  The random candidates are drawn from `rng`, a
     random.Random, on the backend of v: exact, or floats at the tolerance of
     v's float form.
+
+    Each row of a range is the whole scan's row of the same index, for the
+    same rng state at the call.  Proof.  Row i is a function of v and t_i
+    alone.  t_0, t_1 and t_2 depend on v only; t_i for i >= 3 is the cube
+    root of w_(i-3), where w_j is what the (j+1)-th
+    ``random_imaginary_unit(rng, backend)`` call returns.  Those calls are
+    the scan's only use of rng, made in order of j, and a call's result and
+    the state it leaves depend on the state before it alone, not on whether
+    the result is kept.  So making and dropping the draws j < start - 3,
+    then making those of the range's rows, gives the whole scan's w_j,
+    hence its t_i and rows.  A range leaves rng after max(stop - 3, 0)
+    draws, the whole scan after `trials`.
     """
     backend = EXACT if v._fl is None else FloatBackend(v._fl[0])
+    stop = trials + 3 if stop is None else stop
     s = cube_root_of_unity(v)
     sc = s.conj()
-    candidates = [to_backend(Octonion.one(), backend), s, cube_root_of_unity(-v)]
+    for _ in range(3, start):  # the draws of the rows before the range
+        random_imaginary_unit(rng, backend)
+    candidates = [to_backend(Octonion.one(), backend), s, cube_root_of_unity(-v)][start:stop]
     candidates += [
         cube_root_of_unity(random_imaginary_unit(rng, backend))
-        for _ in range(trials)
+        for _ in range(max(start, 3), stop)
     ]
     rows = []
     for t in candidates:

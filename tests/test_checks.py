@@ -154,21 +154,27 @@ def test_checks_state_controls_only_through_the_verbs():
             assert not all(isinstance(b, ast.Pass) for b in node.body), node.lineno
 
 
-def test_antipodal_verdicts_are_decided_by_antipodal_set():
-    # the sigma swap and maximality are decided once, in antipodal_set: its
-    # two callers use nothing else that symspace defines (no maximality_scan,
-    # no sigma_sphere, no SpherePoint) and compare no two computed values,
-    # only a value with a literal
+def test_antipodal_verdicts_are_decided_in_symspace():
+    # the sigma swap is decided once, in certify_antipodal, and maximality
+    # once, in maximality_verdict: the check reaches both through
+    # antipodal_set, and the command calls them itself.  The callers use
+    # nothing else that symspace defines (no sigma_sphere, no SpherePoint)
+    # and compare no two computed values, only a value with a literal
     import spin8.cli as cli
     import spin8.symspace as symspace
 
     defined = {name for name, obj in vars(symspace).items()
                if getattr(obj, "__module__", None) == symspace.__name__}
-    assert {"antipodal_set", "maximality_scan", "sigma_sphere"} <= defined
-    for module, name in ((checks, "_check_antipodal"), (cli, "_antipodal_section")):
+    verdicts = {"certify_antipodal", "maximality_scan", "maximality_verdict"}
+    assert verdicts | {"antipodal_set", "sigma_sphere"} <= defined
+    callers = {(symspace, "antipodal_set"): verdicts | {"AntipodalSet"},
+               (checks, "_check_antipodal"): {"antipodal_set"},
+               (cli, "_antipodal_part"): {"certify_antipodal", "maximality_scan"},
+               (cli, "_antipodal_sections"): {"maximality_verdict"}}
+    for (module, name), want in callers.items():
         tree = ast.parse(inspect.getsource(getattr(module, name)))
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        assert used & defined == {"antipodal_set"}, name
+        assert used & defined == want, name
         for node in ast.walk(tree):
             if isinstance(node, ast.Compare):
                 operands = [node.left, *node.comparators]
@@ -237,8 +243,15 @@ def test_results_and_report_bytes_do_not_depend_on_workers_or_order(
     serial = [run_check(c, cfg, b) for c, b in pairs]
     jobs = [partial(run_check, c, cfg, b) for c, b in pairs]
     order = _dispatch_order(pairs)
-    assert [pairs[i][0].name for i in order[:4]] == (
-        ["kai-property"] * 2 + ["triality-closure"] * 2)
+    # every check in the measured order, longest first, each on both
+    # backends in report order
+    heaviest = ["kai-property", "triality-closure", "s3-relations", "antipodal-triple",
+                "tau-order-three", "sigma-involution", "clifford-embedding",
+                "g2-fixed-group", "octonion-axioms", "sphere-descent", "isotropy-at-base",
+                "left-translation-sandwich", "fixed-sets"]
+    assert sorted(heaviest) == sorted(c.name for c in CHECKS)
+    assert [(pairs[i][0].name, pairs[i][1].name) for i in order] == [
+        (name, b) for name in heaviest for b in ("exact", "float")]
     assert sorted(order) == list(range(len(jobs)))
     for workers in (0, 1, 3):
         for o in (order, order[::-1]):

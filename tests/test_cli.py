@@ -19,7 +19,7 @@ import spin8.cli as cli
 import spin8.symspace as symspace
 from spin8.checks import RunConfig
 from spin8.cli import main
-from spin8.octonion import NotImaginaryUnit, ensure_imaginary_unit, parse_octonion
+from spin8.octonion import NotImaginaryUnit, NotUnit, ensure_imaginary_unit, parse_octonion
 from spin8.scalars import ParseError
 
 
@@ -179,7 +179,7 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, arg
         calls.append(a)
         raise AssertionError("work started before the output path was checked")
 
-    for name in ("run_checks", "antipodal_set", "fix_tau_point"):
+    for name in ("run_checks", "certify_antipodal", "maximality_scan", "fix_tau_point"):
         monkeypatch.setattr(cli, name, refuse)
     for out in (tmp_path / "missing" / "rep.json", tmp_path, ""):
         code, stdout, err = run(capsys, *args, "--out", str(out))
@@ -602,14 +602,16 @@ def test_antipodal(capsys):
 
 
 def test_a_sigma_that_does_not_swap_fails(tmp_path, capsys, monkeypatch):
-    # antipodal_set decides the swap for both callers: reported False, the
-    # antipodal-triple rows and the antipodal command fail
-    def aset(*args, real=cli.antipodal_set):
-        return real(*args)._replace(sigma_swaps=False)
+    # certify_antipodal decides the swap for both callers: reported False,
+    # the antipodal-triple rows and the antipodal command, its scan split
+    # into two row ranges per backend, fail (a forked worker inherits the
+    # patch)
+    def certify(v, real=symspace.certify_antipodal):
+        return real(v)._replace(sigma_swaps=False)
 
-    monkeypatch.setattr(checks, "_cpus", lambda: 1)  # every job in this process
-    monkeypatch.setattr(checks, "antipodal_set", aset)
-    monkeypatch.setattr(cli, "antipodal_set", aset)
+    monkeypatch.setattr(checks, "_cpus", lambda: 2)
+    monkeypatch.setattr(symspace, "certify_antipodal", certify)  # antipodal_set's
+    monkeypatch.setattr(cli, "certify_antipodal", certify)
     out = tmp_path / "rep.json"
     code, _, _ = run(capsys, "verify-all", "--trials", "1", "--out", str(out))
     assert code == 1
@@ -897,21 +899,27 @@ def test_failing_scan_counts_only_extra_acceptances(tmp_path, capsys, monkeypatc
                                                    row, accepted, total, extra):
     # a failing scan counts the accepted candidates that are none of o, p
     # and q: a random row forced to accepted is one extra, and a closed-form
-    # row forced to rejected leaves two accepted points and no extra
-    def scan(*args, real=symspace.maximality_scan):
-        rows = real(*args)
-        rows[row] = rows[row]._replace(accepted=accepted)
+    # row forced to rejected leaves two accepted points and no extra.  The
+    # row is forced by its index in the whole scan, in whichever of 1, 2 or
+    # 4 row ranges it falls (a forked worker inherits the patch)
+    def scan(v, trials, rng, start=0, stop=None, real=symspace.maximality_scan):
+        rows = real(v, trials, rng, start, stop)
+        if start <= row < start + len(rows):
+            rows[row - start] = rows[row - start]._replace(accepted=accepted)
         return rows
 
-    monkeypatch.setattr(symspace, "maximality_scan", scan)
+    monkeypatch.setattr(cli, "maximality_scan", scan)
     out = tmp_path / "rep.json"
-    for backend in ("exact", "float"):
-        code, _, err = run(capsys, "antipodal", "[0,3/5,4/5,0,0,0,0,0]",
-                           "--backend", backend, "--trials", "5", "--out", str(out))
-        assert code == 1 and err.startswith(f"FAIL antipodal [{backend}] ")
-        scan_report = json.loads(out.read_text())["antipodal"][0]["maximality"]
-        assert scan_report["accepted"] == total
-        assert scan_report["extra_acceptances"] == extra
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(checks, "_cpus", lambda: cpus)
+        for backend in ("exact", "float"):
+            code, _, err = run(capsys, "antipodal", "[0,3/5,4/5,0,0,0,0,0]",
+                               "--backend", backend, "--trials", "5", "--out", str(out))
+            assert code == 1 and err.startswith(f"FAIL antipodal [{backend}] ")
+            scan_report = json.loads(out.read_text())["antipodal"][0]["maximality"]
+            assert scan_report["accepted"] == total
+            assert scan_report["extra_acceptances"] == extra
+            assert len(scan_report["candidates"]) == 5 + 3
 
 
 @pytest.mark.parametrize("command", ["fixset", "antipodal"])
@@ -968,10 +976,11 @@ def assert_no_children():
 
 @pytest.mark.parametrize("command", ["antipodal", "fixset"])
 def test_sections_do_not_depend_on_workers(tmp_path, capsys, monkeypatch, command):
-    # one job per backend: with 1 CPU both sections run here, one after the
-    # other; with 2 or 4 a worker runs one antipodal section.  Passing sections,
-    # failed checks (exit 1) and literals that are no unit at that eps
-    # (exit 2) alike give the same report bytes, stderr and exit code.
+    # with 1 CPU both sections run here, one after the other; with 2 or 4
+    # each antipodal scan is split into as many row ranges, shared with
+    # workers (fixset never forks).  Passing sections, failed checks (exit 1)
+    # and literals that are no unit at that eps (exit 2) alike give the same
+    # report bytes, stderr and exit code.
     for literal in ("[0,3/5,4/5,0,0,0,0,0]", "[0,1/2,1/2*r3,0,0,0,0,0]",
                     "[0,0.6,-0.0,-0.8,0,0,0,0]"):
         for eps in ("1e-9", "1e-16", "1e-20"):
@@ -985,6 +994,83 @@ def test_sections_do_not_depend_on_workers(tmp_path, capsys, monkeypatch, comman
                 seen.add((code, report, capsys.readouterr().err))
                 assert_no_children()
             assert len(seen) == 1, (literal, eps)
+
+
+_DRAW_FAILS = "error: NotImaginaryUnit: expected a unit octonion with zero e1 component"
+
+
+@pytest.mark.parametrize("backend", ["both", "exact", "float"])
+def test_antipodal_row_ranges_do_not_change_the_run(tmp_path, capsys, monkeypatch, backend):
+    # the scan split into 1, 2 or 4 row ranges per backend gives the same
+    # report bytes, stderr and exit code at every trial count.  At eps 4e-16
+    # and 20 trials the float scan fails: its first failure is a draw, as
+    # the whole scan tests every draw before any row, while the first of 4
+    # ranges fails a row (NotUnit) first.  The failure raised is the whole
+    # scan's, after the lines of the sections before it, as it always was.
+    literal = "[0,3/5,4/5,0,0,0,0,0]"
+    hostile = RunConfig(trials=20, eps=4e-16, backend="float")
+    (fb,) = hostile.backends()
+    with pytest.raises(NotUnit):
+        cli._antipodal_part(hostile, cli._read_v(literal, fb), fb, 0, 5)
+    for args in (["--trials", "1"], ["--trials", "2"], ["--trials", "5"],
+                 ["--trials", "20", "--eps", "4e-16"]):
+        seen = set()
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(checks, "_cpus", lambda: cpus)
+            out = tmp_path / "rep.json"
+            code = main(["antipodal", literal, "--backend", backend, *args, "--out", str(out)])
+            seen.add((code, out.read_bytes() if out.exists() else None,
+                      capsys.readouterr().err))
+            out.unlink(missing_ok=True)
+            assert_no_children()
+        assert len(seen) == 1, args
+    ((code, report, err),) = seen
+    if backend == "exact":
+        assert code == 0 and err == "PASS antipodal [exact] accepted=3 of 23 candidates\n"
+    else:
+        lines = ["PASS antipodal [exact] accepted=3 of 23 candidates"] * (backend == "both")
+        assert (code, report, err) == (1, None, "\n".join(lines + [_DRAW_FAILS]) + "\n")
+
+
+def test_each_antipodal_row_is_computed_once(capsys, monkeypatch):
+    # With one CPU, or with no os.fork, each backend draws exactly `trials`
+    # w's.  Split into 4 row ranges (run in this process, as the system
+    # refuses every fork), each backend still certifies once and computes
+    # each of its trials + 3 rows once, with its residual; the ranges replay
+    # only the draws of the rows before them, and run exact first, each
+    # backend's later range first.
+    import collections
+
+    counts, orders = collections.Counter(), []
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: counts.update([name]) or real(*a))
+
+    def refuse_fork():
+        raise OSError("no fork")
+
+    count(cli, "certify_antipodal")
+    count(symspace, "random_imaginary_unit")
+    count(symspace, "deviation")  # once per row
+    monkeypatch.setattr(cli, "_run_jobs", lambda jobs, order, real=cli._run_jobs:
+                        orders.append(order) or real(jobs, order))
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    # 23 rows: one range [0, 23), or [0, 5), [5, 11), [11, 17), [17, 23)
+    # drawing 2, 8, 14 and 20 w's
+    for cpus, fork, draws, order in ((1, True, 20, [0, 1]),
+                                     (4, True, 2 + 8 + 14 + 20, [3, 2, 1, 0, 7, 6, 5, 4]),
+                                     (4, False, 20, [0, 1])):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(checks, "_cpus", lambda: cpus)
+        counts.clear()
+        orders.clear()
+        assert main(["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"]) == 0
+        assert capsys.readouterr().err.count("accepted=3 of 23 candidates") == 2
+        assert counts == {"certify_antipodal": 2, "random_imaginary_unit": 2 * draws,
+                          "deviation": 2 * 23}
+        assert orders == [order]
 
 
 def test_fixset_forks_nothing(capsys, monkeypatch):
@@ -1017,7 +1103,7 @@ def test_v_is_read_on_every_backend_before_any_work(capsys, monkeypatch, command
     def refuse(*a, **kw):
         raise AssertionError("a section started before v was read on every backend")
 
-    for name in ("antipodal_set", "fix_tau_point"):
+    for name in ("certify_antipodal", "maximality_scan", "fix_tau_point"):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run(capsys, command, "[0,2/7,3/7,6/7,0,0,0,0]",
                          "--eps", "1e-20", "--trials", "1000")
@@ -1057,7 +1143,8 @@ def test_trials_beyond_the_bound_fail_before_any_work(tmp_path, capsys, monkeypa
     def refuse(*a, **kw):
         raise AssertionError("work started before --trials was checked")
 
-    for name in ("run_checks", "antipodal_set", "fix_tau_point", "table_rows", "_probe"):
+    for name in ("run_checks", "certify_antipodal", "maximality_scan", "fix_tau_point",
+                 "table_rows", "_probe"):
         monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "rep.json"
     code, stdout, err = run(capsys, *args, "--trials", "100001", "--out", str(out))
@@ -1185,7 +1272,11 @@ def test_the_row_template_is_the_writer(literal, backend, eps, accepted):
     dicts = [{"t": format_octonion(r.t), "candidate": r.candidate.to_json(),
               "accepted": r.accepted, "residual": r.residual} for r in rows]
     for ind in ("\n", cli._SECTION + "    "):
-        assert cli._render(cli._candidates(rows, ind), ind) == cli._render(dicts, ind)
+        assert cli._render([cli._candidates(rows, ind)], ind) == cli._render(dicts, ind)
+        # row ranges, each one list element, render as the list of their rows
+        for cut in (1, 3, 50):
+            parts = [cli._candidates(rows[:cut], ind), cli._candidates(rows[cut:], ind)]
+            assert cli._render(parts, ind) == cli._render(dicts, ind)
 
 
 def test_no_run_reaches_the_stdlib_encoder(tmp_path, capsys, monkeypatch):

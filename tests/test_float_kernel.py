@@ -254,8 +254,8 @@ def test_no_float_path_calls_builtin_sum():
         ("kernel", "matmul"),  # integer numerators
         ("kernel", "zdot"),  # integer numerators
         ("octonion", "_rational_unit_form"),  # integer draws
-        ("cli", "_antipodal_section"),  # a count of bools
-        ("symspace", "antipodal_set"),  # a count of bools
+        ("cli", "_antipodal_sections"),  # a count of rows
+        ("symspace", "maximality_verdict"),  # a count of bools
     }
     found = set()
 

@@ -5,14 +5,15 @@ Each test applies one fault to the model in process, runs
 this process, and asserts exit 1 with the named rows failing on each backend
 run.  No mutant changes the code of ``checks``; two rebind a name it
 imports, so only its own calls see them.  The short-scan mutant must also
-fail the ``antipodal`` command, which reads the same verdict.
+fail the ``antipodal`` command, which reads the same verdict, with its scan
+split into row ranges run by this process and a forked worker.
 """
 
 import json
 
 import pytest
 
-from spin8 import checks, clifford, kernel, octonion, symspace, triality
+from spin8 import checks, cli, clifford, kernel, octonion, symspace, triality
 from spin8.cli import main
 from spin8.symspace import SpherePoint
 from spin8.triality import TrialityTriple
@@ -159,9 +160,13 @@ def _outer_is_identity(name):
 
 def _scan_draws_no_candidates(monkeypatch):
     # M2: the maximality scan keeps its three closed-form rows, which accept
-    # o, p and q, and drops every random candidate
-    real = symspace.maximality_scan
-    monkeypatch.setattr(symspace, "maximality_scan", lambda *args: real(*args)[:3])
+    # o, p and q, and drops every random candidate, in whichever row range
+    # of the scan they fall
+    def scan(v, trials, rng, start=0, stop=None, real=symspace.maximality_scan):
+        return real(v, trials, rng, start, stop)[:max(0, 3 - start)]
+
+    monkeypatch.setattr(symspace, "maximality_scan", scan)
+    monkeypatch.setattr(cli, "maximality_scan", scan)
 
 
 @pytest.mark.parametrize("mutate, rows, backends", [
@@ -208,7 +213,9 @@ def test_battery_kills_mutant(tmp_path, capsys, monkeypatch, mutate, rows, backe
 
 
 def test_antipodal_command_kills_a_short_scan(capsys, monkeypatch):
-    monkeypatch.setattr(checks, "_cpus", lambda: 1)
+    # the scan split into two row ranges per backend, the later one run by a
+    # forked worker, which inherits the mutant
+    monkeypatch.setattr(checks, "_cpus", lambda: 2)
     _scan_draws_no_candidates(monkeypatch)
     code = main(["antipodal", "[0,3/5,4/5,0,0,0,0,0]", "--trials", "20"])
     err = capsys.readouterr().err

@@ -289,6 +289,33 @@ def test_maximality_scan_float():
                if isinstance(c, ApproxReal))
 
 
+def _row_bits(row):
+    """A scan row's forms or floats and its verdict, to compare bit for bit."""
+    return ([(x._form, x._fl) for x in (row.t, row.candidate.x, row.candidate.y)]
+            + [row.accepted, row.residual])
+
+
+@pytest.mark.parametrize("backend", [EXACT, FloatBackend(1e-9)], ids=["exact", "float"])
+def test_a_scan_range_is_the_slice_of_the_whole_scan(backend):
+    # rows [start, stop) of the scan are the whole scan's rows from the same
+    # rng state, the closed-form rows (0-2) and the random ones (3-8) alike,
+    # form for form and float for float; a range that runs to the end
+    # leaves rng where the whole scan does
+    v = random_imaginary_unit(random.Random(18), backend)
+    rng = random.Random(19)
+    whole = [_row_bits(r) for r in maximality_scan(v, 6, rng)]
+    assert len(whole) == 9 and [r[-2] for r in whole] == [True] * 3 + [False] * 6
+    end_state = rng.getstate()
+    ends = [0, 2, 3, 4, 9]
+    for i, start in enumerate(ends):
+        for stop in ends[i + 1:] + [None]:
+            rng = random.Random(19)
+            rows = maximality_scan(v, 6, rng, start, stop)
+            assert [_row_bits(r) for r in rows] == whole[start:stop], (start, stop)
+            if stop in (9, None):
+                assert rng.getstate() == end_state
+
+
 def test_maximality_scan_accepts_plain_seed():
     # the seed reaches the scan through a random.Random
     r1 = maximality_scan(e(2), 5, random.Random(123))
